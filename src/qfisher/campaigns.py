@@ -8,6 +8,8 @@ by summation, which keeps the reduction order irrelevant.
 
 from __future__ import annotations
 
+import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -28,7 +30,6 @@ from .criteria import (
 )
 from .estimation import precision_limits, run_phase_estimation
 from .fisher import (
-    _collective_spins,
     _gamma_mixed_batch,
     _gamma_pure_batch,
     optimize_local_directions,
@@ -78,6 +79,12 @@ class CampaignConfig:
             raise ValueError("samples must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.m < 1:
+            raise ValueError("m must be at least 1")
+        if self.trials < 1:
+            raise ValueError("trials must be at least 1")
+        if self.theta is not None and not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta!r}")
 
 
 @dataclass(frozen=True)
@@ -102,6 +109,9 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 
 def _map_chunks(chunk_fn, samples: int, workers: int) -> np.ndarray:
     ranges = [(s, min(s + CHUNK_SIZE, samples)) for s in range(0, samples, CHUNK_SIZE)]
+    # a fork pool starts every worker on the first submit, so never ask for
+    # more than there are chunks or CPUs
+    workers = min(workers, len(ranges), os.cpu_count() or 1)
     if workers <= 1:
         parts = [chunk_fn(a, b) for a, b in ranges]
     else:
@@ -132,7 +142,7 @@ def _pure3_batch(seed: int, start: int, stop: int) -> np.ndarray:
 
 def _table2_chunk(start: int, stop: int, seed: int, local: bool) -> np.ndarray:
     psis = _pure3_batch(seed, start, stop)
-    gammas = _gamma_pure_batch(psis, _collective_spins(3))
+    gammas = _gamma_pure_batch(psis, 3)
     fq_max = np.linalg.eigvalsh(gammas)[:, -1]
     fq_avg = np.trace(gammas, axis1=1, axis2=2) / 3.0
 
@@ -217,7 +227,7 @@ def _table3_chunk(start: int, stop: int, seed: int, mode: str) -> np.ndarray:
     rhos = np.empty((stop - start, 8, 8), dtype=complex)
     for j, i in enumerate(range(start, stop)):
         rhos[j] = zoo.random_ghz_diagonal(_stream(seed, i), mode).matrix
-    gammas = _gamma_mixed_batch(rhos, _collective_spins(3))
+    gammas = _gamma_mixed_batch(rhos, 3)
     fq_max = np.linalg.eigvalsh(gammas)[:, -1]
     fq_avg = np.trace(gammas, axis1=1, axis2=2) / 3.0
     ghz_vec = zoo.ghz(3).amplitudes
@@ -266,7 +276,7 @@ def _scan_chunk(start: int, stop: int, seed: int) -> np.ndarray:
     for q in range(3):
         lo = np.linalg.eigvalsh(_batched_single_cut_pt(rhos, q))[:, 0]
         ppt_all &= lo >= -1e-9
-    gammas = _gamma_mixed_batch(rhos, _collective_spins(3))
+    gammas = _gamma_mixed_batch(rhos, 3)
     fq_max = np.linalg.eigvalsh(gammas)[:, -1]
     fq_avg = np.trace(gammas, axis1=1, axis2=2) / 3.0
     flags = [

@@ -59,6 +59,7 @@ def _merge_config(args: argparse.Namespace) -> CampaignConfig:
     samples = pick("samples", None)
     if samples is None:
         samples = FULL_SCALE_SAMPLES if args.full or file_values.get("full") else DEFAULT_SAMPLES
+    theta = pick("theta", None)
     return CampaignConfig(
         campaign=args.campaign,
         samples=int(samples),
@@ -71,7 +72,7 @@ def _merge_config(args: argparse.Namespace) -> CampaignConfig:
         mode=pick("mode", None),
         m=int(pick("m", 1000)),
         trials=int(pick("trials", 200)),
-        theta=pick("theta", None),
+        theta=None if theta is None else float(theta),
     )
 
 

@@ -7,8 +7,11 @@ Conventions used throughout the package:
   ``sum(b_l * 2**(N-1-l))``;
 * ``sigma_z |0> = +|0>``.
 
-Everything is stored dense; the qubit count is capped (default 12) because
-the eigendecompositions that dominate the cost scale as ``8**N``.
+States and explicitly requested operators are stored dense; the qubit count
+is capped (default 12) because the eigendecompositions that dominate the
+cost scale as ``8**N``. The spin-QFI kernels never build a collective spin:
+they apply J_x and J_y to a basis index as bit flips and J_z as a popcount
+diagonal.
 """
 
 from __future__ import annotations

@@ -203,12 +203,18 @@ def ghz_witness(state, optimize_local_unitaries: bool = False, restarts: int = 2
     With ``optimize_local_unitaries`` the fidelity is first maximized over
     products of single-qubit unitaries by random-restart coordinate ascent.
     """
-    mat = _state_matrix(state)
-    num_qubits = int(round(np.log2(mat.shape[0])))
-    target = zoo.ghz(num_qubits).amplitudes
-    fidelity = float(np.real(np.vdot(target, mat @ target)))
+    if isinstance(state, PureState):
+        num_qubits = state.num_qubits
+        target = zoo.ghz(num_qubits).amplitudes
+        fidelity = float(np.abs(np.vdot(target, state.amplitudes)) ** 2)
+    else:
+        mat = _state_matrix(state)
+        num_qubits = int(round(np.log2(mat.shape[0])))
+        target = zoo.ghz(num_qubits).amplitudes
+        fidelity = float(np.real(np.vdot(target, mat @ target)))
     if not optimize_local_unitaries:
         return 0.5 - fidelity
+    mat = _state_matrix(state)
     rng = np.random.default_rng(seed)
     best = fidelity  # identity product is one admissible choice
     for _ in range(restarts):

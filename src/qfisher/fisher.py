@@ -10,7 +10,6 @@ the Bloch sphere (trace / 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -19,9 +18,9 @@ from .core import (
     DensityMatrix,
     InvariantError,
     PureState,
-    collective_spin_matrix,
     variance,
     _as_matrix,
+    _popcounts,
     _state_matrix,
 )
 
@@ -46,12 +45,33 @@ ZERO_CUT = 1e-12
 PROB_FLOOR = 1e-12
 
 
-@lru_cache(maxsize=None)
-def _collective_spins(num_qubits: int) -> np.ndarray:
-    """Stacked (3, d, d) array of J_x, J_y, J_z; cached per qubit count."""
-    jays = np.stack([collective_spin_matrix(num_qubits, ax) for ax in "xyz"])
-    jays.setflags(write=False)
-    return jays
+def _apply_spins(x: np.ndarray, num_qubits: int, axis: int = -1) -> np.ndarray:
+    """J_x x, J_y x and J_z x stacked as a (3,) + x.shape array.
+
+    The J's act on the basis axis ``axis`` of ``x`` (length 2**N); all other
+    axes are batch axes. Viewing that axis as N qubit axes of length 2,
+    sigma_x on qubit l swaps the two halves of qubit axis l, sigma_y swaps
+    them with factors -i (to |0>) and +i (to |1>), and J_z is the diagonal
+    (N - 2 popcount(idx)) / 2. No dense operator is formed.
+    """
+    axis = axis % x.ndim
+    d = x.shape[axis]
+    head, tail = x.shape[:axis], x.shape[axis + 1 :]
+    t = x.reshape(head + (2,) * num_qubits + tail)
+    out = np.zeros((3,) + t.shape, dtype=complex)
+    jx, jy = out[0], out[1]  # jy holds -i J_y until the final scaling
+    for l in range(num_qubits):
+        lo = (slice(None),) * (axis + l) + (0,)
+        hi = (slice(None),) * (axis + l) + (1,)
+        jx[lo] += t[hi]
+        jx[hi] += t[lo]
+        jy[lo] -= t[hi]
+        jy[hi] += t[lo]
+    jx *= 0.5
+    jy *= 0.5j
+    diag = (num_qubits - 2 * _popcounts(d)) / 2.0
+    out[2] = (diag.reshape((d,) + (1,) * len(tail)) * x).reshape(t.shape)
+    return out.reshape((3,) + x.shape)
 
 
 @dataclass(frozen=True)
@@ -127,22 +147,24 @@ def qfi(state, generator, zero_cut: float = ZERO_CUT) -> float:
     return float(2.0 * np.sum(w * np.abs(m) ** 2))
 
 
-def _gamma_pure_batch(psis: np.ndarray, jays: np.ndarray) -> np.ndarray:
-    """Spin-QFI matrices for a batch of pure states, shape (B, 3, 3)."""
-    v = np.einsum("ixy,by->bix", jays, psis)
-    e = np.real(np.einsum("bx,bix->bi", psis.conj(), v))
-    s = np.real(np.einsum("bix,bjx->bij", v.conj(), v))
+def _gamma_pure_batch(psis: np.ndarray, num_qubits: int) -> np.ndarray:
+    """Spin-QFI matrices 4 Re Cov(J_i, J_j) of a batch of pure states, (B, 3, 3)."""
+    v = _apply_spins(psis, num_qubits)
+    e = np.real(np.einsum("bx,ibx->bi", psis.conj(), v))
+    s = np.real(np.einsum("ibx,jbx->bij", v.conj(), v))
     return 4.0 * (s - e[:, :, None] * e[:, None, :])
 
 
-def _gamma_mixed_batch(rhos: np.ndarray, jays: np.ndarray, zero_cut: float = ZERO_CUT) -> np.ndarray:
+def _gamma_mixed_batch(rhos: np.ndarray, num_qubits: int, zero_cut: float = ZERO_CUT) -> np.ndarray:
     """Spin-QFI matrices for a batch of density matrices, shape (B, 3, 3)."""
     evals, vecs = np.linalg.eigh(rhos)
     cut = zero_cut * np.sum(evals, axis=-1, keepdims=True)[..., None]
     w = _pair_weights(evals, cut)
     out = np.empty((rhos.shape[0], 3, 3))
+    m = _apply_spins(vecs, num_qubits, axis=-2)
     vdag = vecs.conj().transpose(0, 2, 1)
-    m = [vdag @ jays[i] @ vecs for i in range(3)]
+    for i in range(3):
+        m[i] = vdag @ m[i]  # one GEMM per axis, overwriting J_i V to bound the working set
     for i in range(3):
         for j in range(i, 3):
             out[:, i, j] = 2.0 * np.sum(w * np.real(m[i] * m[j].conj()), axis=(1, 2))
@@ -153,11 +175,9 @@ def _gamma_mixed_batch(rhos: np.ndarray, jays: np.ndarray, zero_cut: float = ZER
 def qfi_matrix(state, zero_cut: float = ZERO_CUT) -> SpinQfiMatrix:
     """3x3 collective-spin QFI matrix of a pure or mixed state."""
     if isinstance(state, PureState):
-        jays = _collective_spins(state.num_qubits)
-        gamma = _gamma_pure_batch(state.amplitudes[None, :], jays)[0]
+        gamma = _gamma_pure_batch(state.amplitudes[None, :], state.num_qubits)[0]
     elif isinstance(state, DensityMatrix):
-        jays = _collective_spins(state.num_qubits)
-        gamma = _gamma_mixed_batch(state.matrix[None, :, :], jays, zero_cut)[0]
+        gamma = _gamma_mixed_batch(state.matrix[None, :, :], state.num_qubits, zero_cut)[0]
     else:
         raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
     gamma = np.triu(gamma) + np.triu(gamma, 1).T  # exactly symmetric

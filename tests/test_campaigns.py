@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+from qfisher import campaigns
 from qfisher.campaigns import (
     CampaignConfig,
     bounds_curve,
@@ -175,6 +176,55 @@ class TestRunCampaign:
             CampaignConfig("table2", samples=0)
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+class TestWorkerCap:
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        monkeypatch.setattr(campaigns, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(campaigns.os, "cpu_count", lambda: 4)
+        _RecordingPool.requested = []
+        return _RecordingPool
+
+    def test_capped_at_chunk_count(self, pool):
+        # 5000 samples are three chunks
+        run_campaign(CampaignConfig("table3", samples=5000, seed=1, workers=10_000))
+        assert pool.requested == [3]
+
+    def test_capped_at_cpu_count(self, pool, monkeypatch):
+        monkeypatch.setattr(campaigns, "CHUNK_SIZE", 100)
+        run_campaign(CampaignConfig("table3", samples=1000, seed=1, workers=64))
+        assert pool.requested == [4]
+
+    def test_single_chunk_runs_serially(self, pool):
+        run_campaign(CampaignConfig("table2", samples=100, seed=1, workers=64))
+        assert pool.requested == []
+
+    def test_csv_bytes_identical_for_any_workers(self, pool):
+        csvs = {
+            w: run_campaign(CampaignConfig("table2", samples=5000, seed=3, workers=w))[0]
+            for w in (1, 2, 3, 4096)
+        }
+        assert pool.requested == [2, 3, 3]
+        assert len(set(csvs.values())) == 1
+
+
 class TestCli:
     def test_bounds_curve_stdout(self, capsys):
         assert main(["bounds-curve", "--n", "6"]) == 0
@@ -192,6 +242,18 @@ class TestCli:
 
     def test_missing_option_exit_2(self, capsys):
         assert main(["bounds-curve"]) == 2
+
+    @pytest.mark.parametrize(
+        "flags", [["--m", "0"], ["--trials", "0"], ["--theta", "nan"], ["--theta", "inf"]]
+    )
+    def test_bad_phase_sim_field_exit_2(self, flags, capsys):
+        assert main(["phase-sim", "--state", "ghz:2", *flags]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_numeric_theta_in_config_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"state": "ghz:2", "theta": "half"}))
+        assert main(["phase-sim", "--config", str(config)]) == 2
 
     def test_class_filter(self, capsys):
         assert main(["bounds-curve", "--n", "8", "--k", "3"]) == 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,90 @@ class TestQfiMatrix:
             mixed = qf.qfi_matrix(qf.mix_with_identity(psi, p)).matrix
             pure = qf.qfi_matrix(psi).matrix
             assert np.max(np.abs(mixed - qf.white_noise_factor(p, 3) * pure)) <= 1e-8
+
+
+def dense_collective_spins(n):
+    """J_x, J_y, J_z built from kron'd Pauli matrices, independent of qfisher."""
+    paulis = (
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, -1j], [1j, 0]]),
+        np.array([[1, 0], [0, -1]], dtype=complex),
+    )
+    jays = []
+    for sigma in paulis:
+        total = np.zeros((2**n, 2**n), dtype=complex)
+        for l in range(n):
+            term = np.eye(1)
+            for m in range(n):
+                term = np.kron(term, sigma if m == l else np.eye(2))
+            total += term
+        jays.append(total / 2)
+    return jays
+
+
+def dense_gamma(rho, jays):
+    """Eigenbasis sum 2 (lam_a - lam_b)^2 / (lam_a + lam_b) Re(J_i)_ab (J_j)_ba
+    over the pairs with lam_a + lam_b > 1e-12."""
+    lam, v = np.linalg.eigh(rho)
+    ms = [v.conj().T @ j @ v for j in jays]
+    gamma = np.zeros((3, 3))
+    for a in range(lam.size):
+        for b in range(lam.size):
+            s = lam[a] + lam[b]
+            if s > 1e-12:
+                w = (lam[a] - lam[b]) ** 2 / s
+                for i in range(3):
+                    for j in range(3):
+                        gamma[i, j] += 2 * w * np.real(ms[i][a, b] * ms[j][b, a])
+    return gamma
+
+
+def dense_gamma_pure(psi, jays):
+    """4 Re Cov(J_i, J_j) of a state vector."""
+    vs = [j @ psi for j in jays]
+    means = [np.real(np.vdot(psi, v)) for v in vs]
+    return np.array(
+        [
+            [4 * (np.real(np.vdot(vi, vj)) - mi * mj) for vj, mj in zip(vs, means)]
+            for vi, mi in zip(vs, means)
+        ]
+    )
+
+
+class TestSpinKernelsAgainstDense:
+    """The bit-flip kernels against dense J's built in the test itself."""
+
+    @staticmethod
+    def assert_close(gamma, ref):
+        assert np.max(np.abs(gamma - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_pure(self, n):
+        rng = np.random.default_rng(100 + n)
+        jays = dense_collective_spins(n)
+        for _ in range(3):
+            psi = random_pure(rng, n)
+            self.assert_close(qf.qfi_matrix(psi).matrix, dense_gamma_pure(psi.amplitudes, jays))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_mixed_full_rank_and_rank_deficient(self, n):
+        rng = np.random.default_rng(200 + n)
+        jays = dense_collective_spins(n)
+        d = 2**n
+        for rank in sorted({d, max(1, d // 2), 1}):
+            rho = random_mixed(rng, n, rank)
+            self.assert_close(qf.qfi_matrix(rho).matrix, dense_gamma(rho.matrix, jays))
+
+    def test_twelve_qubit_dicke_stays_small(self):
+        tracemalloc.start()
+        try:
+            gamma = qf.qfi_matrix(qf.dicke(12, 6)).matrix
+            witness = qf.ghz_witness(qf.dicke(12, 6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(gamma[0, 0] - 84.0) <= 1e-9 and witness == 0.5
+        assert peak < 64 * 2**20
 
 
 class TestQfiSummaries:
