@@ -1,9 +1,11 @@
 """Byte-for-byte golden checks of the campaign CSVs.
 
 Each file under ``tests/golden/`` is the CSV that ``run_campaign`` gave for
-one configuration. The seeded campaigns use seed 0 and 2500 samples, which
-spans two chunks. A change that moves any byte of a detection table fails
-here. If a change is meant to alter them, regenerate the files in their own
+one configuration. The seeded detection campaigns use seed 0 and 2500
+samples, which spans two chunks; ``table2 --mode local`` uses 10 samples,
+since each one runs the local optimisers. The phase-sim files hold the
+per-trial estimates of the two fringe probes at seed 0. A change that moves
+any byte of these tables fails here. If a change is meant to alter them, regenerate the files in their own
 labelled commit with::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -22,17 +24,38 @@ CASES = {
     "table3_dme_family.csv": dict(campaign="table3", samples=2500, seed=0, mode="dme_family"),
     "bound_entangled_scan.csv": dict(campaign="bound-entangled-scan", samples=2500, seed=0),
     "bounds_curve_n6.csv": dict(campaign="bounds-curve", n=6),
+    "table2_local.csv": dict(campaign="table2", samples=10, seed=0, mode="local"),
+    "phase_sim_ghz4.csv": dict(campaign="phase-sim", state="ghz:4", trials=200, seed=0),
+    "phase_sim_plus4.csv": dict(campaign="phase-sim", state="plus:4", trials=40, seed=0),
+}
+
+# phase-sim summary (std, ratio) at the configurations above; the CSV keeps
+# only 10 significant digits of each estimate, so the summary is pinned too
+PHASE_SIM_SUMMARY = {
+    "phase_sim_ghz4.csv": (0.008202192850879966, 1.0375044486692202),
+    "phase_sim_plus4.csv": (0.01582583810848902, 1.0009138860783247),
 }
 
 
+def _run(case: str) -> tuple[str, dict]:
+    return run_campaign(CampaignConfig(**CASES[case]))
+
+
 def _csv(case: str) -> bytes:
-    csv_text, _ = run_campaign(CampaignConfig(**CASES[case]))
-    return csv_text.encode()
+    return _run(case)[0].encode()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_csv_matches_golden(case):
     assert _csv(case) == (GOLDEN_DIR / case).read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(PHASE_SIM_SUMMARY))
+def test_phase_sim_summary_matches_golden(case):
+    std, ratio = PHASE_SIM_SUMMARY[case]
+    _, summary = _run(case)
+    assert summary["std"] == pytest.approx(std, rel=1e-12, abs=0)
+    assert summary["ratio"] == pytest.approx(ratio, rel=1e-12, abs=0)
 
 
 if __name__ == "__main__":
