@@ -56,6 +56,13 @@ def _merge_config(args: argparse.Namespace) -> CampaignConfig:
             return file_values[flag]
         return default
 
+    def typed(flag: str, kind: type):
+        # argparse types the flags; a config file can hold any JSON value
+        value = pick(flag, None)
+        if value is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+            raise ValueError(f"config {flag} must be of type {kind.__name__}, got {value!r}")
+        return value
+
     samples = pick("samples", None)
     if samples is None:
         samples = FULL_SCALE_SAMPLES if args.full or file_values.get("full") else DEFAULT_SAMPLES
@@ -66,10 +73,10 @@ def _merge_config(args: argparse.Namespace) -> CampaignConfig:
         seed=int(pick("seed", 0)),
         workers=int(pick("workers", 1)),
         out=pick("out", None),
-        n=pick("n", None),
-        k=pick("k", None),
-        state=pick("state", None),
-        mode=pick("mode", None),
+        n=typed("n", int),
+        k=typed("k", int),
+        state=typed("state", str),
+        mode=typed("mode", str),
         m=int(pick("m", 1000)),
         trials=int(pick("trials", 200)),
         theta=None if theta is None else float(theta),

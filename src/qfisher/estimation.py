@@ -76,30 +76,37 @@ def sample_outcomes(state, povm: Povm, shots: int, rng: np.random.Generator) -> 
     return rng.multinomial(shots, probs)
 
 
-def ml_estimate(counts, state, generator, povm: Povm, theta_grid) -> float:
-    """Grid maximum-likelihood phase estimate with one parabolic refinement.
-
-    Ties resolve to the lowest grid point; a likelihood that does not depend
-    on theta at all is an error since the model cannot identify the phase.
-    """
-    counts = np.asarray(counts, dtype=float)
+def _likelihood_table(state, generator, povm: Povm, theta_grid) -> tuple[np.ndarray, np.ndarray]:
+    """Validated grid and log P[t, mu] on it; the table never depends on the counts."""
     grid = np.asarray(theta_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise ValueError("theta grid needs at least three points")
     probs = model_probabilities(state, generator, povm, grid)
     if np.max(probs.max(axis=0) - probs.min(axis=0)) < 1e-14:
         raise ValueError("flat likelihood: outcome probabilities do not depend on theta")
-    loglik = counts @ np.log(np.clip(probs, 1e-300, None)).T
+    return grid, np.log(np.clip(probs, 1e-300, None))
+
+
+def _refine_peak(counts, grid: np.ndarray, log_probs: np.ndarray) -> float:
+    """Grid argmax of counts @ log P (ties to the lowest point), one parabolic step."""
+    loglik = np.asarray(counts, dtype=float) @ log_probs.T
     peak = int(np.argmax(loglik))
-    if peak == 0 or peak == grid.size - 1:
-        return float(grid[peak])
-    left, mid, right = loglik[peak - 1], loglik[peak], loglik[peak + 1]
-    denom = left - 2.0 * mid + right
-    if abs(denom) < 1e-300:
-        return float(grid[peak])
-    step = grid[peak + 1] - grid[peak]
-    offset = 0.5 * (left - right) / denom
-    return float(grid[peak] + np.clip(offset, -1.0, 1.0) * step)
+    if 0 < peak < grid.size - 1:
+        left, mid, right = loglik[peak - 1 : peak + 2]
+        denom = left - 2.0 * mid + right
+        if abs(denom) >= 1e-300:
+            offset = np.clip(0.5 * (left - right) / denom, -1.0, 1.0)
+            return float(grid[peak] + offset * (grid[peak + 1] - grid[peak]))
+    return float(grid[peak])
+
+
+def ml_estimate(counts, state, generator, povm: Povm, theta_grid) -> float:
+    """Grid maximum-likelihood phase estimate with one parabolic refinement.
+
+    Ties resolve to the lowest grid point; a likelihood that does not depend
+    on theta at all is an error since the model cannot identify the phase.
+    """
+    return _refine_peak(counts, *_likelihood_table(state, generator, povm, theta_grid))
 
 
 def precision_limits(num_qubits: int, m: int) -> tuple[float, float]:
@@ -123,21 +130,21 @@ def run_phase_estimation(
     """Simulate ``trials`` independent m-shot estimates of one fixed phase.
 
     The likelihood grid spans ``window`` (callers restrict it to a stretch
-    where the fringe pattern is unambiguous); each trial draws from its own
-    seed-and-index RNG stream so results do not depend on scheduling.
+    where the fringe pattern is unambiguous). Its table is built once per
+    run; each trial draws from its own seed-and-index RNG stream, so results
+    do not depend on scheduling, and then only refines the likelihood peak.
     """
     if window is None:
         raise ValueError("an identifiability window (lo, hi) around the phase is required")
     lo, hi = window
     if not lo < true_theta < hi:
         raise ValueError("true phase must lie inside the estimation window")
-    grid = np.linspace(lo, hi, grid_points)
     evolved = evolve(state, generator, true_theta)
+    grid, log_probs = _likelihood_table(state, generator, povm, np.linspace(lo, hi, grid_points))
     estimates = np.empty(trials)
     for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        counts = sample_outcomes(evolved, povm, m, rng)
-        estimates[trial] = ml_estimate(counts, state, generator, povm, grid)
+        counts = sample_outcomes(evolved, povm, m, np.random.default_rng([seed, trial]))
+        estimates[trial] = _refine_peak(counts, grid, log_probs)
     return EstimationRun(
         true_theta=float(true_theta),
         m=int(m),

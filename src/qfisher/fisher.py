@@ -278,8 +278,11 @@ def x_basis_povm(num_qubits: int) -> Povm:
 def model_probabilities(state, generator, povm: Povm, thetas) -> np.ndarray:
     """Outcome probabilities P[t, mu] of the evolved state on a theta grid.
 
-    The state is conjugated by exp(-i theta G) through the eigendecomposition
-    of the generator, so a whole grid costs one diagonalization.
+    In the eigenbasis of the generator (eigenvalues lambda, state w, effects
+    E_mu), P[t, mu] = Re sum_g exp(-i theta_t g) C[g, mu], where C[g, mu]
+    sums w_ab (E_mu)_ba over the pairs with lambda_a - lambda_b = g exactly.
+    A collective J_z has 2N + 1 distinct gaps, any generator at most d^2; the
+    grid is taken in blocks, so memory never grows as (grid size) * d^2.
     """
     if not isinstance(povm, Povm):
         raise TypeError("povm must be a Povm instance")
@@ -289,15 +292,17 @@ def model_probabilities(state, generator, povm: Povm, thetas) -> np.ndarray:
         raise ValueError("state, generator and POVM dimensions do not match")
     lam, v = np.linalg.eigh(g)
     w = v.conj().T @ rho @ v
-    effects = [v.conj().T @ np.asarray(e) @ v for e in povm.elements]
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    out = np.empty((thetas.size, len(effects)))
-    gaps = lam[:, None] - lam[None, :]
-    for t, theta in enumerate(thetas):
-        rho_t = w * np.exp(-1j * theta * gaps)
-        for mu, eff in enumerate(effects):
-            out[t, mu] = float(np.real(np.sum(rho_t * eff.T)))
-    return out
+    # entry [b, a] of w.T * E_mu is w_ab (E_mu)_ba and carries the gap lambda_a - lambda_b
+    gaps = (lam[None, :] - lam[:, None]).ravel()
+    order = np.argsort(gaps, kind="stable")
+    starts = np.flatnonzero(np.diff(gaps[order], prepend=-np.inf))
+    terms = (w.T * (v.conj().T @ e @ v) for e in povm.elements)
+    coeffs = np.array([np.add.reduceat(term.ravel()[order], starts) for term in terms])
+    # about 2**16 phases exp(-i theta g) at a time, whatever the number of gaps
+    blocks = np.array_split(thetas, max(1, thetas.size * starts.size // 2**16))
+    phases = (np.exp(-1j * np.outer(block, gaps[order[starts]])) for block in blocks)
+    return np.vstack([np.real(p @ coeffs.T) for p in phases])
 
 
 def classical_fisher(state, generator, povm: Povm, theta: float, dtheta: float = 1e-5) -> float:
@@ -365,9 +370,9 @@ def _max_on_sphere(a: np.ndarray, c: np.ndarray, current: np.ndarray) -> np.ndar
         c_par**2,
     ]
     roots = np.roots(coeffs)
-    cand = [r.real for r in roots if abs(r.imag) < 1e-9 and -1.0 <= r.real <= 1.0]
-    cand += [-1.0, 1.0] + list(np.linspace(-0.999, 0.999, 21))
-    t = max(cand, key=g)
+    real = roots.real[(np.abs(roots.imag) < 1e-9) & (np.abs(roots.real) <= 1.0)]
+    cand = np.concatenate([real, [-1.0, 1.0], np.linspace(-0.999, 0.999, 21)])
+    t = cand[np.argmax(g(cand))]  # first maximum, as max(cand, key=g) picks
     s = np.sqrt(max(0.0, 1.0 - t * t))
     return t * a_hat + s * p_hat
 

@@ -255,6 +255,23 @@ class TestCli:
         config.write_text(json.dumps({"state": "ghz:2", "theta": "half"}))
         assert main(["phase-sim", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize(
+        "campaign, values",
+        [
+            ("bounds-curve", {"n": "6"}),
+            ("bounds-curve", {"n": 6.0}),
+            ("bounds-curve", {"n": True}),
+            ("bounds-curve", {"n": 6, "k": "3"}),
+            ("analyze", {"state": 5}),
+            ("analyze", {"state": "ghz:3", "mode": 1}),
+        ],
+    )
+    def test_mistyped_config_value_exit_2(self, campaign, values, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        assert main([campaign, "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith("error: config")
+
     def test_class_filter(self, capsys):
         assert main(["bounds-curve", "--n", "8", "--k", "3"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

@@ -130,6 +130,42 @@ class TestPhaseEstimationRuns:
         )
         assert np.array_equal(a.estimator_values, b.estimator_values)
 
+    @pytest.mark.parametrize("probe", ["ghz", "plus"])
+    def test_matches_per_trial_ml_estimate(self, probe):
+        n, m, trials, seed = 3, 300, 12, 5
+        gen = qf.collective_spin(n, "z")
+        if probe == "ghz":
+            state, povm, theta0 = qf.ghz(n), qf.parity_povm(n, "x"), np.pi / (2 * n)
+            window = (0.0, np.pi / n)
+        else:
+            state, povm, theta0 = qf.plus_state(n), qf.x_basis_povm(n), np.pi / 2
+            window = (0.0, np.pi)
+        run = qf.run_phase_estimation(
+            state, gen, povm, theta0, m=m, trials=trials, seed=seed, window=window, grid_points=128
+        )
+        grid = np.linspace(*window, 128)
+        evolved = qf.evolve(state, gen, theta0)
+        loop = [
+            qf.ml_estimate(
+                qf.sample_outcomes(evolved, povm, m, np.random.default_rng([seed, t])),
+                state,
+                gen,
+                povm,
+                grid,
+            )
+            for t in range(trials)
+        ]
+        assert np.max(np.abs(run.estimator_values - loop)) <= 1e-12
+
+    def test_flat_likelihood_and_short_grid_rejected(self):
+        kw = dict(m=10, trials=3, window=(0.0, 1.0))
+        flat = (qf.ones_state(2), qf.collective_spin(2, "z"), qf.computational_povm(2), 0.3)
+        with pytest.raises(ValueError, match="flat likelihood"):
+            qf.run_phase_estimation(*flat, **kw)
+        fringe = (qf.ghz(2), qf.collective_spin(2, "z"), qf.parity_povm(2, "x"), 0.3)
+        with pytest.raises(ValueError, match="at least three"):
+            qf.run_phase_estimation(*fringe, grid_points=2, **kw)
+
     def test_window_required(self):
         with pytest.raises(ValueError):
             qf.run_phase_estimation(

@@ -277,6 +277,80 @@ class TestClassicalFisher:
             assert qf.classical_fisher(rho, h, povm, theta) <= qf.qfi(rho, h) + 1e-4
 
 
+def reference_probabilities(rho, h, povm, thetas):
+    """tr(U rho U^dagger E_mu) with U = V exp(-i theta Lambda) V^dagger, one theta at a time."""
+    lam, v = np.linalg.eigh(h)
+    out = np.empty((len(thetas), len(povm)))
+    for t, theta in enumerate(thetas):
+        u = (v * np.exp(-1j * theta * lam)) @ v.conj().T
+        rho_t = u @ rho @ u.conj().T
+        out[t] = [np.real(np.trace(rho_t @ e)) for e in povm.elements]
+    return out
+
+
+def random_unitary(rng, d):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q
+
+
+def random_povm(rng, d, outcomes):
+    """Non-projective POVM S^(-1/2) A_k S^(-1/2) from random positive A_k, S = sum A_k."""
+    parts = [a @ a.conj().T for a in (random_unitary(rng, d)[:, :2] for _ in range(outcomes))]
+    lam, v = np.linalg.eigh(sum(parts))
+    s_inv_half = (v / np.sqrt(lam)) @ v.conj().T
+    return qf.Povm(tuple(s_inv_half @ a @ s_inv_half for a in parts))
+
+
+class TestModelProbabilities:
+    """The eigen-gap contraction against conjugation by U(theta) in the test itself."""
+
+    @pytest.mark.parametrize("generator", ["jz", "random"])
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_matches_conjugation(self, n, generator):
+        rng = np.random.default_rng(300 + n)
+        d = 2**n
+        if generator == "jz":
+            h = dense_collective_spins(n)[2]  # degenerate: N + 1 distinct eigenvalues
+        else:
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            h = (a + a.conj().T) / 2
+            assert np.min(np.diff(np.linalg.eigvalsh(h))) > 1e-3
+        thetas = rng.uniform(-np.pi, np.pi, 25)
+        povms = [qf.povm_from_basis(random_unitary(rng, d)), random_povm(rng, d, d + 1)]
+        pure, mixed = random_pure(rng, n), random_mixed(rng, n)
+        psi = pure.amplitudes
+        for state, rho in ((pure, np.outer(psi, psi.conj())), (mixed, mixed.matrix)):
+            for povm in povms:
+                got = qf.model_probabilities(state, h, povm, thetas)
+                ref = reference_probabilities(rho, h, povm, thetas)
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n, generator", [(8, "jz"), (6, "random")], ids=["ghz8-jz", "ghz6-random"]
+    )
+    def test_grid_table_stays_small(self, n, generator):
+        # a (T, d, d) broadcast of ghz(8) on 512 points would take about 540 MB;
+        # the random generator has d^2 - d + 1 gaps, 33 MB of phases if unblocked
+        if generator == "jz":
+            h = qf.collective_spin(n, "z")
+        else:
+            a = np.random.default_rng(9).standard_normal((2**n, 2**n))
+            h = (a + a.T) / 2
+        args = (qf.ghz(n), h, qf.parity_povm(n))
+        grid = np.linspace(0.0, np.pi / 8, 512)
+        tracemalloc.start()
+        try:
+            probs = qf.model_probabilities(*args, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+        assert probs.shape == (512, 2)
+        if generator == "jz":
+            assert np.max(np.abs(probs[:, 0] - (1 + np.cos(n * grid)) / 2)) <= 1e-12
+
+
 class TestLocalDirectionOptimization:
     def test_ghz_optimum_along_z(self):
         # the two-qubit case is omitted from the direction check: its optimum
