@@ -72,7 +72,7 @@ def _merge_config(args: argparse.Namespace) -> CampaignConfig:
         samples=int(samples),
         seed=int(pick("seed", 0)),
         workers=int(pick("workers", 1)),
-        out=pick("out", None),
+        out=typed("out", str),
         n=typed("n", int),
         k=typed("k", int),
         state=typed("state", str),

@@ -372,7 +372,7 @@ def _max_on_sphere(a: np.ndarray, c: np.ndarray, current: np.ndarray) -> np.ndar
     roots = np.roots(coeffs)
     real = roots.real[(np.abs(roots.imag) < 1e-9) & (np.abs(roots.real) <= 1.0)]
     cand = np.concatenate([real, [-1.0, 1.0], np.linspace(-0.999, 0.999, 21)])
-    t = cand[np.argmax(g(cand))]  # first maximum, as max(cand, key=g) picks
+    t = cand[np.argmax(g(cand))]  # ties go to the first candidate
     s = np.sqrt(max(0.0, 1.0 - t * t))
     return t * a_hat + s * p_hat
 

@@ -264,6 +264,7 @@ class TestCli:
             ("bounds-curve", {"n": 6, "k": "3"}),
             ("analyze", {"state": 5}),
             ("analyze", {"state": "ghz:3", "mode": 1}),
+            ("bounds-curve", {"n": 3, "out": 5}),
         ],
     )
     def test_mistyped_config_value_exit_2(self, campaign, values, tmp_path, capsys):
