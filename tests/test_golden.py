@@ -4,8 +4,10 @@ Each file under ``tests/golden/`` is the CSV that ``run_campaign`` gave for
 one configuration. The seeded detection campaigns use seed 0 and 2500
 samples, which spans two chunks; ``table2 --mode local`` uses 10 samples,
 since each one runs the local optimisers. The phase-sim files hold the
-per-trial estimates of the two fringe probes at seed 0. A change that moves
-any byte of these tables fails here. If a change is meant to alter them, regenerate the files in their own
+per-trial estimates of the two fringe probes at seed 0. The ``analyze
+--mode witness-opt`` files hold the per-state report, including the GHZ
+witness optimised over local unitaries, of a pure, a mixed and a GHZ state
+at seed 0. A change that moves any byte of these tables fails here. If a change is meant to alter them, regenerate the files in their own
 labelled commit with::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -27,6 +29,13 @@ CASES = {
     "table2_local.csv": dict(campaign="table2", samples=10, seed=0, mode="local"),
     "phase_sim_ghz4.csv": dict(campaign="phase-sim", state="ghz:4", trials=200, seed=0),
     "phase_sim_plus4.csv": dict(campaign="phase-sim", state="plus:4", trials=40, seed=0),
+    "analyze_dicke4_2_witness.csv": dict(
+        campaign="analyze", state="dicke:4:2", mode="witness-opt", seed=0
+    ),
+    "analyze_smolin2_witness.csv": dict(
+        campaign="analyze", state="smolin:2", mode="witness-opt", seed=0
+    ),
+    "analyze_ghz5_witness.csv": dict(campaign="analyze", state="ghz:5", mode="witness-opt", seed=0),
 }
 
 # phase-sim summary (std, ratio) at the configurations above; the CSV keeps
