@@ -420,16 +420,18 @@ def run_phase_sim(
 ) -> dict:
     """Simulated repeated phase estimation for a fringe-type probe.
 
-    GHZ probes are measured by N-qubit parity in x, product |+> probes in
-    the local x bases; the default phase sits at the steepest point of the
-    corresponding fringe.
+    A probe equal to the product |+>^N up to a global phase, however it was
+    given, is measured in the local x bases; every other probe, GHZ
+    included, by N-qubit parity in x. The default phase sits at the
+    steepest point of the corresponding fringe.
     """
     state = zoo.parse_state_spec(state_spec)
     if not isinstance(state, PureState):
         raise ValueError("phase simulation expects a pure probe state")
     n = state.num_qubits
     generator = collective_spin(n, "z")
-    if state_spec.startswith("plus:"):
+    plus_overlap = abs(np.vdot(zoo.plus_state(n).amplitudes, state.amplitudes))
+    if abs(plus_overlap - 1.0) <= 1e-12:
         povm = x_basis_povm(n)
         theta0 = np.pi / 2 if theta is None else theta
         window = (theta0 - np.pi / 2, theta0 + np.pi / 2)

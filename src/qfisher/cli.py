@@ -56,29 +56,29 @@ def _merge_config(args: argparse.Namespace) -> CampaignConfig:
             return file_values[flag]
         return default
 
-    def typed(flag: str, kind: type):
+    def typed(flag: str, kind: type, default=None):
         # argparse types the flags; a config file can hold any JSON value
-        value = pick(flag, None)
+        value = pick(flag, default)
         if value is not None and (not isinstance(value, kind) or isinstance(value, bool)):
             raise ValueError(f"config {flag} must be of type {kind.__name__}, got {value!r}")
         return value
 
-    samples = pick("samples", None)
+    samples = typed("samples", int)
     if samples is None:
         samples = FULL_SCALE_SAMPLES if args.full or file_values.get("full") else DEFAULT_SAMPLES
     theta = pick("theta", None)
     return CampaignConfig(
         campaign=args.campaign,
-        samples=int(samples),
-        seed=int(pick("seed", 0)),
-        workers=int(pick("workers", 1)),
+        samples=samples,
+        seed=typed("seed", int, 0),
+        workers=typed("workers", int, 1),
         out=typed("out", str),
         n=typed("n", int),
         k=typed("k", int),
         state=typed("state", str),
         mode=typed("mode", str),
-        m=int(pick("m", 1000)),
-        trials=int(pick("trials", 200)),
+        m=typed("m", int, 1000),
+        trials=typed("trials", int, 200),
         theta=None if theta is None else float(theta),
     )
 

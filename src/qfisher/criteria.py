@@ -21,7 +21,6 @@ from .core import (
     DensityMatrix,
     InvariantError,
     PureState,
-    _embed_single_qubit,
     _state_matrix,
 )
 from .fisher import qfi_matrix, optimize_local_directions
@@ -150,12 +149,10 @@ def dme_family(state) -> tuple[DmeResult, ...]:
     return tuple(dme_condition(state, pair) for pair in (1, 2, 3, 4))
 
 
-def _su2_from_point(x: np.ndarray) -> np.ndarray:
-    """SU(2) matrix from a unit 4-vector (quaternion parametrization)."""
-    return (
-        x[0] * np.eye(2)
-        + 1j * (x[1] * PAULI_X + x[2] * PAULI_Y + x[3] * PAULI_Z)
-    )
+def _on_qubit(ops: np.ndarray, vec: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
+    """2x2 ``ops`` (any leading batch shape) applied to one qubit of ``vec``."""
+    tensor = vec.reshape(2**qubit, 2, 2 ** (num_qubits - 1 - qubit))
+    return (ops[..., None, :, :] @ tensor).reshape(ops.shape[:-2] + (-1,))
 
 
 def _witness_seesaw(rho: np.ndarray, target: np.ndarray, num_qubits: int, rng) -> float:
@@ -163,28 +160,24 @@ def _witness_seesaw(rho: np.ndarray, target: np.ndarray, num_qubits: int, rng) -
 
     With all other factors frozen, the fidelity is a quadratic form in the
     quaternion coordinates of one factor, so each update is a 4x4
-    eigenproblem and the fidelity never decreases.
+    eigenproblem and the fidelity never decreases: form[g, h] =
+    Re <w_g|rho|w_h>, w_g = G_g^dagger V^dagger |target>, for V the frozen
+    factors and G = (I, iX, iY, iZ), all applied qubit by qubit.
     """
-    gens = [np.eye(2), 1j * PAULI_X, 1j * PAULI_Y, 1j * PAULI_Z]
+    gens_dag = np.stack([np.eye(2), -1j * PAULI_X, -1j * PAULI_Y, -1j * PAULI_Z])
     xs = rng.standard_normal((num_qubits, 4))
     xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-
-    def full_unitary(skip: int) -> np.ndarray:
-        out = np.array([[1.0]], dtype=complex)
-        for l in range(num_qubits):
-            u = np.eye(2) if l == skip else _su2_from_point(xs[l])
-            out = np.kron(out, u)
-        return out
 
     best = -np.inf
     for _ in range(100):
         for l in range(num_qubits):
-            v = full_unitary(skip=l)
-            sigma = v @ rho @ v.conj().T
-            w = np.stack(
-                [_embed_single_qubit(g, l, num_qubits).conj().T @ target for g in gens]
-            )
-            form = np.real(w.conj() @ sigma @ w.T)
+            udag = np.einsum("mg,gab->mab", xs, gens_dag)  # u^dagger = sum_g x_g G_g^dagger
+            phi = target
+            for m in range(num_qubits):
+                if m != l:
+                    phi = _on_qubit(udag[m], phi, m, num_qubits)
+            w = _on_qubit(gens_dag, phi, l, num_qubits)
+            form = np.real(w.conj() @ rho @ w.T)
             form = (form + form.T) / 2
             evals, evecs = np.linalg.eigh(form)
             xs[l] = evecs[:, -1]

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from qfisher import campaigns
 from qfisher.campaigns import (
@@ -16,6 +17,7 @@ from qfisher.campaigns import (
     run_phase_sim,
 )
 from qfisher.cli import main
+from qfisher.zoo import plus_state
 
 
 class TestTable2:
@@ -160,6 +162,19 @@ class TestPhaseSim:
         with pytest.raises(ValueError):
             run_phase_sim("duer:3", m=10, trials=2)
 
+    def test_plus_probe_from_file_gets_x_basis(self, tmp_path):
+        # the POVM follows the probe, not the spec string: a file holding
+        # |+>^4 times a global phase is read like plus:4
+        amps = np.exp(0.7j) * plus_state(4).amplitudes
+        path = tmp_path / "plus4.json"
+        path.write_text(
+            json.dumps({"n": 4, "kind": "pure", "re": amps.real.tolist(), "im": amps.imag.tolist()})
+        )
+        from_file = run_phase_sim(str(path), m=200, trials=20, seed=0)
+        from_zoo = run_phase_sim("plus:4", m=200, trials=20, seed=0)
+        assert from_file["true_theta"] == from_zoo["true_theta"]
+        np.testing.assert_allclose(from_file["estimates"], from_zoo["estimates"], rtol=0, atol=1e-12)
+
 
 class TestRunCampaign:
     def test_csv_bytes_identical_across_workers(self):
@@ -265,6 +280,11 @@ class TestCli:
             ("analyze", {"state": 5}),
             ("analyze", {"state": "ghz:3", "mode": 1}),
             ("bounds-curve", {"n": 3, "out": 5}),
+            ("table2", {"samples": 2.9}),
+            ("table2", {"samples": 10, "seed": True}),
+            ("table2", {"samples": 10, "workers": "2"}),
+            ("phase-sim", {"state": "ghz:2", "m": 10.5}),
+            ("phase-sim", {"state": "ghz:2", "trials": "5"}),
         ],
     )
     def test_mistyped_config_value_exit_2(self, campaign, values, tmp_path, capsys):

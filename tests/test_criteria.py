@@ -1,9 +1,13 @@
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qfisher as qf
-from qfisher.core import InvariantError
-from qfisher.criteria import _su2_from_point
+from qfisher.core import PAULI_X, PAULI_Y, PAULI_Z, InvariantError
+from qfisher.criteria import _witness_seesaw
 
 
 def brute_force_bound(n, k):
@@ -28,6 +32,48 @@ def ghz_product(n, k):
     if r:
         state = qf.tensor(state, qf.ghz(r))
     return state
+
+
+def su2(x):
+    """SU(2) matrix from a unit 4-vector (quaternion parametrization)."""
+    return x[0] * np.eye(2) + 1j * (x[1] * PAULI_X + x[2] * PAULI_Y + x[3] * PAULI_Z)
+
+
+def kron_seesaw(rho, target, n, rng):
+    """Reference seesaw that builds every operator as a d x d matrix with kron."""
+    gens = [np.eye(2), 1j * PAULI_X, 1j * PAULI_Y, 1j * PAULI_Z]
+    xs = rng.standard_normal((n, 4))
+    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+
+    def embed(op, l):
+        return np.kron(np.kron(np.eye(2**l), op), np.eye(2 ** (n - 1 - l)))
+
+    best = -np.inf
+    for _ in range(100):
+        for l in range(n):
+            v = reduce(np.kron, [np.eye(2) if m == l else su2(xs[m]) for m in range(n)])
+            sigma = v @ rho @ v.conj().T
+            w = np.stack([embed(g, l).conj().T @ target for g in gens])
+            form = np.real(w.conj() @ sigma @ w.T)
+            evals, evecs = np.linalg.eigh((form + form.T) / 2)
+            xs[l] = evecs[:, -1]
+            value = float(evals[-1])
+        if value - best < 1e-12:
+            best = max(best, value)
+            break
+        best = value
+    return best
+
+
+def random_rho(n, rng, pure):
+    d = 2**n
+    if pure:
+        psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        psi /= np.linalg.norm(psi)
+        return np.outer(psi, psi.conj())
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
 
 
 class TestBounds:
@@ -158,13 +204,52 @@ class TestWitness:
         rng = np.random.default_rng(2)
         x = rng.standard_normal(4)
         x /= np.linalg.norm(x)
-        u = np.kron(np.kron(_su2_from_point(x), np.eye(2)), np.eye(2))
+        u = np.kron(np.kron(su2(x), np.eye(2)), np.eye(2))
         rho = qf.density_from_pure(qf.ghz(3)).matrix
         rotated = qf.DensityMatrix(3, u @ rho @ u.conj().T)
         fixed = qf.ghz_witness(rotated)
         optimized = qf.ghz_witness(rotated, optimize_local_unitaries=True, restarts=8, seed=0)
         assert fixed > -0.5 + 1e-3
         assert abs(optimized + 0.5) <= 1e-9
+
+    @pytest.mark.parametrize("pure", [True, False])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_seesaw_matches_kron_reference(self, n, pure):
+        # a complex target breaks the GHZ target's conjugation symmetry, under
+        # which a seesaw that conjugates the wrong factor still finds the optimum
+        psi = random_rho(n, np.random.default_rng([n, 99]), pure=True)[:, 0]
+        for target in (qf.ghz(n).amplitudes, psi / np.linalg.norm(psi)):
+            for seed in range(3):
+                rho = random_rho(n, np.random.default_rng([n, seed]), pure)
+                ref = kron_seesaw(rho, target, n, np.random.default_rng(seed))
+                value = _witness_seesaw(rho, target, n, np.random.default_rng(seed))
+                assert abs(value - ref) <= 1e-12
+
+    def test_seesaw_forms_no_kron_product(self, monkeypatch):
+        state = qf.DensityMatrix(4, random_rho(4, np.random.default_rng(5), pure=False))
+        expected = qf.ghz_witness(state, optimize_local_unitaries=True, restarts=3, seed=0)
+
+        def no_kron(*args, **kwargs):
+            raise AssertionError("np.kron called")
+
+        monkeypatch.setattr(np, "kron", no_kron)
+        value = qf.ghz_witness(state, optimize_local_unitaries=True, restarts=3, seed=0)
+        assert value == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        pure=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_optimized_fidelity_between_identity_and_top_eigenvalue(self, n, pure, seed):
+        rho = random_rho(n, np.random.default_rng(seed), pure)
+        state = qf.DensityMatrix(n, rho)
+        fixed = 0.5 - qf.ghz_witness(state)
+        optimized = 0.5 - qf.ghz_witness(state, optimize_local_unitaries=True, restarts=2, seed=seed)
+        assert optimized >= fixed
+        # <GHZ|U rho U^dagger|GHZ> never exceeds the largest eigenvalue of rho
+        assert optimized <= np.linalg.eigvalsh(rho)[-1] + 1e-12
 
 
 class TestNoiseMachinery:
