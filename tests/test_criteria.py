@@ -217,7 +217,8 @@ class TestWitness:
     def test_seesaw_matches_kron_reference(self, n, pure):
         # a complex target breaks the GHZ target's conjugation symmetry, under
         # which a seesaw that conjugates the wrong factor still finds the optimum
-        psi = random_rho(n, np.random.default_rng([n, 99]), pure=True)[:, 0]
+        rng = np.random.default_rng([n, 99])
+        psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
         for target in (qf.ghz(n).amplitudes, psi / np.linalg.norm(psi)):
             for seed in range(3):
                 rho = random_rho(n, np.random.default_rng([n, seed]), pure)
