@@ -2,8 +2,6 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import qfisher as qf
 from qfisher.core import PAULI_X, PAULI_Y, PAULI_Z, InvariantError
@@ -237,20 +235,19 @@ class TestWitness:
         value = qf.ghz_witness(state, optimize_local_unitaries=True, restarts=3, seed=0)
         assert value == expected
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        n=st.integers(1, 4),
-        pure=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_optimized_fidelity_between_identity_and_top_eigenvalue(self, n, pure, seed):
-        rho = random_rho(n, np.random.default_rng(seed), pure)
-        state = qf.DensityMatrix(n, rho)
-        fixed = 0.5 - qf.ghz_witness(state)
-        optimized = 0.5 - qf.ghz_witness(state, optimize_local_unitaries=True, restarts=2, seed=seed)
-        assert optimized >= fixed
-        # <GHZ|U rho U^dagger|GHZ> never exceeds the largest eigenvalue of rho
-        assert optimized <= np.linalg.eigvalsh(rho)[-1] + 1e-12
+    @pytest.mark.parametrize("pure", [True, False])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_optimized_fidelity_between_identity_and_top_eigenvalue(self, n, pure):
+        for seed in range(6):
+            rho = random_rho(n, np.random.default_rng([n, 7, seed]), pure)
+            state = qf.DensityMatrix(n, rho)
+            fixed = 0.5 - qf.ghz_witness(state)
+            optimized = 0.5 - qf.ghz_witness(
+                state, optimize_local_unitaries=True, restarts=2, seed=seed
+            )
+            assert optimized >= fixed
+            # <GHZ|U rho U^dagger|GHZ> never exceeds the largest eigenvalue of rho
+            assert optimized <= np.linalg.eigvalsh(rho)[-1] + 1e-12
 
 
 class TestNoiseMachinery:
