@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import zoo
-from .core import PureState, collective_spin, mix_with_identity
+from .core import PureState, collective_spin, is_ppt, mix_with_identity
 from .criteria import (
     STRICT_MARGIN,
     avg_qfi_bound,
@@ -260,22 +260,11 @@ def run_table3(
 SCAN_FIELDS = ("ppt_all_cuts", "fq_2", "fq_avg_2")
 
 
-def _batched_single_cut_pt(rhos: np.ndarray, qubit: int) -> np.ndarray:
-    b = rhos.shape[0]
-    t = rhos.reshape((b,) + (2,) * 6)
-    axes = list(range(7))
-    axes[1 + qubit], axes[4 + qubit] = axes[4 + qubit], axes[1 + qubit]
-    return t.transpose(axes).reshape(b, 8, 8)
-
-
 def _scan_chunk(start: int, stop: int, seed: int) -> np.ndarray:
     rhos = np.empty((stop - start, 8, 8), dtype=complex)
     for j, i in enumerate(range(start, stop)):
         rhos[j] = zoo.random_ghz_diagonal(_stream(seed, i), "bound_entangled").matrix
-    ppt_all = np.ones(stop - start, dtype=bool)
-    for q in range(3):
-        lo = np.linalg.eigvalsh(_batched_single_cut_pt(rhos, q))[:, 0]
-        ppt_all &= lo >= -1e-9
+    ppt_all = is_ppt(rhos, [0]) & is_ppt(rhos, [1]) & is_ppt(rhos, [2])
     gammas = _gamma_mixed_batch(rhos, 3)
     fq_max = np.linalg.eigvalsh(gammas)[:, -1]
     fq_avg = np.trace(gammas, axis1=1, axis2=2) / 3.0

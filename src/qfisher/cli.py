@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 
 from .campaigns import CAMPAIGNS, CampaignConfig, run_campaign
@@ -63,10 +64,13 @@ def _merge_config(args: argparse.Namespace) -> CampaignConfig:
             raise ValueError(f"config {flag} must be of type {kind.__name__}, got {value!r}")
         return value
 
+    full = file_values.get("full")
+    if full is not None and not isinstance(full, bool):
+        raise ValueError(f"config full must be of type bool, got {full!r}")
     samples = typed("samples", int)
     if samples is None:
-        samples = FULL_SCALE_SAMPLES if args.full or file_values.get("full") else DEFAULT_SAMPLES
-    theta = pick("theta", None)
+        samples = FULL_SCALE_SAMPLES if args.full or full else DEFAULT_SAMPLES
+    theta = typed("theta", numbers.Real)
     return CampaignConfig(
         campaign=args.campaign,
         samples=samples,

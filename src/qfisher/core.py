@@ -12,11 +12,15 @@ is capped (default 12) because the eigendecompositions that dominate the
 cost scale as ``8**N``. The spin-QFI kernels never build a collective spin:
 they apply J_x and J_y to a basis index as bit flips and J_z as a popcount
 diagonal.
+Every other single-qubit operator goes through one private primitive,
+``_on_qubit``, which applies 2x2 matrices to one qubit of any basis axis of
+a batched array; ``tensor`` is the only Kronecker product.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +85,8 @@ def get_max_qubits() -> int:
     return _MAX_QUBITS
 
 
-def _check_num_qubits(n: int) -> None:
+def _check_num_qubits(n: int) -> int:
+    """The dimension 2**n, once n is a positive integer within the cap."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"number of qubits must be a positive integer, got {n!r}")
     if n > _MAX_QUBITS:
@@ -89,6 +94,7 @@ def _check_num_qubits(n: int) -> None:
             f"{n} qubits exceeds the dense-storage cap of {_MAX_QUBITS}; "
             "raise it with set_max_qubits() if you really want this"
         )
+    return 2**n
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -105,12 +111,10 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        _check_num_qubits(self.num_qubits)
+        d = _check_num_qubits(self.num_qubits)
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.size != 2**self.num_qubits:
-            raise InvariantError(
-                f"amplitude vector has length {amps.size}, expected {2**self.num_qubits}"
-            )
+        if amps.size != d:
+            raise InvariantError(f"amplitude vector has length {amps.size}, expected {d}")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise InvariantError(f"state not normalized: sum |a|^2 = {norm_sq!r}")
@@ -129,8 +133,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        _check_num_qubits(self.num_qubits)
-        d = 2**self.num_qubits
+        d = _check_num_qubits(self.num_qubits)
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (d, d):
             raise InvariantError(f"matrix has shape {mat.shape}, expected {(d, d)}")
@@ -240,8 +243,7 @@ def _popcounts(dim: int) -> np.ndarray:
 
 def collective_spin_matrix(num_qubits: int, axis: str) -> np.ndarray:
     """Dense matrix of J_axis = (1/2) sum_l sigma_axis^(l)."""
-    _check_num_qubits(num_qubits)
-    d = 2**num_qubits
+    d = _check_num_qubits(num_qubits)
     out = np.zeros((d, d), dtype=complex)
     idx = np.arange(d)
     if axis == "z":
@@ -285,10 +287,31 @@ def spin_along(num_qubits: int, direction) -> HermitianOperator:
     return HermitianOperator(mat)
 
 
-def _embed_single_qubit(op2: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
-    left = np.eye(2**qubit)
-    right = np.eye(2 ** (num_qubits - 1 - qubit))
-    return np.kron(np.kron(left, op2), right)
+def _on_qubit(ops: np.ndarray, x: np.ndarray, qubit: int, num_qubits: int, axis: int = -1) -> np.ndarray:
+    """2x2 ``ops`` (any leading batch shape) applied to one qubit of the basis
+    axis ``axis`` of ``x``; the result has shape ``ops.shape[:-2] + x.shape``."""
+    axis = axis % x.ndim
+    low = 2 ** (num_qubits - 1 - qubit) * math.prod(x.shape[axis + 1 :])
+    t = x.reshape(x.shape[:axis] + (2**qubit, 2, low))
+    batch = ops.shape[:-2]
+    out = ops.reshape(batch + (1,) * (axis + 1) + (2, 2)) @ t
+    return out.reshape(batch + x.shape)
+
+
+def _pauli_power(num_qubits: int, axis: str) -> np.ndarray:
+    """Dense sigma_axis^tensor(N): X^N maps |i> to |i xor (d - 1)>, Z^N is
+    (-1)^popcount(i) on the diagonal, and Y^N = i^N X^N Z^N."""
+    d = 2**num_qubits
+    idx = np.arange(d)
+    signs = 1 - 2 * (_popcounts(d) & 1)
+    out = np.zeros((d, d), dtype=complex)
+    if axis == "z":
+        out[idx, idx] = signs
+    elif axis == "x":
+        out[idx ^ (d - 1), idx] = 1.0
+    else:
+        out[idx ^ (d - 1), idx] = (1, 1j, -1, -1j)[num_qubits % 4] * signs
+    return out
 
 
 def local_generator(directions) -> HermitianOperator:
@@ -297,13 +320,12 @@ def local_generator(directions) -> HermitianOperator:
     if dirs.ndim != 2 or dirs.shape[1] != 3:
         raise ValueError(f"expected an (N, 3) array of directions, got shape {dirs.shape}")
     num_qubits = dirs.shape[0]
-    _check_num_qubits(num_qubits)
-    d = 2**num_qubits
-    out = np.zeros((d, d), dtype=complex)
+    eye = np.eye(_check_num_qubits(num_qubits), dtype=complex)
+    out = np.zeros_like(eye)
     for l in range(num_qubits):
         n = unit_direction(dirs[l])
         sigma_n = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
-        out += 0.5 * _embed_single_qubit(sigma_n, l, num_qubits)
+        out += 0.5 * _on_qubit(sigma_n, eye, l, num_qubits, axis=0)
     return HermitianOperator(out)
 
 
@@ -335,26 +357,24 @@ def _qubit_subset(subset, num_qubits: int) -> list[int]:
 
 
 def partial_transpose(rho, subset) -> np.ndarray:
-    """Transpose the tensor indices of the given qubits (0-based labels)."""
-    if isinstance(rho, DensityMatrix):
-        num_qubits, mat = rho.num_qubits, rho.matrix
-    else:
-        mat = np.asarray(rho, dtype=complex)
-        num_qubits = int(round(np.log2(mat.shape[0])))
-        if mat.shape != (2**num_qubits, 2**num_qubits):
-            raise ValueError(f"matrix shape {mat.shape} is not a qubit register")
-    qubits = _qubit_subset(subset, num_qubits)
-    t = mat.reshape((2,) * (2 * num_qubits))
-    axes = list(range(2 * num_qubits))
-    for q in qubits:
-        axes[q], axes[num_qubits + q] = axes[num_qubits + q], axes[q]
+    """Transpose the tensor indices of the given qubits (0-based labels) of one
+    matrix or of every matrix in a (..., d, d) stack."""
+    mat = _as_matrix(rho)
+    n = mat.shape[-1].bit_length() - 1 if mat.ndim >= 2 else 0
+    if mat.ndim < 2 or mat.shape[-2:] != (2**n, 2**n):
+        raise ValueError(f"matrix shape {mat.shape} is not a qubit register")
+    t = mat.reshape(mat.shape[:-2] + (2,) * (2 * n))
+    axes = list(range(t.ndim))
+    for q in _qubit_subset(subset, n):
+        axes[q - 2 * n], axes[q - n] = axes[q - n], axes[q - 2 * n]
     return t.transpose(axes).reshape(mat.shape)
 
 
-def is_ppt(rho, subset, tol: float = 1e-9) -> bool:
-    """True iff the partial transpose over the subset has no eigenvalue below -tol."""
-    pt = partial_transpose(rho, subset)
-    return bool(np.linalg.eigvalsh(pt)[0] >= -tol)
+def is_ppt(rho, subset, tol: float = 1e-9) -> bool | np.ndarray:
+    """True iff the partial transpose over the subset has no eigenvalue below
+    -tol; a (..., d, d) stack gives a bool array of its leading shape."""
+    ppt = np.linalg.eigvalsh(partial_transpose(rho, subset))[..., 0] >= -tol
+    return bool(ppt) if ppt.ndim == 0 else ppt
 
 
 def mix_with_identity(state, p: float) -> DensityMatrix:

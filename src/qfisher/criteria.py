@@ -21,6 +21,7 @@ from .core import (
     DensityMatrix,
     InvariantError,
     PureState,
+    _on_qubit,
     _state_matrix,
 )
 from .fisher import qfi_matrix, optimize_local_directions
@@ -147,12 +148,6 @@ def dme_condition(state, pair: int = 1) -> DmeResult:
 def dme_family(state) -> tuple[DmeResult, ...]:
     """All four antidiagonal-pair conditions; any violation is a detection."""
     return tuple(dme_condition(state, pair) for pair in (1, 2, 3, 4))
-
-
-def _on_qubit(ops: np.ndarray, vec: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
-    """2x2 ``ops`` (any leading batch shape) applied to one qubit of ``vec``."""
-    tensor = vec.reshape(2**qubit, 2, 2 ** (num_qubits - 1 - qubit))
-    return (ops[..., None, :, :] @ tensor).reshape(ops.shape[:-2] + (-1,))
 
 
 def _witness_seesaw(rho: np.ndarray, target: np.ndarray, num_qubits: int, rng) -> float:

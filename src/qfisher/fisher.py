@@ -9,6 +9,7 @@ the Bloch sphere (trace / 3).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,8 @@ from .core import (
     PureState,
     variance,
     _as_matrix,
+    _on_qubit,
+    _pauli_power,
     _popcounts,
     _state_matrix,
 )
@@ -255,9 +258,7 @@ def parity_povm(num_qubits: int, axis: str = "x") -> Povm:
     """Two-outcome parity measurement (I +- sigma_axis^tensor(N)) / 2."""
     if axis not in PAULIS:
         raise ValueError(f"axis must be x, y, or z, got {axis!r}")
-    op = np.array([[1.0]], dtype=complex)
-    for _ in range(num_qubits):
-        op = np.kron(op, PAULIS[axis])
+    op = _pauli_power(num_qubits, axis)
     eye = np.eye(2**num_qubits)
     return Povm(((eye + op) / 2, (eye - op) / 2))
 
@@ -267,12 +268,13 @@ def computational_povm(num_qubits: int) -> Povm:
 
 
 def x_basis_povm(num_qubits: int) -> Povm:
-    """Projective measurement in the sigma_x^tensor(N) eigenbasis."""
-    h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-    basis = np.array([[1.0]], dtype=complex)
-    for _ in range(num_qubits):
-        basis = np.kron(basis, h)
-    return povm_from_basis(basis)
+    """Projective measurement in the sigma_x^tensor(N) eigenbasis: H^tensor(N)
+    is (-1)^popcount(i & j) times 1/sqrt(2) multiplied in N times, as a kron
+    chain rounds it (2^(-N/2) differs in the last bit)."""
+    scale = math.prod([1.0 / np.sqrt(2.0)] * num_qubits)
+    idx = np.arange(2**num_qubits, dtype=np.uint64)
+    parity = np.bitwise_count(idx[:, None] & idx[None, :]) & 1
+    return povm_from_basis((1.0 - 2.0 * parity) * scale)
 
 
 def model_probabilities(state, generator, povm: Povm, thetas) -> np.ndarray:
@@ -321,18 +323,6 @@ def classical_fisher(state, generator, povm: Povm, theta: float, dtheta: float =
 # ---------------------------------------------------------------------------
 # Local-direction optimization of the pure-state QFI
 # ---------------------------------------------------------------------------
-
-
-def _apply_half_pauli(psi_tensor: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
-    """(3, d) array with (1/2) sigma_i acting on one qubit of the state."""
-    d = psi_tensor.size
-    out = np.empty((3, d), dtype=complex)
-    moved = np.moveaxis(psi_tensor.reshape((2,) * num_qubits), qubit, 0).reshape(2, -1)
-    for i, ax in enumerate("xyz"):
-        res = 0.5 * (PAULIS[ax] @ moved)
-        res = np.moveaxis(res.reshape((2,) + (2,) * (num_qubits - 1)), 0, qubit)
-        out[i] = res.reshape(d)
-    return out
 
 
 def _max_on_sphere(a: np.ndarray, c: np.ndarray, current: np.ndarray) -> np.ndarray:
@@ -393,7 +383,8 @@ def optimize_local_directions(
     n = psi.num_qubits
     rng = np.random.default_rng(seed)
     # (N, 3, d) applications of the half-Paulis; fixed for the whole search
-    paulis_psi = np.stack([_apply_half_pauli(psi.amplitudes, l, n) for l in range(n)])
+    half_paulis = 0.5 * np.stack([PAULIS[ax] for ax in "xyz"])
+    paulis_psi = np.stack([_on_qubit(half_paulis, psi.amplitudes, l, n) for l in range(n)])
     means = np.real(np.einsum("x,lix->li", psi.amplitudes.conj(), paulis_psi))
 
     def objective(h_psi):

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PAULIS, DensityMatrix, InvariantError, PureState, load_state
+from .core import DensityMatrix, InvariantError, PureState, load_state
+from .core import _check_num_qubits, _pauli_power
 
 __all__ = [
     "ghz",
@@ -39,7 +40,7 @@ REJECTION_BUDGET = 10_000
 
 def ghz(num_qubits: int, phi: float = 0.0) -> PureState:
     """(|0...0> + e^{i phi} |1...1>) / sqrt(2)."""
-    d = 2**num_qubits
+    d = _check_num_qubits(num_qubits)
     amps = np.zeros(d, dtype=complex)
     amps[0] = 1.0 / np.sqrt(2.0)
     amps[d - 1] = np.exp(1j * phi) / np.sqrt(2.0)
@@ -48,9 +49,9 @@ def ghz(num_qubits: int, phi: float = 0.0) -> PureState:
 
 def dicke(num_qubits: int, excitations: int) -> PureState:
     """Symmetric state with equal weight on all basis states of fixed excitation number."""
+    d = _check_num_qubits(num_qubits)
     if not 0 <= excitations <= num_qubits:
         raise ValueError(f"excitation count must lie in 0..{num_qubits}, got {excitations}")
-    d = 2**num_qubits
     weights = np.bitwise_count(np.arange(d, dtype=np.uint64)).astype(int)
     amps = np.where(weights == excitations, 1.0, 0.0).astype(complex)
     amps /= np.sqrt(math.comb(num_qubits, excitations))
@@ -59,13 +60,13 @@ def dicke(num_qubits: int, excitations: int) -> PureState:
 
 def plus_state(num_qubits: int) -> PureState:
     """|+>^tensor(N), equal superposition of every basis state."""
-    d = 2**num_qubits
+    d = _check_num_qubits(num_qubits)
     return PureState(num_qubits, np.full(d, 1.0 / np.sqrt(d), dtype=complex))
 
 
 def ones_state(num_qubits: int) -> PureState:
     """|1>^tensor(N)."""
-    d = 2**num_qubits
+    d = _check_num_qubits(num_qubits)
     amps = np.zeros(d, dtype=complex)
     amps[d - 1] = 1.0
     return PureState(num_qubits, amps)
@@ -153,7 +154,7 @@ def duer_state(num_qubits: int, phi: float = 0.0) -> DensityMatrix:
     if num_qubits < 3:
         raise ValueError("this family needs at least 3 qubits")
     n = num_qubits
-    d = 2**n
+    d = _check_num_qubits(n)
     mat = np.zeros((d, d), dtype=complex)
     mat[0, 0] = mat[d - 1, d - 1] = 0.5
     mat[0, d - 1] = 0.5 * np.exp(-1j * phi)
@@ -175,14 +176,11 @@ def smolin_state(pairs: int) -> DensityMatrix:
     if pairs < 2:
         raise ValueError("need at least 2 pairs of qubits")
     n = 2 * pairs
-    d = 2**n
+    d = _check_num_qubits(n)
     mat = np.eye(d, dtype=complex)
     sign = (-1) ** pairs
     for ax in "xyz":
-        power = np.array([[1.0]], dtype=complex)
-        for _ in range(n):
-            power = np.kron(power, PAULIS[ax])
-        mat += sign * power
+        mat += sign * _pauli_power(n, ax)
     return DensityMatrix(n, mat / d)
 
 
@@ -192,7 +190,7 @@ def ghz_basis_state(bits, phi: float = 0.0) -> PureState:
     if any(b not in (0, 1) for b in bits):
         raise ValueError("bits must be 0 or 1")
     n = len(bits)
-    d = 2**n
+    d = _check_num_qubits(n)
     idx = 0
     for b in bits:
         idx = (idx << 1) | b

@@ -285,6 +285,10 @@ class TestCli:
             ("table2", {"samples": 10, "workers": "2"}),
             ("phase-sim", {"state": "ghz:2", "m": 10.5}),
             ("phase-sim", {"state": "ghz:2", "trials": "5"}),
+            ("table2", {"full": "no"}),
+            ("table2", {"full": 1}),
+            ("phase-sim", {"state": "ghz:2", "theta": True}),
+            ("phase-sim", {"state": "ghz:2", "theta": "0.5"}),
         ],
     )
     def test_mistyped_config_value_exit_2(self, campaign, values, tmp_path, capsys):
@@ -292,6 +296,17 @@ class TestCli:
         config.write_text(json.dumps(values))
         assert main([campaign, "--config", str(config)]) == 2
         assert capsys.readouterr().err.startswith("error: config")
+
+    def test_integer_theta_in_config_runs_at_that_phase(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"state": "ghz:2", "theta": 1, "m": 50, "trials": 3}))
+        assert main(["phase-sim", "--config", str(config)]) == 0
+        assert json.loads(capsys.readouterr().out)["true_theta"] == 1.0
+
+    @pytest.mark.parametrize("spec", ["ghz:40", "dicke:40:20", "plus:40", "ones:40", "duer:40", "smolin:20"])
+    def test_state_beyond_the_cap_exit_2(self, spec, capsys):
+        assert main(["analyze", "--state", spec]) == 2
+        assert "exceeds the dense-storage cap" in capsys.readouterr().err
 
     def test_class_filter(self, capsys):
         assert main(["bounds-curve", "--n", "8", "--k", "3"]) == 0

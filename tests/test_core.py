@@ -1,8 +1,11 @@
+from functools import reduce
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 import qfisher as qf
-from qfisher.core import InvariantError
+from qfisher.core import PAULI_X, PAULI_Y, PAULI_Z, InvariantError
 
 
 def is_close(a, b, tol=1e-12):
@@ -150,6 +153,18 @@ class TestLocalGenerator:
         with pytest.raises(ValueError):
             qf.local_generator(np.ones((2, 2)))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_kron_reference(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            dirs = rng.standard_normal((n, 3))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            ref = np.zeros((2**n, 2**n), dtype=complex)
+            for l, v in enumerate(dirs):
+                sigma = v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z
+                ref += 0.5 * reduce(np.kron, [np.eye(2**l), sigma, np.eye(2 ** (n - 1 - l))])
+            assert np.array_equal(qf.local_generator(dirs).matrix, ref)
+
 
 class TestEig:
     def test_diagonal(self):
@@ -206,6 +221,40 @@ class TestPartialTranspose:
         pt = qf.partial_transpose(rho, [1])
         assert np.array_equal(qf.partial_transpose(pt, [1]), rho)
         assert np.trace(pt) == np.trace(rho)
+
+    def test_stack_matches_per_matrix_loop(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((12, 8, 8)) + 1j * rng.standard_normal((12, 8, 8))
+        rhos = a @ a.conj().transpose(0, 2, 1)
+        rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
+        # white noise at weights from 0 to 1, so the stack holds PPT and NPT states
+        weights = np.linspace(0.0, 1.0, 12)[:, None, None]
+        rhos = weights * rhos + (1 - weights) * np.eye(8) / 8
+        subsets = [list(c) for k in (1, 2) for c in combinations(range(3), k)]
+        seen = set()
+        for subset in subsets:
+            pts = qf.partial_transpose(rhos, subset)
+            flags = qf.is_ppt(rhos, subset)
+            assert flags.dtype == bool and flags.shape == (12,)
+            for rho, pt, flag in zip(rhos, pts, flags):
+                assert np.array_equal(pt, qf.partial_transpose(rho, subset))
+                assert flag == qf.is_ppt(rho, subset)
+            seen.update(flags.tolist())
+            grid = rhos.reshape(3, 4, 8, 8)
+            assert np.array_equal(qf.partial_transpose(grid, subset), pts.reshape(3, 4, 8, 8))
+            assert np.array_equal(qf.is_ppt(grid, subset), flags.reshape(3, 4))
+        assert seen == {True, False}
+
+    def test_single_matrix_gives_bool(self):
+        assert type(qf.is_ppt(qf.density_from_pure(qf.ghz(2)), [0])) is bool
+        assert type(qf.is_ppt(np.eye(4) / 4, [1])) is bool
+
+    def test_stack_that_is_not_a_register(self):
+        for shape in [(3, 6, 6), (3, 8, 4), (8,), (2, 1, 1)]:
+            with pytest.raises(ValueError):
+                qf.partial_transpose(np.zeros(shape), [0])
+            with pytest.raises(ValueError):
+                qf.is_ppt(np.zeros(shape), [0])
 
     def test_bad_subsets(self):
         rho = qf.density_from_pure(qf.ghz(2))

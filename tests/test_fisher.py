@@ -1,10 +1,11 @@
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
 
 import qfisher as qf
-from qfisher.core import InvariantError
+from qfisher.core import PAULIS, InvariantError
 
 
 def random_pure(rng, n):
@@ -237,6 +238,48 @@ class TestPovm:
         assert len(povm) == 2
         total = sum(povm.elements)
         assert np.max(np.abs(total - np.eye(8))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_parity_matches_kron_reference(self, n, axis):
+        power = reduce(np.kron, [PAULIS[axis]] * n)
+        eye = np.eye(2**n)
+        elements = qf.parity_povm(n, axis).elements
+        assert np.array_equal(elements[0], (eye + power) / 2)
+        assert np.array_equal(elements[1], (eye - power) / 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_x_basis_matches_kron_reference(self, n):
+        h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+        basis = reduce(np.kron, [h] * n)
+        elements = qf.x_basis_povm(n).elements
+        assert len(elements) == 2**n
+        for i, e in enumerate(elements):
+            assert np.array_equal(e, np.outer(basis[:, i], basis[:, i].conj()))
+
+    def test_builders_form_no_kron_product(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        dirs = rng.standard_normal((4, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        psi = random_pure(rng, 4)
+
+        def build():
+            return [
+                *qf.parity_povm(4, "y").elements,
+                *qf.x_basis_povm(3).elements,
+                qf.smolin_state(2).matrix,
+                qf.local_generator(dirs).matrix,
+                qf.optimize_local_directions(psi, restarts=2, seed=0)[1],
+            ]
+
+        expected = build()
+
+        def no_kron(*args, **kwargs):
+            raise AssertionError("np.kron called")
+
+        monkeypatch.setattr(np, "kron", no_kron)
+        for got, want in zip(build(), expected, strict=True):
+            assert np.array_equal(got, want)
 
     def test_invalid_povm_rejected(self):
         eye = np.eye(2)

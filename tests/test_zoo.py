@@ -1,8 +1,11 @@
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
 
 import qfisher as qf
-from qfisher.core import InvariantError
+from qfisher.core import PAULIS, InvariantError
 from qfisher.zoo import GhzDiagonalParams
 
 
@@ -201,6 +204,51 @@ class TestSmolin:
     def test_minimum_pairs(self):
         with pytest.raises(ValueError):
             qf.smolin_state(1)
+
+    @pytest.mark.parametrize("pairs", [2, 3])
+    def test_matches_kron_reference(self, pairs):
+        n = 2 * pairs
+        ref = np.eye(2**n, dtype=complex)
+        for ax in "xyz":
+            ref += (-1) ** pairs * reduce(np.kron, [PAULIS[ax]] * n)
+        assert np.array_equal(qf.smolin_state(pairs).matrix, ref / 2**n)
+
+
+class TestQubitCap:
+    CAP_MESSAGE = "exceeds the dense-storage cap"
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: qf.ghz(40),
+            lambda: qf.dicke(40, 20),
+            lambda: qf.plus_state(40),
+            lambda: qf.ones_state(40),
+            lambda: qf.duer_state(40),
+            lambda: qf.smolin_state(20),
+            lambda: qf.ghz_basis_state([0, 1] * 20),
+        ],
+        ids=["ghz", "dicke", "plus", "ones", "duer", "smolin", "ghz_basis"],
+    )
+    def test_constructors_refuse_at_the_cap(self, build):
+        with pytest.raises(ValueError, match=self.CAP_MESSAGE):
+            build()
+
+    @pytest.mark.parametrize(
+        "build", [lambda: qf.smolin_state(4), lambda: qf.duer_state(8)], ids=["smolin", "duer"]
+    )
+    def test_cap_checked_before_allocating(self, build):
+        cap = qf.get_max_qubits()
+        qf.set_max_qubits(4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=self.CAP_MESSAGE):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            qf.set_max_qubits(cap)
+        assert peak < 64 * 2**10
 
 
 class TestGhzBasis:
