@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -103,8 +104,9 @@ class DetectionRate:
         return 100.0 * float(np.sqrt(p * (1.0 - p) / self.samples))
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, index])
+def _streams(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
+    # lazy, so a sampler holds only the generators it is drawing from
+    return (np.random.default_rng([seed, i]) for i in range(start, stop))
 
 
 def _map_chunks(chunk_fn, samples: int, workers: int) -> np.ndarray:
@@ -133,15 +135,8 @@ TABLE2_CRITERIA = ("fq_2", "fq_avg_2", "fq_3", "fq_avg_3", "dme", "dme_family", 
 TABLE2_LOCAL_CRITERIA = TABLE2_CRITERIA + ("fq_2_local", "fq_3_local", "witness_opt")
 
 
-def _pure3_batch(seed: int, start: int, stop: int) -> np.ndarray:
-    psis = np.empty((stop - start, 8), dtype=complex)
-    for j, i in enumerate(range(start, stop)):
-        psis[j] = zoo.random_pure_3qubit(_stream(seed, i)).amplitudes
-    return psis
-
-
 def _table2_chunk(start: int, stop: int, seed: int, local: bool) -> np.ndarray:
-    psis = _pure3_batch(seed, start, stop)
+    psis = zoo._random_pure_batch(_streams(seed, start, stop))
     gammas = _gamma_pure_batch(psis, 3)
     fq_max = np.linalg.eigvalsh(gammas)[:, -1]
     fq_avg = np.trace(gammas, axis1=1, axis2=2) / 3.0
@@ -188,8 +183,8 @@ def run_table2(
 ) -> list[DetectionRate]:
     """Detection percentages of the criteria over Haar-random 3-qubit pure states.
 
-    Sample ``i`` is drawn Haar-uniformly by ``zoo.random_pure_3qubit`` from
-    its own stream. With Gamma the collective spin-QFI matrix
+    Sample ``i`` is drawn Haar-uniformly from its own stream by the sampler
+    behind ``zoo.random_pure_3qubit``, which draws a whole chunk at once. With Gamma the collective spin-QFI matrix
     (``4 Re Cov(J_i, J_j)``), the rows count the states below. A bound
     counts as exceeded only by more than ``STRICT_MARGIN`` (1e-12 for the
     antidiagonal rows).
@@ -224,9 +219,7 @@ TABLE3_CRITERIA = ("witness", "fq_3", "fq_avg_3")
 
 
 def _table3_chunk(start: int, stop: int, seed: int, mode: str) -> np.ndarray:
-    rhos = np.empty((stop - start, 8, 8), dtype=complex)
-    for j, i in enumerate(range(start, stop)):
-        rhos[j] = zoo.random_ghz_diagonal(_stream(seed, i), mode).matrix
+    rhos = zoo._random_ghz_diagonal_batch(_streams(seed, start, stop), mode)
     gammas = _gamma_mixed_batch(rhos, 3)
     fq_max = np.linalg.eigvalsh(gammas)[:, -1]
     fq_avg = np.trace(gammas, axis1=1, axis2=2) / 3.0
@@ -261,9 +254,7 @@ SCAN_FIELDS = ("ppt_all_cuts", "fq_2", "fq_avg_2")
 
 
 def _scan_chunk(start: int, stop: int, seed: int) -> np.ndarray:
-    rhos = np.empty((stop - start, 8, 8), dtype=complex)
-    for j, i in enumerate(range(start, stop)):
-        rhos[j] = zoo.random_ghz_diagonal(_stream(seed, i), "bound_entangled").matrix
+    rhos = zoo._random_ghz_diagonal_batch(_streams(seed, start, stop), "bound_entangled")
     ppt_all = is_ppt(rhos, [0]) & is_ppt(rhos, [1]) & is_ppt(rhos, [2])
     gammas = _gamma_mixed_batch(rhos, 3)
     fq_max = np.linalg.eigvalsh(gammas)[:, -1]

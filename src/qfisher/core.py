@@ -103,6 +103,42 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _raise_first(bad: np.ndarray, message: str, *values: np.ndarray) -> None:
+    """Raise ``InvariantError`` for the first True entry of ``bad``.
+
+    ``message`` is formatted with the entries of ``values`` at that position;
+    a stack's message starts with the position, a single state's does not.
+    """
+    if not bad.any():
+        return
+    at = tuple(int(i) for i in np.unravel_index(bad.argmax(), bad.shape))
+    text = message.format(*(np.asarray(v)[at].item() for v in values))
+    if at:
+        text = f"sample {at[0] if len(at) == 1 else at}: {text}"
+    raise InvariantError(text)
+
+
+def _check_pure_stack(amps: np.ndarray) -> None:
+    """Check that every amplitude vector of a (..., d) stack has unit norm."""
+    norm_sq = (np.abs(amps) ** 2).sum(axis=-1)
+    _raise_first(np.abs(norm_sq - 1.0) > NORM_TOL, "state not normalized: sum |a|^2 = {!r}", norm_sq)
+
+
+def _check_density_stack(mats: np.ndarray) -> np.ndarray:
+    """Hermitian part of a (..., d, d) stack after checking that every matrix
+    is Hermitian, has unit trace and is positive semidefinite (one batched
+    ``eigvalsh``)."""
+    adjoint = np.conj(mats).swapaxes(-1, -2)
+    asym = np.abs(mats - adjoint).max(axis=(-2, -1))
+    _raise_first(asym > HERMITICITY_TOL, "density matrix is not Hermitian within 1e-10")
+    mats = (mats + adjoint) / 2
+    tr = np.real(np.trace(mats, axis1=-2, axis2=-1))
+    _raise_first(np.abs(tr - 1.0) > TRACE_TOL, "trace is {!r}, expected 1", tr)
+    lo = np.linalg.eigvalsh(mats)[..., 0]
+    _raise_first(lo < -PSD_TOL, f"smallest eigenvalue {{!r}} below -{PSD_TOL}", lo)
+    return mats
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized complex amplitude vector over the 2**N computational basis."""
@@ -115,9 +151,7 @@ class PureState:
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size != d:
             raise InvariantError(f"amplitude vector has length {amps.size}, expected {d}")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise InvariantError(f"state not normalized: sum |a|^2 = {norm_sq!r}")
+        _check_pure_stack(amps)
         object.__setattr__(self, "amplitudes", _frozen(amps))
 
     @property
@@ -137,16 +171,7 @@ class DensityMatrix:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (d, d):
             raise InvariantError(f"matrix has shape {mat.shape}, expected {(d, d)}")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
-            raise InvariantError("density matrix is not Hermitian within 1e-10")
-        mat = (mat + mat.conj().T) / 2
-        tr = float(np.real(np.trace(mat)))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InvariantError(f"trace is {tr!r}, expected 1")
-        lo = float(np.linalg.eigvalsh(mat)[0])
-        if lo < -PSD_TOL:
-            raise InvariantError(f"smallest eigenvalue {lo!r} below -{PSD_TOL}")
-        object.__setattr__(self, "matrix", _frozen(mat))
+        object.__setattr__(self, "matrix", _frozen(_check_density_stack(mat)))
 
     @property
     def dim(self) -> int:
@@ -458,7 +483,10 @@ def state_from_json(data: dict):
     if kind == "pure":
         return PureState(n, arr)
     if kind == "mixed":
-        return DensityMatrix(n, arr.reshape(2**n, 2**n))
+        d = _check_num_qubits(n)
+        if arr.size != d * d:
+            raise InvariantError(f"mixed record has {arr.size} entries, expected {d * d}")
+        return DensityMatrix(n, arr.reshape(d, d))
     raise ValueError(f"unknown state kind {kind!r}")
 
 

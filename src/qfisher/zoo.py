@@ -8,6 +8,7 @@ JSON file) into a state object.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DensityMatrix, InvariantError, PureState, load_state
-from .core import _check_num_qubits, _pauli_power
+from .core import _check_density_stack, _check_num_qubits, _check_pure_stack, _pauli_power, _raise_first
 
 __all__ = [
     "ghz",
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 REJECTION_BUDGET = 10_000
+_BLOCK = 256  # streams per lock-step rejection block
 
 
 def ghz(num_qubits: int, phi: float = 0.0) -> PureState:
@@ -105,16 +107,7 @@ class GhzDiagonalParams:
         mus = tuple(float(x) for x in self.mus)
         if len(lam) != 8 or len(mus) != 4:
             raise ValueError("need 8 diagonal weights and 4 coherences")
-        if min(lam) < 0:
-            raise InvariantError("diagonal weights must be non-negative")
-        if sum(lam) <= 0:
-            raise InvariantError("diagonal weights must not all vanish")
-        for j in range(4):
-            if mus[j] ** 2 > lam[j] * lam[7 - j] + 1e-12:
-                raise InvariantError(
-                    f"block {j + 1} violates positivity: mu^2 = {mus[j] ** 2!r} "
-                    f"> {lam[j] * lam[7 - j]!r}"
-                )
+        _check_x_form(np.array(lam), np.array(mus))
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "mus", mus)
 
@@ -123,18 +116,59 @@ class GhzDiagonalParams:
         return sum(self.lambdas)
 
 
+def _x_form_sum(lam: np.ndarray) -> np.ndarray:
+    """Sum of (..., 8) weights added left to right, as ``sum`` adds a tuple
+    (``ndarray.sum`` adds pairwise and can differ in the last bit)."""
+    total = lam[..., 0].copy()
+    for j in range(1, 8):
+        total += lam[..., j]
+    return total
+
+
+def _check_x_form(lam: np.ndarray, mus: np.ndarray) -> None:
+    """Check (..., 8) weights and (..., 4) coherences: weights non-negative and
+    not all zero, every block [[lam_j, mu_j], [mu_j, lam_{7-j}]] PSD within 1e-12."""
+    _raise_first(np.min(lam, axis=-1) < 0, "diagonal weights must be non-negative")
+    _raise_first(_x_form_sum(lam) <= 0, "diagonal weights must not all vanish")
+    mu_sq = mus**2
+    det = lam[..., :4] * lam[..., :3:-1]
+    bad = mu_sq > det + 1e-12
+    block = np.argmax(bad, axis=-1)[..., None]  # first failing block of each sample
+    _raise_first(
+        np.any(bad, axis=-1),
+        "block {} violates positivity: mu^2 = {!r} > {!r}",
+        block[..., 0] + 1,
+        np.take_along_axis(mu_sq, block, -1)[..., 0],
+        np.take_along_axis(det, block, -1)[..., 0],
+    )
+
+
+def _x_form_matrices(lam: np.ndarray, mus: np.ndarray) -> np.ndarray:
+    """(..., 8, 8) X-form matrices from (..., 8) weights and (..., 4)
+    coherences, divided by the sum of the weights."""
+    mats = np.zeros(lam.shape[:-1] + (8, 8), dtype=complex)
+    j = np.arange(8)
+    mats[..., j, j] = lam
+    mats[..., j[:4], j[:3:-1]] = mus
+    mats[..., j[:3:-1], j[:4]] = mus
+    return mats / _x_form_sum(lam)[..., None, None]
+
+
 def ghz_diagonal(lambdas, mus=None) -> DensityMatrix:
     """Normalized 3-qubit density matrix from X-form weights."""
     params = lambdas if isinstance(lambdas, GhzDiagonalParams) else GhzDiagonalParams(
         tuple(lambdas), tuple(mus) if mus is not None else (0.0, 0.0, 0.0, 0.0)
     )
-    mat = np.zeros((8, 8), dtype=complex)
-    for j in range(8):
-        mat[j, j] = params.lambdas[j]
-    for j in range(4):
-        mat[j, 7 - j] = params.mus[j]
-        mat[7 - j, j] = params.mus[j]
-    return DensityMatrix(3, mat / params.normalization)
+    return DensityMatrix(3, _x_form_matrices(np.array(params.lambdas), np.array(params.mus)))
+
+
+def _bound_entangled_weights(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X-form weights (..., 8) and coherences (..., 4) of the PPT family
+    from its (..., 3) block weights (l2, l3, l4)."""
+    one = np.ones(l.shape[:-1] + (1,))
+    lam = np.concatenate((one, l, 1.0 / l[..., ::-1], one), axis=-1)
+    mus = np.concatenate((one, np.zeros(l.shape[:-1] + (3,))), axis=-1)
+    return lam, mus
 
 
 def bound_entangled_ghz_diagonal(l2: float, l3: float, l4: float) -> DensityMatrix:
@@ -144,9 +178,8 @@ def bound_entangled_ghz_diagonal(l2: float, l3: float, l4: float) -> DensityMatr
     """
     if min(l2, l3, l4) <= 0:
         raise ValueError("block weights must be positive")
-    lambdas = (1.0, l2, l3, l4, 1.0 / l4, 1.0 / l3, 1.0 / l2, 1.0)
-    mus = (1.0, 0.0, 0.0, 0.0)
-    return ghz_diagonal(GhzDiagonalParams(lambdas, mus))
+    lam, mus = _bound_entangled_weights(np.array([l2, l3, l4], dtype=float))
+    return ghz_diagonal(GhzDiagonalParams(tuple(lam), tuple(mus)))
 
 
 def duer_state(num_qubits: int, phi: float = 0.0) -> DensityMatrix:
@@ -200,36 +233,101 @@ def ghz_basis_state(bits, phi: float = 0.0) -> PureState:
     return PureState(n, amps)
 
 
-def random_pure_3qubit(rng: np.random.Generator) -> PureState:
-    """Haar-random 3-qubit pure state via inverse-CDF spherical coordinates.
+def _haar_draws(rng: np.random.Generator) -> np.ndarray:
+    """One stream's 7 uniforms and 7 phases for ``_random_pure_batch``."""
+    return np.concatenate((rng.random(7), rng.uniform(0.0, 2.0 * np.pi, 7)))
+
+
+def _random_pure_batch(rngs) -> np.ndarray:
+    """(B, 8) Haar-random 3-qubit amplitudes, row k drawn from the k-th
+    generator of the iterable ``rngs``, by inverse-CDF spherical coordinates.
 
     The hyperspherical angles have distribution function sin(alpha_i)^(2i),
     so alpha_i = arcsin(u^(1/(2i))) with u uniform; the phases are uniform.
     """
-    u = rng.random(7)
+    draws = np.fromiter(map(_haar_draws, rngs), dtype=np.dtype((float, 14)))
+    u, phis = draws[:, :7], draws[:, 7:]
     alphas = np.arcsin(u ** (1.0 / (2.0 * np.arange(1, 8))))
-    phis = rng.uniform(0.0, 2.0 * np.pi, 7)
     sines = np.sin(alphas)
     cosines = np.cos(alphas)
-    amps = np.empty(8, dtype=complex)
-    amps[0] = cosines[6]
+    amps = np.empty((len(u), 8), dtype=complex)
+    amps[:, 0] = cosines[:, 6]
     # component k carries cos(alpha_{7-k}) times sin(alpha_{8-k})...sin(alpha_7)
-    tails = np.cumprod(sines[::-1])
-    cos_factors = np.append(cosines[5::-1], 1.0)
-    amps[1:] = cos_factors * tails * np.exp(1j * phis[::-1])
-    return PureState(3, amps)
+    tails = np.cumprod(sines[:, ::-1], axis=1)
+    cos_factors = np.concatenate((cosines[:, 5::-1], np.ones((len(u), 1))), axis=1)
+    amps[:, 1:] = cos_factors * tails * np.exp(1j * phis[:, ::-1])
+    _check_pure_stack(amps)
+    return amps
 
 
-def _x_form_violations(lambdas, mus) -> list[bool]:
-    """Which of the four antidiagonal conditions the un-normalized weights break."""
-    norm = sum(lambdas)
-    out = []
-    for k in range(4):
-        rhs = sum(
-            math.sqrt(max(0.0, lambdas[j] * lambdas[7 - j])) for j in range(4) if j != k
-        )
-        out.append(abs(mus[k]) > rhs + 1e-12 * norm)
-    return out
+def random_pure_3qubit(rng: np.random.Generator) -> PureState:
+    """Haar-random 3-qubit pure state (see ``_random_pure_batch``)."""
+    return PureState(3, _random_pure_batch([rng])[0])
+
+
+def _antidiagonal_violating(rngs, full: bool) -> np.ndarray:
+    """(B, 8) rows (lam | mu) of X-form pair weights and signed coherences
+    that violate the first (or, with ``full``, any) antidiagonal condition,
+    row k from the k-th generator of the iterable ``rngs``.
+
+    The rejection rounds run in lock step: each round draws 64 candidates
+    from every stream without a hit, tests them all at once, and the
+    streams that hit keep their first hit and drop out. Streams are taken in
+    blocks of ``_BLOCK``, which bounds the working set and the number of
+    generators alive at once.
+    """
+    rngs = iter(rngs)
+    kept = []
+    while block := list(itertools.islice(rngs, _BLOCK)):
+        out = np.empty((len(block), 8))
+        active = np.arange(len(block))
+        for _ in range(REJECTION_BUDGET // 64 + 1):
+            if not active.size:
+                break
+            lam = np.empty((active.size, 64, 4))
+            u = np.empty((active.size, 64, 4))
+            for k, i in enumerate(active):
+                lam[k] = block[i].random((64, 4))
+                u[k] = block[i].random((64, 4))
+            mus = (2.0 * u - 1.0) * lam
+            totals = lam.sum(axis=-1)[..., None]
+            rhs = totals - lam  # sum of the other three pair weights
+            viol = np.abs(mus) > rhs + 1e-12 * (2.0 * totals)
+            hits = viol.any(axis=-1) if full else viol[..., 0]
+            found = hits.any(axis=1)
+            first = hits.argmax(axis=1)[found]
+            out[active[found]] = np.concatenate((lam, mus), axis=-1)[found, first]
+            active = active[~found]
+        if active.size:
+            raise RuntimeError(f"rejection budget of {REJECTION_BUDGET} draws exhausted")
+        kept.append(out)
+    return np.concatenate(kept)
+
+
+def _ppt_family_draw(rng: np.random.Generator) -> np.ndarray:
+    """Block weights (l2, l3, l4) uniform on (0.1, 10), off the
+    near-separable boundary |l2*l3 - l4| < 1e-3."""
+    for _ in range(REJECTION_BUDGET):
+        l = 0.1 + 9.9 * rng.random(3)
+        if abs(l[0] * l[1] - l[2]) >= 1e-3:
+            return l
+    raise RuntimeError(f"rejection budget of {REJECTION_BUDGET} draws exhausted")
+
+
+def _random_ghz_diagonal_batch(rngs, mode: str) -> np.ndarray:
+    """(B, 8, 8) validated X-form density matrices, matrix k drawn from the
+    k-th generator of the iterable ``rngs`` (modes as in ``random_ghz_diagonal``)."""
+    if mode in ("dme_violating", "full_family"):
+        kept = _antidiagonal_violating(rngs, full=mode == "full_family")
+        lam = np.concatenate((kept[:, :4], kept[:, 3::-1]), axis=1)
+        mus = kept[:, 4:]
+    elif mode == "bound_entangled":
+        blocks = np.fromiter(map(_ppt_family_draw, rngs), dtype=np.dtype((float, 3)))
+        lam, mus = _bound_entangled_weights(blocks)
+    else:
+        raise ValueError(f"unknown sampling mode {mode!r}")
+    _check_x_form(lam, mus)
+    return _check_density_stack(_x_form_matrices(lam, mus))
 
 
 def random_ghz_diagonal(rng: np.random.Generator, mode: str) -> DensityMatrix:
@@ -245,29 +343,10 @@ def random_ghz_diagonal(rng: np.random.Generator, mode: str) -> DensityMatrix:
     ``bound_entangled``
         PPT family with block weights uniform on (0.1, 10), rejecting the
         near-separable boundary |l2*l3 - l4| < 1e-3.
+
+    Each round of ``dme_violating`` and ``full_family`` draws 64 candidates.
     """
-    if mode in ("dme_violating", "full_family"):
-        batch = 64
-        for _ in range(REJECTION_BUDGET // batch + 1):
-            lam = rng.random((batch, 4))
-            mus = (2.0 * rng.random((batch, 4)) - 1.0) * lam
-            totals = lam.sum(axis=1)
-            rhs = totals[:, None] - lam  # sum of the other three pair weights
-            viol = np.abs(mus) > rhs + 1e-12 * (2.0 * totals[:, None])
-            hits = viol.any(axis=1) if mode == "full_family" else viol[:, 0]
-            idx = int(np.argmax(hits))
-            if hits[idx]:
-                l, m = lam[idx], mus[idx]
-                lambdas = (*l, l[3], l[2], l[1], l[0])
-                return ghz_diagonal(GhzDiagonalParams(lambdas, tuple(m)))
-        raise RuntimeError(f"rejection budget of {REJECTION_BUDGET} draws exhausted")
-    if mode == "bound_entangled":
-        for _ in range(REJECTION_BUDGET):
-            l2, l3, l4 = 0.1 + 9.9 * rng.random(3)
-            if abs(l2 * l3 - l4) >= 1e-3:
-                return bound_entangled_ghz_diagonal(l2, l3, l4)
-        raise RuntimeError(f"rejection budget of {REJECTION_BUDGET} draws exhausted")
-    raise ValueError(f"unknown sampling mode {mode!r}")
+    return DensityMatrix(3, _random_ghz_diagonal_batch([rng], mode)[0])
 
 
 def _load_ghz_diagonal_file(path: str) -> DensityMatrix:

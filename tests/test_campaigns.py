@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,18 @@ class TestTable3:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             run_table3(samples=10, seed=0, mode="dme_violating")
+
+    def test_chunk_working_set(self):
+        # the rejection sampler runs its streams in blocks; unblocked it
+        # lifted this peak from about 17.4 to 24.8 MB
+        campaigns._table3_chunk(0, 16, 0, "dme_violating")
+        tracemalloc.start()
+        try:
+            campaigns._table3_chunk(0, campaigns.CHUNK_SIZE, 0, "dme_violating")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18e6
 
 
 class TestBoundEntangledScan:
@@ -307,6 +320,18 @@ class TestCli:
     def test_state_beyond_the_cap_exit_2(self, spec, capsys):
         assert main(["analyze", "--state", spec]) == 2
         assert "exceeds the dense-storage cap" in capsys.readouterr().err
+
+    def test_mixed_state_file_beyond_the_cap_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": 40, "kind": "mixed", "re": [1.0], "im": [0.0]}))
+        assert main(["analyze", "--state", str(path)]) == 2
+        assert "exceeds the dense-storage cap" in capsys.readouterr().err
+
+    def test_mixed_state_file_of_wrong_length_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"n": 2, "kind": "mixed", "re": [0.25] * 15, "im": [0.0] * 15}))
+        assert main(["analyze", "--state", str(path)]) == 3
+        assert "mixed record has 15 entries, expected 16" in capsys.readouterr().err
 
     def test_class_filter(self, capsys):
         assert main(["bounds-curve", "--n", "8", "--k", "3"]) == 0

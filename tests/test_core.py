@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qfisher as qf
-from qfisher.core import PAULI_X, PAULI_Y, PAULI_Z, InvariantError
+from qfisher.core import PAULI_X, PAULI_Y, PAULI_Z, InvariantError, _check_density_stack, _check_pure_stack
 
 
 def is_close(a, b, tol=1e-12):
@@ -67,6 +67,59 @@ class TestDensityFromPure:
             qf.DensityMatrix(1, np.array([[1.5, 0.0], [0.0, -0.5]]))
         with pytest.raises(InvariantError):
             qf.DensityMatrix(1, np.array([[0.5, 1.0], [0.0, 0.5]]))
+
+    def test_single_matrix_messages_name_no_sample(self):
+        with pytest.raises(InvariantError, match=r"^trace is 1.4, expected 1$"):
+            qf.DensityMatrix(1, np.array([[0.7, 0.0], [0.0, 0.7]]))
+        with pytest.raises(InvariantError, match=r"^smallest eigenvalue -0.5 below -1e-09$"):
+            qf.DensityMatrix(1, np.array([[1.5, 0.0], [0.0, -0.5]]))
+        with pytest.raises(InvariantError, match=r"^density matrix is not Hermitian within 1e-10$"):
+            qf.DensityMatrix(1, np.array([[0.5, 1.0], [0.0, 0.5]]))
+
+
+class TestStackValidators:
+    @staticmethod
+    def _stack():
+        rng = np.random.default_rng(3)
+        g = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+        rhos = g @ g.conj().swapaxes(-1, -2)
+        return rhos / np.trace(rhos, axis1=-2, axis2=-1).real[:, None, None]
+
+    def test_valid_stack_returns_its_hermitian_part(self):
+        rhos = self._stack()
+        out = _check_density_stack(rhos)
+        assert np.array_equal(out, (rhos + rhos.conj().swapaxes(-1, -2)) / 2)
+        for rho, mat in zip(rhos, out):
+            assert np.array_equal(qf.DensityMatrix(2, rho).matrix, mat)
+
+    def test_non_hermitian_matrix_named(self):
+        rhos = self._stack()
+        rhos[4, 0, 1] += 1e-6
+        with pytest.raises(InvariantError, match=r"^sample 4: density matrix is not Hermitian"):
+            _check_density_stack(rhos)
+
+    def test_non_unit_trace_matrix_named(self):
+        rhos = self._stack()
+        rhos[2] *= 1.5
+        with pytest.raises(InvariantError, match=r"^sample 2: trace is 1.5\d*, expected 1$"):
+            _check_density_stack(rhos)
+
+    def test_non_psd_matrix_named(self):
+        rhos = self._stack()
+        rhos[5] = np.diag([1.5, -0.5, 0.0, 0.0])
+        with pytest.raises(InvariantError, match=r"^sample 5: smallest eigenvalue -0.5 below -1e-09$"):
+            _check_density_stack(rhos)
+
+    def test_grid_index_and_pure_norm(self):
+        rhos = self._stack().reshape(2, 3, 4, 4)
+        rhos[1, 0] *= 2.0
+        with pytest.raises(InvariantError, match=r"^sample \(1, 0\): trace is "):
+            _check_density_stack(rhos)
+        amps = np.full((4, 8), 8**-0.5, dtype=complex)
+        amps[3, 0] = 0.0
+        with pytest.raises(InvariantError, match=r"^sample 3: state not normalized: sum \|a\|\^2 = 0.875"):
+            _check_pure_stack(amps)
+        _check_pure_stack(amps[:3])
 
 
 class TestTensor:
@@ -369,6 +422,16 @@ class TestJsonRoundTrip:
             qf.state_from_json({"n": 1, "kind": "pure"})
         with pytest.raises(ValueError):
             qf.state_from_json({"n": 1, "kind": "thing", "re": [1, 0], "im": [0, 0]})
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_qubit_cap_checked_before_reshape(self, kind):
+        with pytest.raises(ValueError, match="40 qubits exceeds the dense-storage cap") as info:
+            qf.state_from_json({"n": 40, "kind": kind, "re": [1.0], "im": [0.0]})
+        assert not isinstance(info.value, InvariantError)
+
+    def test_mixed_record_of_wrong_length(self):
+        with pytest.raises(InvariantError, match=r"^mixed record has 15 entries, expected 16$"):
+            qf.state_from_json({"n": 2, "kind": "mixed", "re": [0.25] * 15, "im": [0.0] * 15})
 
 
 class TestQubitCap:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qfisher as qf
+from qfisher import zoo
 from qfisher.core import PAULIS, InvariantError
 from qfisher.zoo import GhzDiagonalParams
 
@@ -287,9 +288,9 @@ class TestRandomPure:
         # oracle: normalized complex Gaussian vectors are exactly Haar
         rng = np.random.default_rng(7)
         draws = 100_000
-        probs = np.empty(draws)
-        for i in range(draws):
-            probs[i] = np.abs(qf.random_pure_3qubit(rng).amplitudes[0]) ** 2
+        # one generator repeated draws the same numbers as `draws` successive
+        # random_pure_3qubit(rng) calls (TestBatchSamplers pins the two equal)
+        probs = np.abs(zoo._random_pure_batch([rng] * draws)[:, 0]) ** 2
         assert abs(probs.mean() - 1 / 8) <= 0.003
         gauss = rng.standard_normal((draws, 8)) + 1j * rng.standard_normal((draws, 8))
         gauss /= np.linalg.norm(gauss, axis=1, keepdims=True)
@@ -323,6 +324,117 @@ class TestRandomXForm:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             qf.random_ghz_diagonal(np.random.default_rng(0), "everything")
+
+
+# Per-sample reference: the single-state sampler bodies the batch samplers
+# replaced, each state built and validated on its own.
+
+
+def _reference_pure(rng):
+    u = rng.random(7)
+    alphas = np.arcsin(u ** (1.0 / (2.0 * np.arange(1, 8))))
+    phis = rng.uniform(0.0, 2.0 * np.pi, 7)
+    sines = np.sin(alphas)
+    cosines = np.cos(alphas)
+    amps = np.empty(8, dtype=complex)
+    amps[0] = cosines[6]
+    tails = np.cumprod(sines[::-1])
+    cos_factors = np.append(cosines[5::-1], 1.0)
+    amps[1:] = cos_factors * tails * np.exp(1j * phis[::-1])
+    return qf.PureState(3, amps).amplitudes
+
+
+def _reference_x_form(lambdas, mus):
+    lam = tuple(float(x) for x in lambdas)
+    mus = tuple(float(x) for x in mus)
+    assert min(lam) >= 0 and sum(lam) > 0
+    assert all(mus[j] ** 2 <= lam[j] * lam[7 - j] + 1e-12 for j in range(4))
+    mat = np.zeros((8, 8), dtype=complex)
+    for j in range(8):
+        mat[j, j] = lam[j]
+    for j in range(4):
+        mat[j, 7 - j] = mus[j]
+        mat[7 - j, j] = mus[j]
+    return qf.DensityMatrix(3, mat / sum(lam)).matrix
+
+
+def _reference_ghz_diagonal(rng, mode):
+    if mode in ("dme_violating", "full_family"):
+        batch = 64
+        for _ in range(zoo.REJECTION_BUDGET // batch + 1):
+            lam = rng.random((batch, 4))
+            mus = (2.0 * rng.random((batch, 4)) - 1.0) * lam
+            totals = lam.sum(axis=1)
+            rhs = totals[:, None] - lam
+            viol = np.abs(mus) > rhs + 1e-12 * (2.0 * totals[:, None])
+            hits = viol.any(axis=1) if mode == "full_family" else viol[:, 0]
+            idx = int(np.argmax(hits))
+            if hits[idx]:
+                l, m = lam[idx], mus[idx]
+                return _reference_x_form((*l, l[3], l[2], l[1], l[0]), m)
+    else:
+        for _ in range(zoo.REJECTION_BUDGET):
+            l2, l3, l4 = 0.1 + 9.9 * rng.random(3)
+            if abs(l2 * l3 - l4) >= 1e-3:
+                lambdas = (1.0, l2, l3, l4, 1.0 / l4, 1.0 / l3, 1.0 / l2, 1.0)
+                return _reference_x_form(lambdas, (1.0, 0.0, 0.0, 0.0))
+    raise AssertionError("reference sampler exhausted its budget")
+
+
+def _streams(seed, start, stop):
+    return [np.random.default_rng([seed, i]) for i in range(start, stop)]
+
+
+X_FORM_MODES = ("dme_violating", "full_family", "bound_entangled")
+# the first range crosses a 256-stream rejection block, the second the
+# 2048-sample campaign chunk boundary and a block boundary of its own batch
+INDEX_RANGES = ((0, 300), (1990, 2300))
+
+
+class TestBatchSamplers:
+    @pytest.mark.parametrize("start, stop", INDEX_RANGES)
+    def test_pure_batch_equals_per_sample_reference(self, start, stop):
+        batch = zoo._random_pure_batch(_streams(5, start, stop))
+        reference = np.array([_reference_pure(rng) for rng in _streams(5, start, stop)])
+        assert np.array_equal(batch, reference)
+
+    @pytest.mark.parametrize("start, stop", INDEX_RANGES)
+    @pytest.mark.parametrize("mode", X_FORM_MODES)
+    def test_x_form_batch_equals_per_sample_reference(self, mode, start, stop):
+        batch = zoo._random_ghz_diagonal_batch(_streams(5, start, stop), mode)
+        reference = np.array([_reference_ghz_diagonal(rng, mode) for rng in _streams(5, start, stop)])
+        assert np.array_equal(batch, reference)
+
+    def test_public_samplers_are_batches_of_one(self):
+        for i in range(20):
+            psi = qf.random_pure_3qubit(np.random.default_rng([5, i]))
+            assert np.array_equal(psi.amplitudes, _reference_pure(np.random.default_rng([5, i])))
+            for mode in X_FORM_MODES:
+                rho = qf.random_ghz_diagonal(np.random.default_rng([5, i]), mode)
+                expected = _reference_ghz_diagonal(np.random.default_rng([5, i]), mode)
+                assert np.array_equal(rho.matrix, expected)
+
+    def test_bad_x_form_block_names_the_sample(self):
+        lam = np.full((5, 8), 0.125)
+        mus = np.zeros((5, 4))
+        mus[3, 1] = 0.5
+        with pytest.raises(InvariantError, match=r"^sample 3: block 2 violates positivity"):
+            zoo._check_x_form(lam, mus)
+        with pytest.raises(InvariantError, match=r"^block 2 violates positivity: mu\^2 = 0.25 > 0.015625$"):
+            zoo._check_x_form(lam[3], mus[3])
+        lam[2, 5] = -0.125
+        with pytest.raises(InvariantError, match=r"^sample 2: diagonal weights must be non-negative$"):
+            zoo._check_x_form(lam, mus)
+
+    def test_budget_exhausted_in_the_batch_path(self, monkeypatch):
+        from qfisher import campaigns
+
+        monkeypatch.setattr(zoo, "REJECTION_BUDGET", 0)
+        with pytest.raises(RuntimeError, match="rejection budget of 0 draws exhausted"):
+            zoo._random_ghz_diagonal_batch(_streams(0, 0, 3), "bound_entangled")
+        # one round of 64 candidates leaves some of 2048 streams without a hit
+        with pytest.raises(RuntimeError, match="rejection budget of 0 draws exhausted"):
+            campaigns._table3_chunk(0, 2048, 0, "dme_violating")
 
 
 class TestStateSpecs:
