@@ -184,8 +184,9 @@ def run_table2(
     """Detection percentages of the criteria over Haar-random 3-qubit pure states.
 
     Sample ``i`` is drawn Haar-uniformly from its own stream by the sampler
-    behind ``zoo.random_pure_3qubit``, which draws a whole chunk at once. With Gamma the collective spin-QFI matrix
-    (``4 Re Cov(J_i, J_j)``), the rows count the states below. A bound
+    behind ``zoo.random_pure_3qubit``, which draws a whole chunk at once.
+    With Gamma the collective spin-QFI matrix (``4 Re Cov(J_i, J_j)``), the
+    rows count the states below. A bound
     counts as exceeded only by more than ``STRICT_MARGIN`` (1e-12 for the
     antidiagonal rows).
 
