@@ -7,7 +7,9 @@ since each one runs the local optimisers. The phase-sim files hold the
 per-trial estimates of the two fringe probes at seed 0. The ``analyze
 --mode witness-opt`` files hold the per-state report, including the GHZ
 witness optimised over local unitaries, of a pure, a mixed and a GHZ state
-at seed 0. A change that moves any byte of these tables fails here. If a change is meant to alter them, regenerate the files in their own
+at seed 0. ``analyze_duer6.csv`` is the report of a bound-entangled mixed
+state and ``sweep_p_ghz4.csv`` the white-noise thresholds of GHZ(4); both
+run the mixed spin-QFI kernel. A change that moves any byte of these tables fails here. If a change is meant to alter them, regenerate the files in their own
 labelled commit with::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -36,6 +38,8 @@ CASES = {
         campaign="analyze", state="smolin:2", mode="witness-opt", seed=0
     ),
     "analyze_ghz5_witness.csv": dict(campaign="analyze", state="ghz:5", mode="witness-opt", seed=0),
+    "analyze_duer6.csv": dict(campaign="analyze", state="duer:6"),
+    "sweep_p_ghz4.csv": dict(campaign="sweep-p", state="ghz:4"),
 }
 
 # phase-sim summary (std, ratio) at the configurations above; the CSV keeps
