@@ -13,10 +13,10 @@ from qfisher.campaigns import run_bound_entangled_scan
 np.set_printoptions(precision=4, suppress=True)
 
 print("single-flip mixture family")
-for n in (4, 5, 6, 8):
-    rho = qf.duer_state(n)
-    value, _ = qf.qfi_max(rho)
-    avg = qf.qfi_avg(rho)
+for n in (4, 5, 6, 8, 10):
+    gamma = qf.qfi_matrix(qf.duer_state(n))  # one kernel run gives both summaries
+    value, _ = gamma.max_direction()
+    avg = gamma.average()
     print(f"  N={n}: QFI max {value:7.4f} (< N = {n})   "
           f"avg {avg:7.4f} (> 2N/3 = {2*n/3:.4f})")
 print("  -> useless along every fixed direction, useful on direction average")

@@ -86,8 +86,8 @@ def get_max_qubits() -> int:
 
 
 def _check_num_qubits(n: int) -> int:
-    """The dimension 2**n, once n is a positive integer within the cap."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    """The dimension 2**n, once n is a positive integer (not a bool) within the cap."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValueError(f"number of qubits must be a positive integer, got {n!r}")
     if n > _MAX_QUBITS:
         raise ValueError(
@@ -126,17 +126,43 @@ def _check_pure_stack(amps: np.ndarray) -> None:
 
 def _check_density_stack(mats: np.ndarray) -> np.ndarray:
     """Hermitian part of a (..., d, d) stack after checking that every matrix
-    is Hermitian, has unit trace and is positive semidefinite (one batched
-    ``eigvalsh``)."""
-    adjoint = np.conj(mats).swapaxes(-1, -2)
-    asym = np.abs(mats - adjoint).max(axis=(-2, -1))
+    is Hermitian, has unit trace and is positive semidefinite.
+
+    A matrix passes the PSD test when the Cholesky factorisation of
+    rho + PSD_TOL * I succeeds, which needs its smallest eigenvalue above
+    -PSD_TOL up to rounding. Only when some factorisation fails does one
+    batched ``eigvalsh`` decide and report the smallest eigenvalue.
+
+    The real and imaginary parts are combined through views, so no
+    conjugate copy is made: besides its result, the check holds at most one
+    d x d complex temporary and the two buffers of the factorisation.
+    """
+    re, im = mats.real, mats.imag
+    re_t, im_t = re.swapaxes(-1, -2), im.swapaxes(-1, -2)
+    asym = re - re_t
+    np.hypot(asym, im + im_t, out=asym)  # |rho - rho^dag|
+    asym = asym.max(axis=(-2, -1))
     _raise_first(asym > HERMITICITY_TOL, "density matrix is not Hermitian within 1e-10")
-    mats = (mats + adjoint) / 2
-    tr = np.real(np.trace(mats, axis1=-2, axis2=-1))
+    herm = np.empty(mats.shape, dtype=complex)
+    np.add(re, re_t, out=herm.real)
+    np.subtract(im, im_t, out=herm.imag)
+    herm /= 2
+    tr = np.real(np.trace(herm, axis1=-2, axis2=-1))
     _raise_first(np.abs(tr - 1.0) > TRACE_TOL, "trace is {!r}, expected 1", tr)
-    lo = np.linalg.eigvalsh(mats)[..., 0]
-    _raise_first(lo < -PSD_TOL, f"smallest eigenvalue {{!r}} below -{PSD_TOL}", lo)
-    return mats
+    # shift the diagonal in place for the factorisation and restore it exactly
+    diag = herm.reshape(herm.shape[:-2] + (-1,))[..., :: herm.shape[-1] + 1]
+    saved = diag.copy()
+    diag += PSD_TOL
+    try:
+        np.linalg.cholesky(herm)
+        factored = True
+    except np.linalg.LinAlgError:
+        factored = False
+    diag[...] = saved
+    if not factored:
+        lo = np.linalg.eigvalsh(herm)[..., 0]
+        _raise_first(lo < -PSD_TOL, f"smallest eigenvalue {{!r}} below -{PSD_TOL}", lo)
+    return herm
 
 
 @dataclass(frozen=True)
@@ -171,7 +197,9 @@ class DensityMatrix:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (d, d):
             raise InvariantError(f"matrix has shape {mat.shape}, expected {(d, d)}")
-        object.__setattr__(self, "matrix", _frozen(_check_density_stack(mat)))
+        herm = _check_density_stack(mat)  # a new array, so freezing it needs no copy
+        herm.setflags(write=False)
+        object.__setattr__(self, "matrix", herm)
 
     @property
     def dim(self) -> int:
@@ -475,7 +503,7 @@ def state_to_json(state) -> dict:
 
 def state_from_json(data: dict):
     try:
-        n = int(data["n"])
+        n = data["n"]  # checked as an integer by the constructors, never converted
         kind = data["kind"]
         arr = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
     except (KeyError, TypeError) as exc:

@@ -46,6 +46,11 @@ __all__ = [
 
 ZERO_CUT = 1e-12
 PROB_FLOOR = 1e-12
+# Largest estimated working set, in bytes, of one eigendecomposition or one
+# mixed-state QFI kernel call; above it the call raises ValueError (CLI exit
+# 2) instead of swapping. A full-rank state at the 12-qubit cap needs about
+# 1.1 GB for its eigendecomposition and 1.4 GB for the kernel.
+MAX_DENSE_BYTES = 2 * 2**30
 
 
 def _apply_spins(x: np.ndarray, num_qubits: int, axis: int = -1) -> np.ndarray:
@@ -116,23 +121,71 @@ class SpinQfiMatrix:
         return [[float(x) for x in row] for row in self.matrix]
 
 
-def _pair_weights(evals: np.ndarray, zero_cut: float) -> np.ndarray:
-    """(lam_a - lam_b)^2 / (lam_a + lam_b) over pairs above the zero cut."""
-    lam_a = evals[..., :, None]
-    lam_b = evals[..., None, :]
-    den = lam_a + lam_b
-    num = (lam_a - lam_b) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(den > zero_cut, num / np.where(den > zero_cut, den, 1.0), 0.0)
-    return w
+def _check_budget(nbytes: int, what: str) -> None:
+    if nbytes > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"{what} needs about {nbytes / 2**20:.0f} MB, above the "
+            f"{MAX_DENSE_BYTES / 2**20:.0f} MB budget of fisher.MAX_DENSE_BYTES"
+        )
+
+
+def _real_gram(x: np.ndarray) -> np.ndarray:
+    """Re sum conj(x_i) x_j over the trailing axes of a (k, B, ...) stack,
+    shape (B, k, k): the real dot products of the (re, im) views, as one
+    real GEMM per batch member and with no copy of x."""
+    flat = x.reshape(x.shape[:2] + (-1,)).view(float).swapaxes(0, 1)
+    return flat @ flat.swapaxes(-1, -2)
+
+
+def _mixed_qfi_batch(rhos: np.ndarray, apply, num_ops: int, zero_cut: float = ZERO_CUT) -> np.ndarray:
+    """QFI matrices Gamma_ij of a (B, d, d) stack of density matrices for
+    ``num_ops`` generators G_i, shape (B, num_ops, num_ops); ``apply(x)``
+    returns the G_i x stacked as a (num_ops,) + x.shape array, with G_i acting
+    on axis -2 of x.
+
+    Only the support enters. S holds the eigenvectors whose eigenvalue is
+    above ``zero_cut`` times the trace in some member of the batch, and a
+    member's other eigenvalues count as 0. The pair weight
+    (lam_a - lam_b)^2 / (lam_a + lam_b) equals lam_a + lam_b - 4 lam_a lam_b /
+    (lam_a + lam_b), so with W = V_S sqrt(lam) and m_i = W^dag G_i W the pair
+    sum 2 sum_ab w_ab Re (G_i)_ab (G_j)_ba becomes
+    Gamma_ij = 4 Re <G_i W|G_j W> - 8 sum_ab Re(m_i,ab conj(m_j,ab)) / (lam_a + lam_b).
+    G acts on the d x r block W alone, and no d x d pair table is built.
+    """
+    b, d, _ = rhos.shape
+    # eigenvectors, LAPACK's copy of one matrix and its complex and real workspace
+    _check_budget(16 * d * d * (b + 3), "the eigendecomposition")
+    evals, vecs = np.linalg.eigh(rhos)
+    kept = evals > zero_cut * np.sum(evals, axis=-1, keepdims=True)
+    first = d - int(kept.sum(axis=-1).max())  # eigenvalues ascend, so S is a suffix
+    lam = np.where(kept, evals, 0.0)[:, first:]
+    r = d - first
+    # W, the G_i W, and one m_i before it moves into the space of G_i W
+    _check_budget(16 * b * r * (d + num_ops * d + r), "the mixed QFI kernel")
+    den = lam[:, :, None] + lam[:, None, :]
+    scale = np.sqrt(np.divide(1.0, den, out=np.zeros_like(den), where=den > 0))
+    w = vecs[:, :, first:] * np.sqrt(lam)[:, None, :]
+    del vecs, den
+    gw = apply(w)  # (num_ops, B, d, r)
+    gamma = 4.0 * _real_gram(gw)
+    w_dag = np.conj(w, out=w).swapaxes(-1, -2)
+    # m_i overwrites the start of G_i W, which nothing reads after it
+    m = gw.reshape(num_ops, -1)[:, : b * r * r].reshape(num_ops, b, r, r)
+    for i in range(num_ops):
+        m[i] = w_dag @ gw[i]
+    m *= scale
+    gamma -= 8.0 * _real_gram(m)
+    upper = np.triu_indices(num_ops, 1)
+    gamma[:, upper[1], upper[0]] = gamma[:, upper[0], upper[1]]  # exactly symmetric
+    return gamma
 
 
 def qfi(state, generator, zero_cut: float = ZERO_CUT) -> float:
     """Quantum Fisher information of a state for a Hermitian generator.
 
     Pure states use the closed form 4 * variance; mixed states go through
-    the eigendecomposition, skipping eigenvalue pairs whose sum is below
-    ``zero_cut`` times the trace.
+    the eigendecomposition, restricted to the eigenvalues above ``zero_cut``
+    times the trace (``_mixed_qfi_batch``).
     """
     g = _as_matrix(generator)
     if isinstance(state, PureState):
@@ -143,11 +196,8 @@ def qfi(state, generator, zero_cut: float = ZERO_CUT) -> float:
         raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
     if g.shape != state.matrix.shape:
         raise ValueError(f"dimension mismatch: state {state.matrix.shape}, generator {g.shape}")
-    evals, vecs = np.linalg.eigh(state.matrix)
-    cut = zero_cut * float(np.sum(evals))
-    m = vecs.conj().T @ g @ vecs
-    w = _pair_weights(evals, cut)
-    return float(2.0 * np.sum(w * np.abs(m) ** 2))
+    gamma = _mixed_qfi_batch(state.matrix[None, :, :], lambda v: (g @ v)[None], 1, zero_cut)
+    return float(gamma[0, 0, 0])
 
 
 def _gamma_pure_batch(psis: np.ndarray, num_qubits: int) -> np.ndarray:
@@ -160,19 +210,7 @@ def _gamma_pure_batch(psis: np.ndarray, num_qubits: int) -> np.ndarray:
 
 def _gamma_mixed_batch(rhos: np.ndarray, num_qubits: int, zero_cut: float = ZERO_CUT) -> np.ndarray:
     """Spin-QFI matrices for a batch of density matrices, shape (B, 3, 3)."""
-    evals, vecs = np.linalg.eigh(rhos)
-    cut = zero_cut * np.sum(evals, axis=-1, keepdims=True)[..., None]
-    w = _pair_weights(evals, cut)
-    out = np.empty((rhos.shape[0], 3, 3))
-    m = _apply_spins(vecs, num_qubits, axis=-2)
-    vdag = vecs.conj().transpose(0, 2, 1)
-    for i in range(3):
-        m[i] = vdag @ m[i]  # one GEMM per axis, overwriting J_i V to bound the working set
-    for i in range(3):
-        for j in range(i, 3):
-            out[:, i, j] = 2.0 * np.sum(w * np.real(m[i] * m[j].conj()), axis=(1, 2))
-            out[:, j, i] = out[:, i, j]
-    return out
+    return _mixed_qfi_batch(rhos, lambda v: _apply_spins(v, num_qubits, axis=-2), 3, zero_cut)
 
 
 def qfi_matrix(state, zero_cut: float = ZERO_CUT) -> SpinQfiMatrix:

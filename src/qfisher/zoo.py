@@ -197,7 +197,8 @@ def duer_state(num_qubits: int, phi: float = 0.0) -> DensityMatrix:
         mat[single, single] += 0.5
         flipped = (d - 1) ^ single
         mat[flipped, flipped] += 0.5
-    return DensityMatrix(n, mat / (n + 1))
+    mat /= n + 1  # in place, so no unscaled copy is held while it is validated
+    return DensityMatrix(n, mat)
 
 
 def smolin_state(pairs: int) -> DensityMatrix:

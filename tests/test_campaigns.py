@@ -327,6 +327,14 @@ class TestCli:
         assert main(["analyze", "--state", str(path)]) == 2
         assert "exceeds the dense-storage cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, size", [("pure", 4), ("mixed", 16)])
+    @pytest.mark.parametrize("n", [2.9, True])
+    def test_state_file_with_non_integer_qubit_count_exit_2(self, kind, size, n, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"n": n, "kind": kind, "re": [0.5] * size, "im": [0.0] * size}))
+        assert main(["analyze", "--state", str(path)]) == 2
+        assert "number of qubits must be a positive integer" in capsys.readouterr().err
+
     def test_mixed_state_file_of_wrong_length_exit_3(self, tmp_path, capsys):
         path = tmp_path / "short.json"
         path.write_text(json.dumps({"n": 2, "kind": "mixed", "re": [0.25] * 15, "im": [0.0] * 15}))

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 import qfisher as qf
-from qfisher.core import PAULI_X, PAULI_Y, PAULI_Z, InvariantError, _check_density_stack, _check_pure_stack
+from qfisher.core import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    PSD_TOL,
+    InvariantError,
+    _check_density_stack,
+    _check_pure_stack,
+)
 
 
 def is_close(a, b, tol=1e-12):
@@ -120,6 +128,34 @@ class TestStackValidators:
         with pytest.raises(InvariantError, match=r"^sample 3: state not normalized: sum \|a\|\^2 = 0.875"):
             _check_pure_stack(amps)
         _check_pure_stack(amps[:3])
+
+
+class TestPsdBoundary:
+    """Acceptance at the PSD tolerance: the smallest eigenvalue at -0.9 and
+    -1.1 times ``PSD_TOL`` on either side of it, for one matrix and a stack."""
+
+    @staticmethod
+    def _with_smallest(lo, d=16, seed=0):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        evals = np.concatenate(([lo], rng.random(d - 1)))
+        evals[1:] *= (1.0 - lo) / evals[1:].sum()
+        return (q * evals) @ q.conj().T
+
+    def test_single_matrix(self):
+        inside = self._with_smallest(-0.9 * PSD_TOL)
+        assert np.linalg.eigvalsh(inside)[0] < 0
+        qf.DensityMatrix(4, inside)
+        outside = self._with_smallest(-1.1 * PSD_TOL)
+        with pytest.raises(InvariantError, match=r"^smallest eigenvalue -1\.\d+e-09 below -1e-09$"):
+            qf.DensityMatrix(4, outside)
+
+    def test_stack(self):
+        rhos = np.stack([self._with_smallest(-0.9 * PSD_TOL, seed=s) for s in range(5)])
+        assert np.array_equal(_check_density_stack(rhos), (rhos + rhos.conj().swapaxes(-1, -2)) / 2)
+        rhos[3] = self._with_smallest(-1.1 * PSD_TOL, seed=3)
+        with pytest.raises(InvariantError, match=r"^sample 3: smallest eigenvalue -1\.\d+e-09 below -1e-09$"):
+            _check_density_stack(rhos)
 
 
 class TestTensor:
@@ -428,6 +464,16 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="40 qubits exceeds the dense-storage cap") as info:
             qf.state_from_json({"n": 40, "kind": kind, "re": [1.0], "im": [0.0]})
         assert not isinstance(info.value, InvariantError)
+
+    @pytest.mark.parametrize("state", [qf.plus_state(2), qf.ones_state(1)], ids=["pure", "pure1"])
+    @pytest.mark.parametrize("n", [2.9, 2.0, 1.0, True, "2"])
+    def test_qubit_count_must_be_a_json_integer(self, state, n):
+        # "n": 2.9 used to load as 2 qubits and "n": true as 1
+        for record in (qf.state_to_json(state), qf.state_to_json(qf.density_from_pure(state))):
+            record["n"] = n
+            with pytest.raises(ValueError, match=r"^number of qubits must be a positive integer, got") as info:
+                qf.state_from_json(record)
+            assert not isinstance(info.value, InvariantError)
 
     def test_mixed_record_of_wrong_length(self):
         with pytest.raises(InvariantError, match=r"^mixed record has 15 entries, expected 16$"):

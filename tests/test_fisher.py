@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qfisher as qf
+from qfisher import fisher
 from qfisher.core import PAULIS, InvariantError
 
 
@@ -136,20 +137,13 @@ def dense_collective_spins(n):
 
 
 def dense_gamma(rho, jays):
-    """Eigenbasis sum 2 (lam_a - lam_b)^2 / (lam_a + lam_b) Re(J_i)_ab (J_j)_ba
+    """Full pair sum 2 (lam_a - lam_b)^2 / (lam_a + lam_b) Re(J_i)_ab (J_j)_ba
     over the pairs with lam_a + lam_b > 1e-12."""
     lam, v = np.linalg.eigh(rho)
+    s = lam[:, None] + lam[None, :]
+    w = np.where(s > 1e-12, (lam[:, None] - lam[None, :]) ** 2 / np.where(s > 1e-12, s, 1.0), 0.0)
     ms = [v.conj().T @ j @ v for j in jays]
-    gamma = np.zeros((3, 3))
-    for a in range(lam.size):
-        for b in range(lam.size):
-            s = lam[a] + lam[b]
-            if s > 1e-12:
-                w = (lam[a] - lam[b]) ** 2 / s
-                for i in range(3):
-                    for j in range(3):
-                        gamma[i, j] += 2 * w * np.real(ms[i][a, b] * ms[j][b, a])
-    return gamma
+    return np.array([[2 * np.sum(w * np.real(mi * mj.T)) for mj in ms] for mi in ms])
 
 
 def dense_gamma_pure(psi, jays):
@@ -188,6 +182,65 @@ class TestSpinKernelsAgainstDense:
             rho = random_mixed(rng, n, rank)
             self.assert_close(qf.qfi_matrix(rho).matrix, dense_gamma(rho.matrix, jays))
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_mixed_every_rank(self, n):
+        rng = np.random.default_rng(300 + n)
+        jays = dense_collective_spins(n)
+        for rank in range(1, 2**n + 1):
+            rho = random_mixed(rng, n, rank)
+            self.assert_close(qf.qfi_matrix(rho).matrix, dense_gamma(rho.matrix, jays))
+
+    def test_mixed_named_states(self):
+        states = [qf.duer_state(n) for n in range(3, 7)] + [qf.smolin_state(p) for p in (2, 3)]
+        for psi in (qf.ghz(4), qf.dicke(5, 2), qf.plus_state(3), qf.psi_s4("+")):
+            states += [qf.mix_with_identity(psi, p) for p in (0.0, 0.2, 0.7, 1.0)]
+        for rho in states:
+            self.assert_close(
+                qf.qfi_matrix(rho).matrix, dense_gamma(rho.matrix, dense_collective_spins(rho.num_qubits))
+            )
+
+    def test_batch_of_mixed_ranks(self):
+        # the batch keeps the union of the members' supports; a member's
+        # dropped eigenvalues must weigh nothing
+        from qfisher.fisher import _gamma_mixed_batch
+
+        rng = np.random.default_rng(7)
+        rhos = np.stack([random_mixed(rng, 3, rank).matrix for rank in range(1, 9)])
+        gammas = _gamma_mixed_batch(rhos[::-1], 3)
+        jays = dense_collective_spins(3)
+        for gamma, rho in zip(gammas, rhos[::-1]):
+            self.assert_close(gamma, dense_gamma(rho, jays))
+
+    def test_generic_generator(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 3, 4):
+            d = 2**n
+            for rank in sorted({1, max(1, d // 2), d}):
+                rho = random_mixed(rng, n, rank)
+                g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                g = g + g.conj().T
+                ref = dense_gamma(rho.matrix, [g])[0, 0]
+                assert abs(qf.qfi(rho, g) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_ten_qubit_duer_stays_small(self):
+        # the kernel holds the 16 MiB state, its eigenvectors and d x r
+        # blocks; building the state holds the matrix, its validated copy
+        # and the Cholesky factor (no conjugate or unscaled copy)
+        tracemalloc.start()
+        try:
+            rho = qf.duer_state(10)
+            _, built = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            gamma = qf.qfi_matrix(rho).matrix
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = 10
+        expected = n * np.diag([(3 * n - 1) / (3 * n + 3), (3 * n - 1) / (3 * n + 3), n / (n + 1)])
+        assert np.max(np.abs(gamma - expected)) <= 1e-9
+        assert peak <= 48 * 2**20
+        assert built <= 50 * 2**20
+
     def test_twelve_qubit_dicke_stays_small(self):
         tracemalloc.start()
         try:
@@ -198,6 +251,38 @@ class TestSpinKernelsAgainstDense:
             tracemalloc.stop()
         assert abs(gamma[0, 0] - 84.0) <= 1e-9 and witness == 0.5
         assert peak < 64 * 2**20
+
+
+class TestMemoryBudget:
+    """The dense working-set estimates, checked with a lowered budget."""
+
+    @staticmethod
+    def _fail(*args, **kwargs):
+        raise AssertionError("allocated past the budget check")
+
+    def test_eigendecomposition_checked_before_it_runs(self, monkeypatch):
+        rho = random_mixed(np.random.default_rng(9), 3)
+        monkeypatch.setattr(fisher, "MAX_DENSE_BYTES", 16 * 8 * 8 * 4 - 1)
+        monkeypatch.setattr(np.linalg, "eigh", self._fail)
+        for call in (lambda: qf.qfi_matrix(rho), lambda: qf.qfi(rho, qf.collective_spin(3, "z"))):
+            with pytest.raises(ValueError, match=r"^the eigendecomposition needs about .* fisher.MAX_DENSE_BYTES$"):
+                call()
+
+    def test_kernel_checked_before_it_applies_the_spins(self, monkeypatch):
+        # full rank: the kernel's 16 * d * (d + 3d + d) bytes exceed the
+        # eigendecomposition's 16 * d * d * 4
+        rho = random_mixed(np.random.default_rng(9), 3)
+        monkeypatch.setattr(fisher, "MAX_DENSE_BYTES", 16 * 8 * 8 * 5 - 1)
+        monkeypatch.setattr(fisher, "_apply_spins", self._fail)
+        with pytest.raises(ValueError, match=r"^the mixed QFI kernel needs about .* fisher.MAX_DENSE_BYTES$"):
+            qf.qfi_matrix(rho)
+
+    def test_cli_exits_2(self, monkeypatch, capsys):
+        from qfisher.cli import main
+
+        monkeypatch.setattr(fisher, "MAX_DENSE_BYTES", 2**10)
+        assert main(["analyze", "--state", "duer:6"]) == 2
+        assert "budget of fisher.MAX_DENSE_BYTES" in capsys.readouterr().err
 
 
 class TestQfiSummaries:

@@ -103,6 +103,18 @@ class TestXForm:
             GhzDiagonalParams((-1, 1, 1, 1, 1, 1, 1, 1), (0, 0, 0, 0))
 
 
+    def test_block_edge_fails_the_eigenvalue_test(self):
+        # mu_0^2 sits just inside lam_0 * lam_7 + 1e-12, so the block test
+        # passes; the block's smaller eigenvalue is still about -3.3e-8
+        lam = np.array([1e-5, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25, 1e-5])
+        mus = np.array([np.sqrt(1e-10 + 0.999e-12), 0.0, 0.0, 0.0])
+        zoo._check_x_form(lam, mus)
+        with pytest.raises(InvariantError, match=r"^smallest eigenvalue -3\.\d+e-08 below -1e-09$"):
+            qf.ghz_diagonal(lam, mus)
+        with pytest.raises(InvariantError, match=r"^sample 0: smallest eigenvalue -3\.\d+e-08 below"):
+            zoo._check_density_stack(zoo._x_form_matrices(lam[None], mus[None]))
+
+
 class TestBoundEntangledFamily:
     def test_ppt_on_every_cut(self):
         rho = qf.bound_entangled_ghz_diagonal(2.0, 3.0, 5.0)
