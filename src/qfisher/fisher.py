@@ -49,7 +49,7 @@ PROB_FLOOR = 1e-12
 # Largest estimated working set, in bytes, of one eigendecomposition or one
 # mixed-state QFI kernel call; above it the call raises ValueError (CLI exit
 # 2) instead of swapping. A full-rank state at the 12-qubit cap needs about
-# 1.1 GB for its eigendecomposition and 1.4 GB for the kernel.
+# 1.1 GB for its eigendecomposition and 1.3 GB for the kernel.
 MAX_DENSE_BYTES = 2 * 2**30
 
 

@@ -465,7 +465,7 @@ class TestJsonRoundTrip:
             qf.state_from_json({"n": 40, "kind": kind, "re": [1.0], "im": [0.0]})
         assert not isinstance(info.value, InvariantError)
 
-    @pytest.mark.parametrize("state", [qf.plus_state(2), qf.ones_state(1)], ids=["pure", "pure1"])
+    @pytest.mark.parametrize("state", [qf.plus_state(2), qf.ones_state(1)], ids=["plus2", "ones1"])
     @pytest.mark.parametrize("n", [2.9, 2.0, 1.0, True, "2"])
     def test_qubit_count_must_be_a_json_integer(self, state, n):
         # "n": 2.9 used to load as 2 qubits and "n": true as 1

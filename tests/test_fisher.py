@@ -202,11 +202,9 @@ class TestSpinKernelsAgainstDense:
     def test_batch_of_mixed_ranks(self):
         # the batch keeps the union of the members' supports; a member's
         # dropped eigenvalues must weigh nothing
-        from qfisher.fisher import _gamma_mixed_batch
-
         rng = np.random.default_rng(7)
         rhos = np.stack([random_mixed(rng, 3, rank).matrix for rank in range(1, 9)])
-        gammas = _gamma_mixed_batch(rhos[::-1], 3)
+        gammas = fisher._gamma_mixed_batch(rhos[::-1], 3)
         jays = dense_collective_spins(3)
         for gamma, rho in zip(gammas, rhos[::-1]):
             self.assert_close(gamma, dense_gamma(rho, jays))

@@ -102,7 +102,6 @@ class TestXForm:
         with pytest.raises(InvariantError):
             GhzDiagonalParams((-1, 1, 1, 1, 1, 1, 1, 1), (0, 0, 0, 0))
 
-
     def test_block_edge_fails_the_eigenvalue_test(self):
         # mu_0^2 sits just inside lam_0 * lam_7 + 1e-12, so the block test
         # passes; the block's smaller eigenvalue is still about -3.3e-8
