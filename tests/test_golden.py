@@ -9,8 +9,14 @@ per-trial estimates of the two fringe probes at seed 0. The ``analyze
 witness optimised over local unitaries, of a pure, a mixed and a GHZ state
 at seed 0. ``analyze_duer6.csv`` is the report of a bound-entangled mixed
 state and ``sweep_p_ghz4.csv`` the white-noise thresholds of GHZ(4); both
-run the mixed spin-QFI kernel. A change that moves any byte of these tables fails here. If a change is meant to alter them, regenerate the files in their own
-labelled commit with::
+run the mixed spin-QFI kernel. ``analyze_ghz3.csv``, ``analyze_duer3.csv``
+and ``sweep_p_ghz3.csv`` are the three-qubit paths: the antidiagonal test
+and the GHZ witness of a pure and a mixed report, and the witness and
+antidiagonal thresholds over white-noise mixtures of GHZ(3).
+
+A change that moves any byte of these tables fails here. If a change is
+meant to alter them, regenerate the files in their own labelled commit
+with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -40,6 +46,9 @@ CASES = {
     "analyze_ghz5_witness.csv": dict(campaign="analyze", state="ghz:5", mode="witness-opt", seed=0),
     "analyze_duer6.csv": dict(campaign="analyze", state="duer:6"),
     "sweep_p_ghz4.csv": dict(campaign="sweep-p", state="ghz:4"),
+    "analyze_ghz3.csv": dict(campaign="analyze", state="ghz:3"),
+    "analyze_duer3.csv": dict(campaign="analyze", state="duer:3"),
+    "sweep_p_ghz3.csv": dict(campaign="sweep-p", state="ghz:3"),
 }
 
 # phase-sim summary (std, ratio) at the configurations above; the CSV keeps
