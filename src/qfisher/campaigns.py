@@ -18,28 +18,19 @@ from functools import partial
 import numpy as np
 
 from . import zoo
-from .core import PureState, collective_spin, is_ppt, mix_with_identity
+from .core import PureState, collective_spin, mix_with_identity
 from .criteria import (
-    STRICT_MARGIN,
+    _detects,
     avg_qfi_bound,
     bound_ratios,
     build_report,
     critical_p,
-    dme_condition,
+    evaluate,
     ghz_witness,
     qfi_bound,
 )
 from .estimation import precision_limits, run_phase_estimation
-from .fisher import (
-    _gamma_mixed_batch,
-    _gamma_pure_batch,
-    optimize_local_directions,
-    parity_povm,
-    qfi,
-    qfi_avg,
-    qfi_max,
-    x_basis_povm,
-)
+from .fisher import optimize_local_directions, parity_povm, qfi, x_basis_povm
 
 __all__ = [
     "CampaignConfig",
@@ -127,6 +118,10 @@ def _apply_range(job):
     return chunk_fn(a, b)
 
 
+def _counts(flags: dict[str, np.ndarray], names: tuple[str, ...]) -> np.ndarray:
+    return np.array([np.count_nonzero(flags[name]) for name in names], dtype=np.int64)
+
+
 # ---------------------------------------------------------------------------
 # random pure three-qubit states: entanglement-detection rates
 # ---------------------------------------------------------------------------
@@ -137,45 +132,19 @@ TABLE2_LOCAL_CRITERIA = TABLE2_CRITERIA + ("fq_2_local", "fq_3_local", "witness_
 
 def _table2_chunk(start: int, stop: int, seed: int, local: bool) -> np.ndarray:
     psis = zoo._random_pure_batch(_streams(seed, start, stop))
-    gammas = _gamma_pure_batch(psis, 3)
-    fq_max = np.linalg.eigvalsh(gammas)[:, -1]
-    fq_avg = np.trace(gammas, axis1=1, axis2=2) / 3.0
-
-    # antidiagonal pair magnitudes |psi_j| * |psi_{7-j}|; for rank-one states
-    # the diagonal square roots reduce to the same products
-    mags = np.abs(psis)
-    anti = mags[:, :4] * mags[:, 7:3:-1]
-    totals = anti.sum(axis=1)
-    dme_pair1 = anti[:, 0] > (totals - anti[:, 0]) + 1e-12
-    dme_any = np.any(anti > (totals[:, None] - anti) + 1e-12, axis=1)
-
-    ghz_vec = zoo.ghz(3).amplitudes
-    fidelity = np.abs(psis @ ghz_vec.conj()) ** 2
-    witness = (0.5 - fidelity) < -STRICT_MARGIN
-
-    flags = [
-        fq_max > qfi_bound(3, 1) + STRICT_MARGIN,
-        fq_avg > avg_qfi_bound(3, 1) + STRICT_MARGIN,
-        fq_max > qfi_bound(3, 2) + STRICT_MARGIN,
-        fq_avg > avg_qfi_bound(3, 2) + STRICT_MARGIN,
-        dme_pair1,
-        dme_any,
-        witness,
-    ]
-    if local:
-        fq_local = np.empty(stop - start)
-        wit_opt = np.empty(stop - start, dtype=bool)
-        for j, i in enumerate(range(start, stop)):
-            psi = PureState(3, psis[j])
-            fq_local[j], _ = optimize_local_directions(psi, restarts=4, seed=(seed, i, 1))
-            w = ghz_witness(psi, optimize_local_unitaries=True, restarts=5, seed=(seed, i, 2))
-            wit_opt[j] = w < -STRICT_MARGIN
-        flags += [
-            fq_local > qfi_bound(3, 1) + STRICT_MARGIN,
-            fq_local > qfi_bound(3, 2) + STRICT_MARGIN,
-            wit_opt,
-        ]
-    return np.array([int(f.sum()) for f in flags], dtype=np.int64)
+    flags = evaluate(psis, 3, TABLE2_CRITERIA)
+    if not local:
+        return _counts(flags, TABLE2_CRITERIA)
+    fq_local = np.empty(stop - start)
+    witness_opt = np.empty(stop - start)
+    for j, i in enumerate(range(start, stop)):
+        psi = PureState(3, psis[j])
+        fq_local[j], _ = optimize_local_directions(psi, restarts=4, seed=(seed, i, 1))
+        witness_opt[j] = ghz_witness(psi, optimize_local_unitaries=True, restarts=5, seed=(seed, i, 2))
+    flags["fq_2_local"] = _detects("fq_2", 3, fq_local)
+    flags["fq_3_local"] = _detects("fq_3", 3, fq_local)
+    flags["witness_opt"] = _detects("witness", 3, witness_opt)
+    return _counts(flags, TABLE2_LOCAL_CRITERIA)
 
 
 def run_table2(
@@ -185,20 +154,10 @@ def run_table2(
 
     Sample ``i`` is drawn Haar-uniformly from its own stream by the sampler
     behind ``zoo.random_pure_3qubit``, which draws a whole chunk at once.
-    With Gamma the collective spin-QFI matrix (``4 Re Cov(J_i, J_j)``), the
-    rows count the states below. A bound
-    counts as exceeded only by more than ``STRICT_MARGIN`` (1e-12 for the
-    antidiagonal rows).
-
-    - ``fq_2``: largest eigenvalue of Gamma > ``qfi_bound(3, 1)`` = 3;
-    - ``fq_avg_2``: trace(Gamma) / 3 > ``avg_qfi_bound(3, 1)`` = 2;
-    - ``fq_3``: largest eigenvalue of Gamma > ``qfi_bound(3, 2)`` = 5;
-    - ``fq_avg_3``: trace(Gamma) / 3 > ``avg_qfi_bound(3, 2)`` = 10/3;
-    - ``dme``: computational-basis antidiagonal test, pair 1 violated
-      (|psi_0| |psi_7| above the sum of the other three pair products);
-    - ``dme_family``: any of the four antidiagonal pairs violated;
-    - ``witness``: fixed GHZ witness, |<GHZ|psi>|^2 > 1/2. Over this
-      ensemble the fidelity is Beta(1, 7), so the exact rate is 2^-7.
+    The rows count the states each criterion of ``criteria.evaluate``
+    detects, under the names ``TABLE2_CRITERIA`` listed there. Over this
+    ensemble the GHZ fidelity is Beta(1, 7), so the exact ``witness`` rate
+    is 2^-7.
 
     ``mode="local"`` additionally reports the QFI criteria after
     local-direction optimization and the witness after local-unitary
@@ -221,17 +180,7 @@ TABLE3_CRITERIA = ("witness", "fq_3", "fq_avg_3")
 
 def _table3_chunk(start: int, stop: int, seed: int, mode: str) -> np.ndarray:
     rhos = zoo._random_ghz_diagonal_batch(_streams(seed, start, stop), mode)
-    gammas = _gamma_mixed_batch(rhos, 3)
-    fq_max = np.linalg.eigvalsh(gammas)[:, -1]
-    fq_avg = np.trace(gammas, axis1=1, axis2=2) / 3.0
-    ghz_vec = zoo.ghz(3).amplitudes
-    fidelity = np.real(np.einsum("g,bgh,h->b", ghz_vec.conj(), rhos, ghz_vec))
-    flags = [
-        (0.5 - fidelity) < -STRICT_MARGIN,
-        fq_max > qfi_bound(3, 2) + STRICT_MARGIN,
-        fq_avg > avg_qfi_bound(3, 2) + STRICT_MARGIN,
-    ]
-    return np.array([int(f.sum()) for f in flags], dtype=np.int64)
+    return _counts(evaluate(rhos, 3, TABLE3_CRITERIA), TABLE3_CRITERIA)
 
 
 def run_table3(
@@ -256,16 +205,7 @@ SCAN_FIELDS = ("ppt_all_cuts", "fq_2", "fq_avg_2")
 
 def _scan_chunk(start: int, stop: int, seed: int) -> np.ndarray:
     rhos = zoo._random_ghz_diagonal_batch(_streams(seed, start, stop), "bound_entangled")
-    ppt_all = is_ppt(rhos, [0]) & is_ppt(rhos, [1]) & is_ppt(rhos, [2])
-    gammas = _gamma_mixed_batch(rhos, 3)
-    fq_max = np.linalg.eigvalsh(gammas)[:, -1]
-    fq_avg = np.trace(gammas, axis1=1, axis2=2) / 3.0
-    flags = [
-        ppt_all,
-        fq_max > qfi_bound(3, 1) + STRICT_MARGIN,
-        fq_avg > avg_qfi_bound(3, 1) + STRICT_MARGIN,
-    ]
-    return np.array([int(f.sum()) for f in flags], dtype=np.int64)
+    return _counts(evaluate(rhos, 3, SCAN_FIELDS), SCAN_FIELDS)
 
 
 def run_bound_entangled_scan(samples: int = 10_000, seed: int = 0, workers: int = 1) -> list[DetectionRate]:
@@ -324,63 +264,27 @@ def sweep_p(state_name: str, resolution: float = 1e-6) -> list[dict]:
     if not isinstance(state, PureState):
         raise ValueError(f"the noise sweep needs a pure state, got {state_name!r}")
     n = state.num_qubits
-    rows = []
+
+    def detector(name):
+        return lambda p: bool(evaluate(mix_with_identity(state, p).matrix[None], n, (name,))[name][0])
+
+    rows = []  # (criterion, k, closed-form threshold)
     for k in range(1, n):
         ratio_max, ratio_avg = bound_ratios(state, k)
-
-        def detect_fq(p, k=k):
-            value, _ = qfi_max(mix_with_identity(state, p))
-            return value > qfi_bound(n, k) + STRICT_MARGIN
-
-        def detect_avg(p, k=k):
-            return qfi_avg(mix_with_identity(state, p)) > avg_qfi_bound(n, k) + STRICT_MARGIN
-
-        rows.append(
-            {
-                "criterion": "fq",
-                "k": k,
-                "p_threshold": _bisect_p(detect_fq, resolution),
-                "p_closed_form": critical_p(ratio_max, n),
-            }
-        )
-        rows.append(
-            {
-                "criterion": "fq_avg",
-                "k": k,
-                "p_threshold": _bisect_p(detect_avg, resolution),
-                "p_closed_form": critical_p(ratio_avg, n),
-            }
-        )
+        rows += [("fq", k, critical_p(ratio_max, n)), ("fq_avg", k, critical_p(ratio_avg, n))]
     if n == 3:
-
-        def detect_witness(p):
-            return ghz_witness(mix_with_identity(state, p)) < -STRICT_MARGIN
-
-        def detect_dme(p):
-            return dme_condition(mix_with_identity(state, p), 1).violated
-
-        fid = ghz_witness(state)  # 1/2 - fidelity of the pure state
-        pure_fidelity = 0.5 - fid
-        closed = None
-        if pure_fidelity > 0.5:
-            closed = (0.5 - 0.125) / (pure_fidelity - 0.125)
-        rows.append(
-            {
-                "criterion": "witness",
-                "k": None,
-                "p_threshold": _bisect_p(detect_witness, resolution),
-                "p_closed_form": closed,
-            }
-        )
-        rows.append(
-            {
-                "criterion": "dme",
-                "k": None,
-                "p_threshold": _bisect_p(detect_dme, resolution),
-                "p_closed_form": None,
-            }
-        )
-    return rows
+        fidelity = 0.5 - ghz_witness(state)
+        closed = (0.5 - 0.125) / (fidelity - 0.125) if fidelity > 0.5 else None
+        rows += [("witness", None, closed), ("dme", None, None)]
+    return [
+        {
+            "criterion": criterion,
+            "k": k,
+            "p_threshold": _bisect_p(detector(f"{criterion}_{k + 1}" if k else criterion), resolution),
+            "p_closed_form": closed,
+        }
+        for criterion, k, closed in rows
+    ]
 
 
 def analyze(state_spec: str, optimize_witness: bool = False, seed: int = 0) -> dict:
@@ -477,15 +381,8 @@ def _dicts_csv(rows: list[dict]) -> str:
     header = list(rows[0].keys())
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for key in header:
-            value = row[key]
-            if value is None:
-                cells.append("")
-            elif isinstance(value, float):
-                cells.append(f"{value:.10g}")
-            else:
-                cells.append(str(value))
+        values = [row[key] for key in header]
+        cells = ["" if v is None else f"{v:.10g}" if isinstance(v, float) else str(v) for v in values]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -493,6 +390,10 @@ def _dicts_csv(rows: list[dict]) -> str:
 def run_campaign(config: CampaignConfig) -> tuple[str, dict | None]:
     """Execute a campaign; returns (csv_text, json_payload)."""
     name = config.campaign
+    # table2 and table3 check their own modes; of the rest only analyze has one
+    if config.mode is not None and name not in ("table2", "table3"):
+        if (name, config.mode) != ("analyze", "witness-opt"):
+            raise ValueError(f"{name} defines no mode {config.mode!r}")
     if name == "table2":
         rows = run_table2(config.samples, config.seed, config.workers, config.mode or "collective")
         return _rates_csv(rows), _rates_json(rows, config)
@@ -514,6 +415,10 @@ def run_campaign(config: CampaignConfig) -> tuple[str, dict | None]:
     if name == "sweep-p":
         if not config.state:
             raise ValueError("sweep-p needs --state")
+        if config.k is not None:
+            n = zoo.parse_state_spec(config.state).num_qubits
+            if not 1 <= config.k < n:
+                raise ValueError(f"--k {config.k} is outside 1..{n - 1}")
         rows = sweep_p(config.state, 1e-6)
         if config.k is not None:
             rows = [row for row in rows if row["k"] in (config.k, None)]

@@ -6,11 +6,15 @@ direction-averaged QFI obey closed-form ceilings over the k-producible set,
 so exceeding a ceiling certifies (k+1)-particle entanglement. The module
 also carries the three-qubit antidiagonal matrix-element test, a GHZ
 fidelity witness, and the machinery for white-noise robustness thresholds.
+
+``evaluate`` decides every criterion over a stack of states at once; the
+per-state functions and the campaigns all go through it or its helpers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,9 +27,10 @@ from .core import (
     PureState,
     _on_qubit,
     _state_matrix,
+    is_ppt,
 )
+from . import fisher, zoo
 from .fisher import qfi_matrix, optimize_local_directions
-from . import zoo
 
 __all__ = [
     "STRICT_MARGIN",
@@ -34,6 +39,7 @@ __all__ = [
     "qfi_bound",
     "avg_qfi_bound",
     "entanglement_depth",
+    "evaluate",
     "DmeResult",
     "dme_condition",
     "dme_family",
@@ -110,6 +116,120 @@ def entanglement_depth(value: float, num_qubits: int, which: str = "qfi") -> int
     return num_qubits
 
 
+# ---------------------------------------------------------------------------
+# the batched criterion engine
+# ---------------------------------------------------------------------------
+
+_DME_MARGIN = 1e-12  # the antidiagonal test's margin, on matrix elements
+_OTHER_PAIRS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+_FQ_NAME = re.compile(r"(fq|fq_avg)_([1-9][0-9]*)")
+
+
+def _criterion(name: str, num_qubits: int) -> tuple[str, float | None]:
+    """The shared quantity a criterion name is decided from, and its bound."""
+    match = _FQ_NAME.fullmatch(name)
+    if match:
+        k = int(match[2])
+        if not 2 <= k <= num_qubits:
+            raise ValueError(f"criterion {name!r} needs k in 2..{num_qubits}")
+        bound = qfi_bound if match[1] == "fq" else avg_qfi_bound
+        return match[1], bound(num_qubits, k - 1)
+    if name not in ("dme", "dme_family", "witness", "ppt_all_cuts"):
+        raise ValueError(f"unknown criterion {name!r}")
+    return ("dme" if name.startswith("dme") else name), None
+
+
+def _detects(name: str, num_qubits: int, values: np.ndarray) -> np.ndarray:
+    """Flags of a criterion decided by one number per state: ``fq_k`` and
+    ``fq_avg_k`` values above their bound, ``witness`` values below zero,
+    each by more than ``STRICT_MARGIN``."""
+    quantity, bound = _criterion(name, num_qubits)
+    if quantity == "witness":
+        return values < -STRICT_MARGIN
+    return values > bound + STRICT_MARGIN
+
+
+def _antidiagonal(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both sides of the four antidiagonal conditions of a 3-qubit stack and
+    their violation flags, each (B, 4).
+
+    For pair j (0-based), lhs = |rho[j, 7-j]| and rhs sums
+    sqrt(rho[i, i] rho[7-i, 7-i]) over the other pairs i. For a pure stack
+    both reduce to the products |psi_j| |psi_{7-j}|.
+    """
+    if batch.shape[1:] not in ((8,), (8, 8)):
+        raise ValueError("the antidiagonal test is defined for exactly 3 qubits")
+    if batch.ndim == 2:
+        mags = np.abs(batch)
+        lhs = terms = mags[:, :4] * mags[:, 7:3:-1]
+    else:
+        lhs = np.abs(batch[:, np.arange(4), np.arange(7, 3, -1)])
+        diag = np.maximum(0.0, np.real(np.diagonal(batch, axis1=1, axis2=2)))
+        terms = np.sqrt(diag[:, :4] * diag[:, 7:3:-1])
+    rhs = terms[:, _OTHER_PAIRS].sum(axis=2)
+    return lhs, rhs, lhs > rhs + _DME_MARGIN
+
+
+def _ghz_fidelity(batch: np.ndarray, num_qubits: int) -> np.ndarray:
+    """<GHZ|rho|GHZ> of every member of a pure or mixed stack, shape (B,)."""
+    target = zoo.ghz(num_qubits).amplitudes
+    if batch.ndim == 2:
+        return np.abs(batch @ target.conj()) ** 2
+    return np.real(np.einsum("g,bgh,h->b", target.conj(), batch, target))
+
+
+def evaluate(batch, num_qubits: int, names) -> dict[str, np.ndarray]:
+    """Decide the named criteria for every member of a (B, d) stack of
+    amplitude vectors or a (B, d, d) stack of density matrices, assumed
+    valid; one (B,) bool array per name:
+
+    - ``fq_k`` / ``fq_avg_k``: the largest eigenvalue / trace / 3 of the
+      spin-QFI matrix Gamma exceeds ``qfi_bound`` / ``avg_qfi_bound`` of
+      class k - 1 by more than ``STRICT_MARGIN`` (k-particle entanglement);
+    - ``dme`` / ``dme_family``: antidiagonal pair 1 / any of the four pairs
+      violated by more than 1e-12 (3 qubits);
+    - ``witness``: 1/2 - <GHZ|rho|GHZ> below -``STRICT_MARGIN``;
+    - ``ppt_all_cuts``: PPT across every single-qubit cut.
+
+    Each shared quantity (Gamma, antidiagonal terms, fidelity, partial
+    transposes) is computed at most once, and only if a name needs it. Any
+    other name raises ``ValueError``.
+    """
+    batch = np.asarray(batch)
+    d = 2**num_qubits
+    if batch.ndim not in (2, 3) or batch.shape[1:] != (d,) * (batch.ndim - 1):
+        raise ValueError(f"expected a (B, {d}) or (B, {d}, {d}) stack, got shape {batch.shape}")
+    quantities = {name: _criterion(name, num_qubits)[0] for name in names}
+    needed = set(quantities.values())
+    values, flags = {}, {}  # values go through _detects, flags are final
+    if needed & {"fq", "fq_avg"}:
+        kernel = fisher._gamma_pure_batch if batch.ndim == 2 else fisher._gamma_mixed_batch
+        gammas = kernel(batch, num_qubits)
+        if "fq" in needed:
+            values["fq"] = np.linalg.eigvalsh(gammas)[:, -1]
+        if "fq_avg" in needed:
+            values["fq_avg"] = np.trace(gammas, axis1=1, axis2=2) / 3.0
+    if "dme" in needed:
+        violated = _antidiagonal(batch)[2]
+        flags["dme"], flags["dme_family"] = violated[:, 0], violated.any(axis=1)
+    if "witness" in needed:
+        values["witness"] = 0.5 - _ghz_fidelity(batch, num_qubits)
+    if "ppt_all_cuts" in needed:
+        rhos = batch[:, :, None] * batch[:, None, :].conj() if batch.ndim == 2 else batch
+        flags["ppt_all_cuts"] = np.logical_and.reduce([is_ppt(rhos, [q]) for q in range(num_qubits)])
+    return {
+        name: flags[name] if name in flags else _detects(name, num_qubits, values[quantity])
+        for name, quantity in quantities.items()
+    }
+
+
+def _as_batch(state) -> np.ndarray:
+    """A one-member stack: the amplitudes of a pure state, else the matrix."""
+    if isinstance(state, PureState):
+        return state.amplitudes[None]
+    return _state_matrix(state)[None]
+
+
 @dataclass(frozen=True)
 class DmeResult:
     pair: int
@@ -128,26 +248,13 @@ def dme_condition(state, pair: int = 1) -> DmeResult:
     """
     if pair not in (1, 2, 3, 4):
         raise ValueError(f"pair index must be 1..4, got {pair}")
-    mat = _state_matrix(state)
-    if mat.shape != (8, 8):
-        raise ValueError("the antidiagonal test is defined for exactly 3 qubits")
-    lhs = float(np.abs(mat[pair - 1, 8 - pair]))
-    rhs = 0.0
-    for j in (1, 2, 3, 4):
-        if j == pair:
-            continue
-        rhs += float(
-            np.sqrt(
-                max(0.0, float(np.real(mat[j - 1, j - 1])))
-                * max(0.0, float(np.real(mat[8 - j, 8 - j])))
-            )
-        )
-    return DmeResult(pair, bool(lhs > rhs + 1e-12), lhs, rhs)
+    return dme_family(state)[pair - 1]
 
 
 def dme_family(state) -> tuple[DmeResult, ...]:
     """All four antidiagonal-pair conditions; any violation is a detection."""
-    return tuple(dme_condition(state, pair) for pair in (1, 2, 3, 4))
+    lhs, rhs, violated = (x[0] for x in _antidiagonal(_as_batch(state)))
+    return tuple(DmeResult(j + 1, bool(violated[j]), float(lhs[j]), float(rhs[j])) for j in range(4))
 
 
 def _witness_seesaw(rho: np.ndarray, target: np.ndarray, num_qubits: int, rng) -> float:
@@ -191,18 +298,13 @@ def ghz_witness(state, optimize_local_unitaries: bool = False, restarts: int = 2
     With ``optimize_local_unitaries`` the fidelity is first maximized over
     products of single-qubit unitaries by random-restart coordinate ascent.
     """
-    if isinstance(state, PureState):
-        num_qubits = state.num_qubits
-        target = zoo.ghz(num_qubits).amplitudes
-        fidelity = float(np.abs(np.vdot(target, state.amplitudes)) ** 2)
-    else:
-        mat = _state_matrix(state)
-        num_qubits = int(round(np.log2(mat.shape[0])))
-        target = zoo.ghz(num_qubits).amplitudes
-        fidelity = float(np.real(np.vdot(target, mat @ target)))
+    batch = _as_batch(state)
+    num_qubits = batch.shape[1].bit_length() - 1
+    fidelity = float(_ghz_fidelity(batch, num_qubits)[0])
     if not optimize_local_unitaries:
         return 0.5 - fidelity
     mat = _state_matrix(state)
+    target = zoo.ghz(num_qubits).amplitudes
     rng = np.random.default_rng(seed)
     best = fidelity  # identity product is one admissible choice
     for _ in range(restarts):
@@ -273,7 +375,7 @@ class CriterionReport:
     witness_optimized: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "num_qubits": self.num_qubits,
             "qfi_max": self.qfi_max,
             "qfi_max_direction": list(self.qfi_max_direction),
@@ -287,14 +389,8 @@ class CriterionReport:
             "witness_value": self.witness_value,
             "witness_optimized": self.witness_optimized,
             "dme_any_violated": self.dme_any_violated,
-            "dme": None,
+            "dme": None if self.dme is None else [asdict(r) for r in self.dme],
         }
-        if self.dme is not None:
-            out["dme"] = [
-                {"pair": r.pair, "violated": r.violated, "lhs": r.lhs, "rhs": r.rhs}
-                for r in self.dme
-            ]
-        return out
 
 
 def build_report(
@@ -316,15 +412,8 @@ def build_report(
     local_opt = None
     if isinstance(state, PureState) and optimize_directions:
         local_opt, _ = optimize_local_directions(state, seed=seed)
-
-    dme = dme_any = witness = witness_opt = None
-    if n == 3:
-        dme = dme_family(state)
-        dme_any = any(r.violated for r in dme)
-    witness = ghz_witness(state, optimize_local_unitaries=False)
-    if optimize_witness:
-        witness_opt = ghz_witness(state, optimize_local_unitaries=True, seed=seed)
-
+    dme = dme_family(state) if n == 3 else None
+    witness_opt = ghz_witness(state, optimize_local_unitaries=True, seed=seed) if optimize_witness else None
     depth = max(depth_max, depth_avg)
     return CriterionReport(
         num_qubits=n,
@@ -338,7 +427,7 @@ def build_report(
         genuine_multipartite=depth >= n,
         qfi_local_opt=local_opt,
         dme=dme,
-        dme_any_violated=dme_any,
-        witness_value=witness,
+        dme_any_violated=None if dme is None else any(r.violated for r in dme),
+        witness_value=ghz_witness(state),
         witness_optimized=witness_opt,
     )

@@ -272,11 +272,41 @@ class TestCli:
         assert main(["bounds-curve"]) == 2
 
     @pytest.mark.parametrize(
-        "flags", [["--m", "0"], ["--trials", "0"], ["--theta", "nan"], ["--theta", "inf"]]
+        "flags",
+        [["--m", "0"], ["--trials", "0"], ["--theta", "nan"], ["--theta", "inf"], ["--mode", "witness-opt"]],
     )
     def test_bad_phase_sim_field_exit_2(self, flags, capsys):
         assert main(["phase-sim", "--state", "ghz:2", *flags]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--state", "ghz:3", "--mode", "witness_opt"],
+            ["analyze", "--state", "ghz:3", "--mode", "local"],
+            ["bounds-curve", "--n", "4", "--mode", "witness-opt"],
+            ["sweep-p", "--state", "ghz:3", "--mode", "local"],
+            ["bound-entangled-scan", "--samples", "10", "--mode", "local"],
+            ["table2", "--samples", "10", "--mode", "witness-opt"],
+            ["table3", "--samples", "10", "--mode", "local"],
+        ],
+    )
+    def test_undefined_mode_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert "mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec, k", [("ghz:3", "99"), ("ghz:3", "0"), ("ghz:3", "3"), ("ghz:4", "4"), ("ghz:4", "-1")]
+    )
+    def test_sweep_p_class_out_of_range_exit_2(self, spec, k, capsys):
+        assert main(["sweep-p", "--state", spec, "--k", k]) == 2
+        assert capsys.readouterr().err == f"error: --k {k} is outside 1..{int(spec[4:]) - 1}\n"
+
+    def test_sweep_p_class_filter(self, capsys):
+        assert main(["sweep-p", "--state", "ghz:3", "--k", "2"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        expected = [["fq", "2"], ["fq_avg", "2"], ["witness", ""], ["dme", ""]]
+        assert [row.split(",")[:2] for row in rows] == expected
 
     def test_non_numeric_theta_in_config_exit_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"

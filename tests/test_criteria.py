@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import qfisher as qf
+from qfisher import fisher, zoo
 from qfisher.core import PAULI_X, PAULI_Y, PAULI_Z, InvariantError
-from qfisher.criteria import _witness_seesaw
+from qfisher.criteria import STRICT_MARGIN, _antidiagonal, _ghz_fidelity, _witness_seesaw, evaluate
 
 
 def brute_force_bound(n, k):
@@ -328,3 +329,147 @@ class TestReport:
         assert payload["num_qubits"] == 3
         assert len(payload["qfi_matrix"]) == 3
         assert payload["dme"][0]["pair"] == 1
+
+
+THREE_QUBIT_NAMES = ("fq_2", "fq_avg_2", "fq_3", "fq_avg_3", "dme", "dme_family", "witness", "ppt_all_cuts")
+
+
+def zoo_states(n):
+    """Pure zoo states of n qubits and the mixed ones, as two lists."""
+    pure = [qf.ghz(n), qf.ghz(n, 0.7), qf.dicke(n, 1), qf.dicke(n, n - 1), qf.plus_state(n)]
+    pure += [qf.ones_state(n), qf.ghz_basis_state([0, 1] + [1] * (n - 2), 0.3)]
+    mixed = [qf.duer_state(n)]
+    if n == 3:
+        mixed += [qf.bound_entangled_ghz_diagonal(*l) for l in ((2.0, 2.0, 2.0), (0.5, 3.0, 1.2))]
+        # NPT across the cut of the last qubit only
+        mixed.append(qf.ghz_diagonal([1.0, 0.1, 1.0, 1.0, 1.0, 1.0, 0.1, 1.0], [0.9, 0.0, 0.0, 0.0]))
+    if n == 4:
+        pure.append(qf.psi_s4("-"))
+    if n % 2 == 0:
+        mixed.append(qf.smolin_state(n // 2))
+    mixed += [qf.density_from_pure(psi) for psi in pure]
+    mixed += [qf.mix_with_identity(psi, p) for psi in pure for p in (0.3, 0.6, 0.9)]
+    return pure, mixed
+
+
+def per_state(state):
+    """Every criterion value of one state from the per-state functions."""
+    n = state.num_qubits
+    values = {"fq": qf.qfi_max(state)[0], "fq_avg": qf.qfi_avg(state), "witness": qf.ghz_witness(state)}
+    if n == 3:
+        values["dme"] = [qf.dme_condition(state, pair) for pair in (1, 2, 3, 4)]
+        rho = qf.density_from_pure(state) if isinstance(state, qf.PureState) else state
+        values["ppt"] = all(qf.is_ppt(rho, [q]) for q in range(n))
+    return values
+
+
+def reference_antidiagonal(state):
+    """Both sides of the four antidiagonal conditions, entry by entry."""
+    rho = qf.density_from_pure(state).matrix if isinstance(state, qf.PureState) else state.matrix
+    roots = [np.sqrt(max(0.0, rho[j, j].real) * max(0.0, rho[7 - j, 7 - j].real)) for j in range(4)]
+    lhs = [abs(rho[j, 7 - j]) for j in range(4)]
+    return lhs, [sum(roots) - roots[j] for j in range(4)]
+
+
+def per_state_flags(values, n, names):
+    out = {}
+    for name in names:
+        if name.startswith("fq_avg_"):
+            out[name] = values["fq_avg"] > qf.avg_qfi_bound(n, int(name[7:]) - 1) + STRICT_MARGIN
+        elif name.startswith("fq_"):
+            out[name] = values["fq"] > qf.qfi_bound(n, int(name[3:]) - 1) + STRICT_MARGIN
+        elif name == "dme":
+            out[name] = values["dme"][0].violated
+        elif name == "dme_family":
+            out[name] = any(r.violated for r in values["dme"])
+        elif name == "witness":
+            out[name] = values["witness"] < -STRICT_MARGIN
+        elif name == "ppt_all_cuts":
+            out[name] = values["ppt"]
+    return out
+
+
+def stack(states):
+    if isinstance(states[0], qf.PureState):
+        return np.stack([s.amplitudes for s in states])
+    return np.stack([s.matrix for s in states])
+
+
+def sampled_states(mode):
+    """The first 300 draws of one sampler family, as states."""
+    streams = (np.random.default_rng([0, i]) for i in range(300))
+    if mode == "pure":
+        return [qf.PureState(3, psi) for psi in zoo._random_pure_batch(streams)]
+    return [qf.DensityMatrix(3, rho) for rho in zoo._random_ghz_diagonal_batch(streams, mode)]
+
+
+class TestEvaluate:
+    """One ``evaluate`` call on a stack agrees with the per-state functions."""
+
+    def assert_matches_per_state(self, states, names):
+        batch = stack(states)
+        n = states[0].num_qubits
+        flags = evaluate(batch, n, names)
+        assert list(flags) == list(names)
+        # the values behind the flags, from the engine's helpers on the stack
+        kernel = fisher._gamma_pure_batch if batch.ndim == 2 else fisher._gamma_mixed_batch
+        gammas = kernel(batch, n)
+        fq_max = np.linalg.eigvalsh(gammas)[:, -1]
+        fq_avg = np.trace(gammas, axis1=1, axis2=2) / 3.0
+        fidelity = _ghz_fidelity(batch, n)
+        lhs, rhs, _ = _antidiagonal(batch) if n == 3 else (None, None, None)
+        for j, state in enumerate(states):
+            values = per_state(state)
+            assert {name: bool(flags[name][j]) for name in names} == per_state_flags(values, n, names), j
+            assert abs(fq_max[j] - values["fq"]) <= 1e-12 * max(1.0, fq_max[j])
+            assert abs(fq_avg[j] - values["fq_avg"]) <= 1e-12 * max(1.0, fq_avg[j])
+            assert abs(fidelity[j] - (0.5 - values["witness"])) <= 1e-12
+            if n == 3:
+                ref_lhs, ref_rhs = reference_antidiagonal(state)
+                for got in (lhs[j], [r.lhs for r in values["dme"]]):
+                    assert np.allclose(got, ref_lhs, rtol=0, atol=1e-12)
+                for got in (rhs[j], [r.rhs for r in values["dme"]]):
+                    assert np.allclose(got, ref_rhs, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_three_qubit_zoo(self, kind):
+        pure, mixed = zoo_states(3)
+        self.assert_matches_per_state(pure if kind == "pure" else mixed, THREE_QUBIT_NAMES)
+
+    def test_pure_rows_match_their_projectors(self):
+        pure, _ = zoo_states(3)
+        from_vectors = evaluate(stack(pure), 3, THREE_QUBIT_NAMES)
+        from_projectors = evaluate(stack([qf.density_from_pure(psi) for psi in pure]), 3, THREE_QUBIT_NAMES)
+        for name in THREE_QUBIT_NAMES:
+            assert np.array_equal(from_vectors[name], from_projectors[name]), name
+
+    @pytest.mark.parametrize("mode", ["pure", "dme_violating", "full_family", "bound_entangled"])
+    def test_sampler_families(self, mode):
+        self.assert_matches_per_state(sampled_states(mode), THREE_QUBIT_NAMES)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_larger_zoo_states(self, n):
+        names = [f"fq_{k}" for k in range(2, n + 1)] + [f"fq_avg_{k}" for k in range(2, n + 1)]
+        for states in zoo_states(n):
+            self.assert_matches_per_state(states, tuple(names) + ("witness",))
+
+    @pytest.mark.parametrize("name", ["fq_1", "fq_4", "fq_avg", "fq_avg_0", "witness_opt", "fq_2_local"])
+    def test_unknown_name_raises(self, name):
+        with pytest.raises(ValueError):
+            evaluate(stack([qf.ghz(3)]), 3, ("fq_2", name))
+
+    def test_wrong_shape_raises(self):
+        with pytest.raises(ValueError):
+            evaluate(stack([qf.ghz(3)]), 4, ("fq_2",))
+        with pytest.raises(ValueError):
+            evaluate(qf.ghz(3).amplitudes, 3, ("fq_2",))
+
+    def test_spin_qfi_computed_once_and_only_when_needed(self, monkeypatch):
+        calls = []
+        kernel = fisher._gamma_pure_batch
+        monkeypatch.setattr(fisher, "_gamma_pure_batch", lambda *args: calls.append(1) or kernel(*args))
+        psis = stack(zoo_states(3)[0])
+        evaluate(psis, 3, ("dme", "dme_family", "witness", "ppt_all_cuts"))
+        assert not calls
+        evaluate(psis, 3, ("fq_2", "fq_avg_2", "fq_3", "fq_avg_3"))
+        assert len(calls) == 1
