@@ -61,6 +61,7 @@ from .criteria import (
     dme_condition,
     dme_family,
     entanglement_depth,
+    evaluate,
     ghz_witness,
     producibility_bound,
     qfi_bound,
