@@ -154,10 +154,10 @@ def run_table2(
 
     Sample ``i`` is drawn Haar-uniformly from its own stream by the sampler
     behind ``zoo.random_pure_3qubit``, which draws a whole chunk at once.
-    The rows count the states each criterion of ``criteria.evaluate``
-    detects, under the names ``TABLE2_CRITERIA`` listed there. Over this
-    ensemble the GHZ fidelity is Beta(1, 7), so the exact ``witness`` rate
-    is 2^-7.
+    The rows count the states that ``criteria.evaluate`` flags under each
+    name of ``TABLE2_CRITERIA``; its docstring defines the criteria. Over
+    this ensemble the GHZ fidelity is Beta(1, 7), so the exact ``witness``
+    rate is 2^-7.
 
     ``mode="local"`` additionally reports the QFI criteria after
     local-direction optimization and the witness after local-unitary
@@ -381,8 +381,15 @@ def _dicts_csv(rows: list[dict]) -> str:
     header = list(rows[0].keys())
     lines = [",".join(header)]
     for row in rows:
-        values = [row[key] for key in header]
-        cells = ["" if v is None else f"{v:.10g}" if isinstance(v, float) else str(v) for v in values]
+        cells = []
+        for key in header:
+            value = row[key]
+            if value is None:
+                cells.append("")
+            elif isinstance(value, float):
+                cells.append(f"{value:.10g}")
+            else:
+                cells.append(str(value))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

@@ -6,14 +6,11 @@ direction-averaged QFI obey closed-form ceilings over the k-producible set,
 so exceeding a ceiling certifies (k+1)-particle entanglement. The module
 also carries the three-qubit antidiagonal matrix-element test, a GHZ
 fidelity witness, and the machinery for white-noise robustness thresholds.
-
-``evaluate`` decides every criterion over a stack of states at once; the
-per-state functions and the campaigns all go through it or its helpers.
+``evaluate`` decides them all for a stack of states at once.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -116,24 +113,17 @@ def entanglement_depth(value: float, num_qubits: int, which: str = "qfi") -> int
     return num_qubits
 
 
-# ---------------------------------------------------------------------------
-# the batched criterion engine
-# ---------------------------------------------------------------------------
-
-_DME_MARGIN = 1e-12  # the antidiagonal test's margin, on matrix elements
 _OTHER_PAIRS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-_FQ_NAME = re.compile(r"(fq|fq_avg)_([1-9][0-9]*)")
 
 
 def _criterion(name: str, num_qubits: int) -> tuple[str, float | None]:
     """The shared quantity a criterion name is decided from, and its bound."""
-    match = _FQ_NAME.fullmatch(name)
-    if match:
-        k = int(match[2])
-        if not 2 <= k <= num_qubits:
+    quantity, _, k = name.rpartition("_")
+    if quantity in ("fq", "fq_avg") and k.isdecimal():
+        if not 2 <= int(k) <= num_qubits:
             raise ValueError(f"criterion {name!r} needs k in 2..{num_qubits}")
-        bound = qfi_bound if match[1] == "fq" else avg_qfi_bound
-        return match[1], bound(num_qubits, k - 1)
+        bound = qfi_bound if quantity == "fq" else avg_qfi_bound
+        return quantity, bound(num_qubits, int(k) - 1)
     if name not in ("dme", "dme_family", "witness", "ppt_all_cuts"):
         raise ValueError(f"unknown criterion {name!r}")
     return ("dme" if name.startswith("dme") else name), None
@@ -167,7 +157,7 @@ def _antidiagonal(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
         diag = np.maximum(0.0, np.real(np.diagonal(batch, axis1=1, axis2=2)))
         terms = np.sqrt(diag[:, :4] * diag[:, 7:3:-1])
     rhs = terms[:, _OTHER_PAIRS].sum(axis=2)
-    return lhs, rhs, lhs > rhs + _DME_MARGIN
+    return lhs, rhs, lhs > rhs + 1e-12  # the test's own margin, on matrix elements
 
 
 def _ghz_fidelity(batch: np.ndarray, num_qubits: int) -> np.ndarray:
@@ -175,7 +165,9 @@ def _ghz_fidelity(batch: np.ndarray, num_qubits: int) -> np.ndarray:
     target = zoo.ghz(num_qubits).amplitudes
     if batch.ndim == 2:
         return np.abs(batch @ target.conj()) ** 2
-    return np.real(np.einsum("g,bgh,h->b", target.conj(), batch, target))
+    # GHZ lives on the first and last basis states; no other entry of rho enters
+    ends = [0, target.size - 1]
+    return np.real(np.einsum("g,bgh,h->b", target[ends].conj(), batch[:, ends][:, :, ends], target[ends]))
 
 
 def evaluate(batch, num_qubits: int, names) -> dict[str, np.ndarray]:
