@@ -340,12 +340,19 @@ def spin_along(num_qubits: int, direction) -> HermitianOperator:
     return HermitianOperator(mat)
 
 
-def _on_qubit(ops: np.ndarray, x: np.ndarray, qubit: int, num_qubits: int, axis: int = -1) -> np.ndarray:
+def _on_qubit(
+    ops: np.ndarray, x: np.ndarray, qubit: int, num_qubits: int, axis: int = -1, paired: bool = False
+) -> np.ndarray:
     """2x2 ``ops`` (any leading batch shape) applied to one qubit of the basis
-    axis ``axis`` of ``x``; the result has shape ``ops.shape[:-2] + x.shape``."""
+    axis ``axis`` of ``x``; the result has shape ``ops.shape[:-2] + x.shape``.
+
+    With ``paired`` the batch shape of ``ops`` is ``x.shape[:axis]`` and each
+    operator acts on its own member of ``x``; the result has ``x``'s shape."""
     axis = axis % x.ndim
     low = 2 ** (num_qubits - 1 - qubit) * math.prod(x.shape[axis + 1 :])
     t = x.reshape(x.shape[:axis] + (2**qubit, 2, low))
+    if paired:
+        return (ops[..., None, :, :] @ t).reshape(x.shape)
     batch = ops.shape[:-2]
     out = ops.reshape(batch + (1,) * (axis + 1) + (2, 2)) @ t
     return out.reshape(batch + x.shape)

@@ -249,37 +249,49 @@ def dme_family(state) -> tuple[DmeResult, ...]:
     return tuple(DmeResult(j + 1, bool(violated[j]), float(lhs[j]), float(rhs[j])) for j in range(4))
 
 
-def _witness_seesaw(rho: np.ndarray, target: np.ndarray, num_qubits: int, rng) -> float:
-    """Best GHZ fidelity over product unitaries via per-qubit eigen-updates.
+def _witness_seesaw(rho: np.ndarray, target: np.ndarray, num_qubits: int, rng, restarts: int) -> np.ndarray:
+    """Best GHZ fidelity over product unitaries via per-qubit eigen-updates,
+    from ``restarts`` random starting points; one value per restart, (R,).
 
     With all other factors frozen, the fidelity is a quadratic form in the
     quaternion coordinates of one factor, so each update is a 4x4
     eigenproblem and the fidelity never decreases: form[g, h] =
     Re <w_g|rho|w_h>, w_g = G_g^dagger V^dagger |target>, for V the frozen
     factors and G = (I, iX, iY, iZ), all applied qubit by qubit.
+
+    The starting points are one (R, N, 4) normal draw, the numbers of R
+    (N, 4) draws in turn. All restarts advance in lock step on an (R, N, 4)
+    array of coordinates, and the R updates of one qubit are one batched
+    ``eigh``. A restart whose sweep gains less than 1e-12, or that has run
+    100 sweeps, stops and is left out of later sweeps.
     """
     gens_dag = np.stack([np.eye(2), -1j * PAULI_X, -1j * PAULI_Y, -1j * PAULI_Z])
-    xs = rng.standard_normal((num_qubits, 4))
-    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+    xs = rng.standard_normal((restarts, num_qubits, 4))
+    xs /= np.linalg.norm(xs, axis=2, keepdims=True)
 
-    best = -np.inf
+    best = np.full(restarts, -np.inf)
+    live = np.arange(restarts)  # the restarts still climbing
     for _ in range(100):
+        if live.size == 0:
+            break
+        x = xs[live]
+        targets = np.broadcast_to(target, (live.size, target.size))
         for l in range(num_qubits):
-            udag = np.einsum("mg,gab->mab", xs, gens_dag)  # u^dagger = sum_g x_g G_g^dagger
-            phi = target
+            udag = np.einsum("rmg,gab->rmab", x, gens_dag)  # u^dagger = sum_g x_g G_g^dagger
+            phi = targets
             for m in range(num_qubits):
                 if m != l:
-                    phi = _on_qubit(udag[m], phi, m, num_qubits)
-            w = _on_qubit(gens_dag, phi, l, num_qubits)
-            form = np.real(w.conj() @ rho @ w.T)
-            form = (form + form.T) / 2
+                    phi = _on_qubit(udag[:, m], phi, m, num_qubits, paired=True)
+            w = _on_qubit(gens_dag, phi, l, num_qubits).swapaxes(0, 1)  # (R, 4, d)
+            form = np.real(w.conj() @ rho @ w.swapaxes(1, 2))
+            form = (form + form.swapaxes(1, 2)) / 2
             evals, evecs = np.linalg.eigh(form)
-            xs[l] = evecs[:, -1]
-            value = float(evals[-1])
-        if value - best < 1e-12:
-            best = max(best, value)
-            break
-        best = value
+            x[:, l] = evecs[:, :, -1]
+            value = evals[:, -1]
+        done = value - best[live] < 1e-12
+        best[live] = np.where(done, np.maximum(best[live], value), value)
+        xs[live] = x
+        live = live[~done]
     return best
 
 
@@ -288,8 +300,15 @@ def ghz_witness(state, optimize_local_unitaries: bool = False, restarts: int = 2
     multipartite entanglement.
 
     With ``optimize_local_unitaries`` the fidelity is first maximized over
-    products of single-qubit unitaries by random-restart coordinate ascent.
+    products of single-qubit unitaries: the identity product and
+    ``restarts`` random-restart coordinate ascents, run in lock step by
+    ``_witness_seesaw``. Their starting points are one (restarts, N, 4)
+    draw from ``default_rng(seed)``, the numbers of that many (N, 4) draws
+    in turn, and each restart stops on its own convergence test.
+    ``restarts=0`` leaves the identity product alone.
     """
+    if restarts < 0:
+        raise ValueError(f"restarts must be at least 0, got {restarts}")
     batch = _as_batch(state)
     num_qubits = batch.shape[1].bit_length() - 1
     fidelity = float(_ghz_fidelity(batch, num_qubits)[0])
@@ -297,11 +316,8 @@ def ghz_witness(state, optimize_local_unitaries: bool = False, restarts: int = 2
         return 0.5 - fidelity
     mat = _state_matrix(state)
     target = zoo.ghz(num_qubits).amplitudes
-    rng = np.random.default_rng(seed)
-    best = fidelity  # identity product is one admissible choice
-    for _ in range(restarts):
-        best = max(best, _witness_seesaw(mat, target, num_qubits, rng))
-    return 0.5 - best
+    values = _witness_seesaw(mat, target, num_qubits, np.random.default_rng(seed), restarts)
+    return 0.5 - float(np.max(values, initial=fidelity))
 
 
 def white_noise_factor(p: float, num_qubits: int) -> float:

@@ -9,6 +9,7 @@ the Bloch sphere (trace / 3).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -363,46 +364,92 @@ def classical_fisher(state, generator, povm: Povm, theta: float, dtheta: float =
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _sphere_probes() -> np.ndarray:
+    """The interval ends and 21 interior probes, scored beside the quartic's
+    roots; built on first use, since a first ``np.linspace`` call costs a
+    process about 0.1 MB of resident memory."""
+    probes = np.concatenate([[-1.0, 1.0], np.linspace(-0.999, 0.999, 21)])
+    probes.setflags(write=False)
+    return probes
+
+
+def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Complex roots of (R, k + 1) polynomials with nonzero leading
+    coefficients, (R, k): the eigenvalues of the companion matrices that
+    ``np.roots`` builds, found by one batched ``eigvals``."""
+    k = coeffs.shape[1] - 1
+    companion = np.zeros((len(coeffs), k, k))
+    companion[:, 1:, :-1] = np.eye(k - 1)
+    companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+    return np.linalg.eigvals(companion)
+
+
+def _quartic_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Complex roots of (R, 5) quartics with nonzero leading coefficients,
+    (R, 4), in ``np.roots``' order: the roots of each polynomial stripped of
+    its trailing zero coefficients, then one 0 per stripped coefficient."""
+    if coeffs[:, 4].all():  # the usual case: nothing to strip
+        return _companion_roots(coeffs)
+    degree = 4 - np.argmax(coeffs[:, ::-1] != 0, axis=1)
+    roots = np.zeros((len(coeffs), 4), dtype=complex)
+    for k in set(degree.tolist()) - {0}:
+        rows = degree == k
+        roots[rows, :k] = _companion_roots(coeffs[rows, : k + 1])
+    return roots
+
+
 def _max_on_sphere(a: np.ndarray, c: np.ndarray, current: np.ndarray) -> np.ndarray:
-    """argmax over unit n of -(n.a)^2 + 2 n.c (exact, via a quartic)."""
-    na, nc = np.linalg.norm(a), np.linalg.norm(c)
-    if na < 1e-14 and nc < 1e-14:
-        return current
+    """Row-wise argmax over unit n of -(n.a)^2 + 2 n.c (exact, via a quartic)
+    for one (3,) vector ``a`` and (R, 3) stacks ``c`` and ``current``.
+
+    With a = 0 a row goes along c, or keeps its current direction if c = 0
+    too. Otherwise n = t a_hat + s p_hat, where p_hat is the unit part of c
+    across a (any direction across a when c is parallel to a, and then t is
+    the clipped vertex of the parabola in t). In general the stationary t
+    solve a quartic, whose R instances share one companion eigenproblem; the
+    best of its real roots in [-1, 1], the ends and 21 interior probes wins,
+    ties going to the first candidate.
+    """
+    na = np.linalg.norm(a)
     if na < 1e-14:
-        return c / nc
+        nc = np.linalg.norm(c, axis=-1, keepdims=True)
+        moves = nc >= 1e-14
+        return np.where(moves, c / np.where(moves, nc, 1.0), current)
     a_hat = a / na
-    c_par = float(np.dot(c, a_hat))
-    c_perp_vec = c - c_par * a_hat
-    cp = float(np.linalg.norm(c_perp_vec))
-    if cp < 1e-14:
-        # g(t) = -|a|^2 t^2 + 2 c_par t on [-1, 1]
-        t = np.clip(c_par / na**2, -1.0, 1.0)
-        s = np.sqrt(max(0.0, 1.0 - t * t))
-        # any direction orthogonal to a_hat works for the transverse part
+    c_par = c @ a_hat
+    c_perp_vec = c - c_par[:, None] * a_hat
+    cp = np.linalg.norm(c_perp_vec, axis=-1)
+    parallel = cp < 1e-14
+    any_parallel = bool(parallel.any())
+    if any_parallel:
+        # across a: the basis vector a_hat leans on least, minus its part
+        # along a; these rows take t from the parabola, not from the quartic
         probe = np.eye(3)[np.argmin(np.abs(a_hat))]
-        p_hat = probe - np.dot(probe, a_hat) * a_hat
-        p_hat /= np.linalg.norm(p_hat)
-        return t * a_hat + s * p_hat
-    p_hat = c_perp_vec / cp
+        probe = probe - np.dot(probe, a_hat) * a_hat
+        c_perp_vec[parallel], cp[parallel] = probe, np.linalg.norm(probe)
     beta = na**2
 
-    def g(t):
-        return -beta * t * t + 2.0 * c_par * t + 2.0 * cp * np.sqrt(np.maximum(0.0, 1.0 - t * t))
-
     # stationary points satisfy (c_par - beta t)^2 (1 - t^2) = cp^2 t^2
-    coeffs = [
-        -(beta**2),
-        2.0 * c_par * beta,
-        beta**2 - c_par**2 - cp**2,
-        -2.0 * c_par * beta,
-        c_par**2,
-    ]
-    roots = np.roots(coeffs)
-    real = roots.real[(np.abs(roots.imag) < 1e-9) & (np.abs(roots.real) <= 1.0)]
-    cand = np.concatenate([real, [-1.0, 1.0], np.linspace(-0.999, 0.999, 21)])
-    t = cand[np.argmax(g(cand))]  # ties go to the first candidate
-    s = np.sqrt(max(0.0, 1.0 - t * t))
-    return t * a_hat + s * p_hat
+    coeffs = np.empty((len(c), 5))
+    coeffs[:, 0] = -(beta**2)
+    coeffs[:, 1] = 2.0 * beta * c_par
+    coeffs[:, 2] = beta**2 - c_par**2 - cp**2
+    coeffs[:, 3] = -coeffs[:, 1]
+    coeffs[:, 4] = c_par**2
+    roots = _quartic_roots(coeffs)
+    probes = _sphere_probes()
+    cand = np.empty((len(c), 4 + probes.size))
+    cand[:, :4] = roots.real
+    cand[:, 4:] = probes
+    g = -beta * cand * cand + 2.0 * c_par[:, None] * cand
+    g += 2.0 * cp[:, None] * np.sqrt(np.maximum(0.0, 1.0 - cand * cand))
+    g[:, :4][(np.abs(roots.imag) >= 1e-9) | (np.abs(roots.real) > 1.0)] = -np.inf
+    t = cand[np.arange(len(c)), np.argmax(g, axis=1)]  # ties go to the first candidate
+    if any_parallel:
+        t[parallel] = np.clip(c_par[parallel] / beta, -1.0, 1.0)
+    s = np.sqrt(np.maximum(0.0, 1.0 - t * t)) / cp
+    return t[:, None] * a_hat + s[:, None] * c_perp_vec
 
 
 def optimize_local_directions(
@@ -412,47 +459,57 @@ def optimize_local_directions(
 
     Coordinate ascent: with every other qubit fixed, the objective restricted
     to one direction is a sphere-constrained quadratic that is maximized
-    exactly, so the value never decreases. Runs from ``restarts`` random
-    starting points plus the best collective direction, which guarantees the
-    result is at least the collective optimum.
+    exactly, so the value never decreases. Restart 0 starts from the best
+    collective direction, which guarantees the result is at least the
+    collective optimum; ``restarts`` more start from random directions, drawn
+    as one (restarts, N, 3) normal array (the numbers of that many (N, 3)
+    draws in turn). All restarts advance in lock step on an (R, N, 3) array,
+    and each qubit update solves the R sphere steps at once. A restart whose
+    sweep gains less than 1e-10, or that has run ``max_iters`` sweeps, stops
+    and is left out of later sweeps. The first restart with the largest value
+    wins.
     """
     if not isinstance(psi, PureState):
         raise TypeError("local-direction optimization needs a pure state")
+    if restarts < 0:
+        raise ValueError(f"restarts must be at least 0, got {restarts}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     n = psi.num_qubits
+    amps = psi.amplitudes
     rng = np.random.default_rng(seed)
     # (N, 3, d) applications of the half-Paulis; fixed for the whole search
     half_paulis = 0.5 * np.stack([PAULIS[ax] for ax in "xyz"])
-    paulis_psi = np.stack([_on_qubit(half_paulis, psi.amplitudes, l, n) for l in range(n)])
-    means = np.real(np.einsum("x,lix->li", psi.amplitudes.conj(), paulis_psi))
+    paulis_psi = np.stack([_on_qubit(half_paulis, amps, l, n) for l in range(n)])
+    paulis_dag = paulis_psi.conj().swapaxes(1, 2)
+    bra = amps.conj()
+    means = np.real(np.einsum("x,lix->li", bra, paulis_psi))
 
     def objective(h_psi):
-        mean = float(np.real(np.vdot(psi.amplitudes, h_psi)))
-        return 4.0 * (float(np.real(np.vdot(h_psi, h_psi))) - mean**2)
+        mean = np.real(h_psi @ bra)
+        return 4.0 * (np.real(np.einsum("rx,rx->r", h_psi.conj(), h_psi)) - mean**2)
 
-    collective_value, collective_dir = qfi_max(psi)
-    starts = [np.tile(collective_dir, (n, 1))]
-    for _ in range(restarts):
-        raw = rng.standard_normal((n, 3))
-        starts.append(raw / np.linalg.norm(raw, axis=1, keepdims=True))
-
-    best_value, best_dirs = -np.inf, starts[0]
-    for dirs in starts:
-        dirs = dirs.copy()
-        h_psi = np.einsum("li,lix->x", dirs, paulis_psi)
-        value = objective(h_psi)
-        for _ in range(max_iters):
-            for l in range(n):
-                b_psi = h_psi - dirs[l] @ paulis_psi[l]
-                b_mean = float(np.real(np.vdot(psi.amplitudes, b_psi)))
-                cross = np.real(paulis_psi[l].conj() @ b_psi)
-                c = cross - means[l] * b_mean
-                dirs[l] = _max_on_sphere(means[l], c, dirs[l])
-                h_psi = b_psi + dirs[l] @ paulis_psi[l]
-            new_value = objective(h_psi)
-            if new_value - value < 1e-10:
-                value = max(value, new_value)
-                break
-            value = new_value
-        if value > best_value:
-            best_value, best_dirs = value, dirs
-    return float(best_value), best_dirs
+    _, collective_dir = qfi_max(psi)
+    raw = rng.standard_normal((restarts, n, 3))
+    raw /= np.linalg.norm(raw, axis=2, keepdims=True)
+    dirs = np.concatenate([np.tile(collective_dir, (1, n, 1)), raw])
+    h_psi = np.einsum("rli,lix->rx", dirs, paulis_psi)
+    value = objective(h_psi)
+    live = np.arange(len(dirs))  # the restarts still climbing
+    for _ in range(max_iters):
+        d, h = dirs[live], h_psi[live]
+        for l in range(n):
+            b_psi = h - d[:, l] @ paulis_psi[l]
+            b_mean = np.real(b_psi @ bra)
+            c = np.real(b_psi @ paulis_dag[l]) - means[l] * b_mean[:, None]
+            d[:, l] = _max_on_sphere(means[l], c, d[:, l])
+            h = b_psi + d[:, l] @ paulis_psi[l]
+        new_value = objective(h)
+        done = new_value - value[live] < 1e-10
+        value[live] = np.where(done, np.maximum(value[live], new_value), new_value)
+        dirs[live], h_psi[live] = d, h
+        live = live[~done]
+        if live.size == 0:
+            break
+    best = int(np.argmax(value))  # the first of equal values
+    return float(value[best]), dirs[best]

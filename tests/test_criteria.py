@@ -215,15 +215,48 @@ class TestWitness:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_seesaw_matches_kron_reference(self, n, pure):
         # a complex target breaks the GHZ target's conjugation symmetry, under
-        # which a seesaw that conjugates the wrong factor still finds the optimum
+        # which a seesaw that conjugates the wrong factor still finds the optimum.
+        # The lock-step restarts draw their starts from one rng in the order of
+        # successive reference runs, so restart r must match reference run r.
         rng = np.random.default_rng([n, 99])
         psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        restarts = 2
         for target in (qf.ghz(n).amplitudes, psi / np.linalg.norm(psi)):
             for seed in range(3):
                 rho = random_rho(n, np.random.default_rng([n, seed]), pure)
-                ref = kron_seesaw(rho, target, n, np.random.default_rng(seed))
-                value = _witness_seesaw(rho, target, n, np.random.default_rng(seed))
-                assert abs(value - ref) <= 1e-12
+                ref_rng = np.random.default_rng(seed)
+                refs = [kron_seesaw(rho, target, n, ref_rng) for _ in range(restarts)]
+                values = _witness_seesaw(rho, target, n, np.random.default_rng(seed), restarts)
+                assert values.shape == (restarts,)
+                for value, ref in zip(values, refs):
+                    assert abs(value - ref) <= 1e-12
+
+    def test_rejects_negative_restarts(self):
+        for optimize in (False, True):
+            with pytest.raises(ValueError, match="restarts"):
+                qf.ghz_witness(qf.ghz(3), optimize_local_unitaries=optimize, restarts=-1)
+
+    def test_no_restarts_is_the_identity_fidelity(self):
+        state = qf.DensityMatrix(3, random_rho(3, np.random.default_rng(6), pure=False))
+        value = qf.ghz_witness(state, optimize_local_unitaries=True, restarts=0, seed=0)
+        assert value == qf.ghz_witness(state)
+        assert _witness_seesaw(state.matrix, qf.ghz(3).amplitudes, 3, np.random.default_rng(0), 0).shape == (0,)
+
+    def test_converged_restarts_do_no_more_work(self, monkeypatch):
+        # each restart stops on its own: the lock-step eigen-updates number
+        # exactly those of the restarts run one at a time, and their values agree
+        rho = random_rho(3, np.random.default_rng(9), pure=False)
+        target = qf.ghz(3).amplitudes
+        sizes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+        values = _witness_seesaw(rho, target, 3, np.random.default_rng(1), 6)
+        batched, sizes[:] = list(sizes), []
+        rng = np.random.default_rng(1)
+        singles = [_witness_seesaw(rho, target, 3, rng, 1)[0] for _ in range(6)]
+        assert np.max(np.abs(values - singles)) <= 1e-12
+        assert batched[0] == 6 and batched == sorted(batched, reverse=True) and batched[-1] < 6
+        assert sum(batched) == len(sizes)
 
     def test_seesaw_forms_no_kron_product(self, monkeypatch):
         state = qf.DensityMatrix(4, random_rho(4, np.random.default_rng(5), pure=False))

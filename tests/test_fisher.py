@@ -6,7 +6,7 @@ import pytest
 
 import qfisher as qf
 from qfisher import fisher
-from qfisher.core import PAULIS, InvariantError
+from qfisher.core import PAULIS, InvariantError, _on_qubit
 
 
 def random_pure(rng, n):
@@ -477,6 +477,85 @@ class TestModelProbabilities:
             assert np.max(np.abs(probs[:, 0] - (1 + np.cos(n * grid)) / 2)) <= 1e-12
 
 
+def scalar_max_on_sphere(a, c, current):
+    """One row of the sphere step as the optimiser solved it before the
+    restarts ran in lock step: argmax over unit n of -(n.a)^2 + 2 n.c, with
+    the stationary points from ``np.roots``."""
+    na, nc = np.linalg.norm(a), np.linalg.norm(c)
+    if na < 1e-14 and nc < 1e-14:
+        return current
+    if na < 1e-14:
+        return c / nc
+    a_hat = a / na
+    c_par = float(np.dot(c, a_hat))
+    c_perp_vec = c - c_par * a_hat
+    cp = float(np.linalg.norm(c_perp_vec))
+    if cp < 1e-14:
+        t = np.clip(c_par / na**2, -1.0, 1.0)
+        s = np.sqrt(max(0.0, 1.0 - t * t))
+        probe = np.eye(3)[np.argmin(np.abs(a_hat))]
+        p_hat = probe - np.dot(probe, a_hat) * a_hat
+        p_hat /= np.linalg.norm(p_hat)
+        return t * a_hat + s * p_hat
+    p_hat = c_perp_vec / cp
+    beta = na**2
+
+    def g(t):
+        return -beta * t * t + 2.0 * c_par * t + 2.0 * cp * np.sqrt(np.maximum(0.0, 1.0 - t * t))
+
+    coeffs = [-(beta**2), 2.0 * c_par * beta, beta**2 - c_par**2 - cp**2, -2.0 * c_par * beta, c_par**2]
+    roots = np.roots(coeffs)
+    real = roots.real[(np.abs(roots.imag) < 1e-9) & (np.abs(roots.real) <= 1.0)]
+    cand = np.concatenate([real, [-1.0, 1.0], np.linspace(-0.999, 0.999, 21)])
+    t = cand[np.argmax(g(cand))]
+    s = np.sqrt(max(0.0, 1.0 - t * t))
+    return t * a_hat + s * p_hat
+
+
+def sequential_local_directions(psi, max_iters=100, restarts=10, seed=None):
+    """The local-direction search one restart at a time, as it ran before the
+    lock-step rewrite; returns the best value, its directions and the value
+    of every restart."""
+    n = psi.num_qubits
+    rng = np.random.default_rng(seed)
+    half_paulis = 0.5 * np.stack([PAULIS[ax] for ax in "xyz"])
+    paulis_psi = np.stack([_on_qubit(half_paulis, psi.amplitudes, l, n) for l in range(n)])
+    means = np.real(np.einsum("x,lix->li", psi.amplitudes.conj(), paulis_psi))
+
+    def objective(h_psi):
+        mean = float(np.real(np.vdot(psi.amplitudes, h_psi)))
+        return 4.0 * (float(np.real(np.vdot(h_psi, h_psi))) - mean**2)
+
+    _, collective_dir = qf.qfi_max(psi)
+    starts = [np.tile(collective_dir, (n, 1))]
+    for _ in range(restarts):
+        raw = rng.standard_normal((n, 3))
+        starts.append(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+
+    best_value, best_dirs, values = -np.inf, starts[0], []
+    for dirs in starts:
+        dirs = dirs.copy()
+        h_psi = np.einsum("li,lix->x", dirs, paulis_psi)
+        value = objective(h_psi)
+        for _ in range(max_iters):
+            for l in range(n):
+                b_psi = h_psi - dirs[l] @ paulis_psi[l]
+                b_mean = float(np.real(np.vdot(psi.amplitudes, b_psi)))
+                cross = np.real(paulis_psi[l].conj() @ b_psi)
+                c = cross - means[l] * b_mean
+                dirs[l] = scalar_max_on_sphere(means[l], c, dirs[l])
+                h_psi = b_psi + dirs[l] @ paulis_psi[l]
+            new_value = objective(h_psi)
+            if new_value - value < 1e-10:
+                value = max(value, new_value)
+                break
+            value = new_value
+        values.append(value)
+        if value > best_value:
+            best_value, best_dirs = value, dirs
+    return best_value, best_dirs, np.array(values)
+
+
 class TestLocalDirectionOptimization:
     def test_ghz_optimum_along_z(self):
         # the two-qubit case is omitted from the direction check: its optimum
@@ -509,3 +588,105 @@ class TestLocalDirectionOptimization:
     def test_rejects_mixed_input(self):
         with pytest.raises(TypeError):
             qf.optimize_local_directions(qf.mix_with_identity(qf.ghz(2), 0.5))
+
+    # the lock-step search against the one-restart-at-a-time reference above
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_lock_step_matches_sequential_on_haar_states(self, n):
+        for seed in range(3):
+            psi = random_pure(np.random.default_rng([n, seed]), n)
+            self.check_against_sequential(psi, restarts=4, seed=seed)
+
+    @pytest.mark.parametrize(
+        "spec", ["ghz:2", "ghz:3", "ghz:5", "dicke:3:1", "dicke:4:2", "dicke:5:2", "psi_s4:+", "plus:3", "ones:3"]
+    )
+    def test_lock_step_matches_sequential_on_zoo_states(self, spec):
+        psi = qf.parse_state_spec(spec)
+        for restarts, seed in ((0, 0), (4, 1), (10, 2)):
+            self.check_against_sequential(psi, restarts, seed)
+
+    def test_lock_step_matches_sequential_on_product_states(self):
+        rng = np.random.default_rng(11)
+        factors = [random_pure(rng, 1) for _ in range(4)]
+        product = reduce(qf.tensor, factors)
+        for psi in (qf.tensor(qf.plus_state(1), qf.ones_state(1)), product):
+            self.check_against_sequential(psi, restarts=4, seed=3)
+
+    @staticmethod
+    def check_against_sequential(psi, restarts, seed):
+        value, dirs = qf.optimize_local_directions(psi, restarts=restarts, seed=seed)
+        ref_value, ref_dirs, values = sequential_local_directions(psi, restarts=restarts, seed=seed)
+        assert abs(value - ref_value) <= 1e-10
+        assert dirs.shape == (psi.num_qubits, 3)
+        # the winning restart is the same one only where its value stands out
+        runner_up = np.sort(values)[-2] if values.size > 1 else -np.inf
+        if ref_value - runner_up > 1e-8:
+            assert np.max(np.abs(dirs - ref_dirs)) <= 1e-8
+
+    def test_sphere_step_matches_scalar_on_edge_inputs(self):
+        a = np.array([0.3, -0.4, 1.2])
+        a_hat = a / np.linalg.norm(a)
+        across = np.cross(a_hat, [1.0, 0.0, 0.0])
+        rng = np.random.default_rng(4)
+        batches = [
+            # a = 0: along c, or the current direction where c = 0 too
+            (np.zeros(3), np.array([[1.0, -2.0, 0.5], [0.0, 0.0, 0.0], [1e-15, 0.0, 0.0], [0.0, 3.0, 0.0]])),
+            # a = c = 0
+            (np.zeros(3), np.zeros((3, 3))),
+            # c parallel to a, on both sides, past the parabola's vertex, and c = 0
+            (a, np.array([0.5 * a, -7.0 * a, 1e-3 * a, 0.0 * a, 3.0 * a])),
+            # c_par = 0 exactly: the quartic's two lowest coefficients vanish,
+            # which np.roots strips and a 4x4 companion would not
+            (np.array([0.0, 0.0, 2.0]), np.array([[1.0, 0.5, 0.0], [3.0, 4.0, 0.0], [0.3, 0.0, 0.0], [0.0, 2.0, 0.0]])),
+            # the same next to rows with nothing to strip
+            (np.array([0.0, 0.0, 2.0]), np.array([[1.0, 0.5, 0.0], [1.0, 0.5, 0.25], [0.0, 5.0, 0.0], [0.0, 5.0, -1.0]])),
+            # general rows beside the parallel and the c_par = 0 cases
+            (a, np.vstack([2.0 * a, 0.7 * across, rng.standard_normal((6, 3))])),
+        ]
+        for a_vec, c in batches:
+            current = rng.standard_normal(c.shape)
+            current /= np.linalg.norm(current, axis=1, keepdims=True)
+            got = fisher._max_on_sphere(a_vec, c, current)
+            for row, want in enumerate(scalar_max_on_sphere(a_vec, c[i], current[i]) for i in range(len(c))):
+                assert np.max(np.abs(got[row] - want)) <= 1e-12
+
+    def test_quartic_roots_strip_trailing_zeros_like_np_roots(self):
+        coeffs = np.array(
+            [[-4.0, 1.0, 2.0, -1.0, 0.5], [-4.0, 0.0, 3.0, 0.0, 0.0], [-1.0, 2.0, 0.0, 0.0, 0.0], [-2.0, 0.0, 0.0, 0.0, 0.0]]
+        )
+        roots = fisher._quartic_roots(coeffs)
+        for row, want in zip(roots, coeffs):
+            want = np.roots(want)
+            assert np.max(np.abs(row - want)) <= 1e-12
+
+    def test_converged_restarts_do_no_more_work(self, monkeypatch):
+        # each restart stops on its own: the lock-step sphere steps number
+        # exactly those of the restarts run one at a time
+        psi = random_pure(np.random.default_rng(12), 4)
+        sizes, scalar_calls = [], []
+        step, scalar_step = fisher._max_on_sphere, scalar_max_on_sphere
+        monkeypatch.setattr(fisher, "_max_on_sphere", lambda a, c, cur: sizes.append(len(c)) or step(a, c, cur))
+        monkeypatch.setitem(
+            globals(), "scalar_max_on_sphere", lambda a, c, cur: scalar_calls.append(1) or scalar_step(a, c, cur)
+        )
+        qf.optimize_local_directions(psi, restarts=6, seed=2)
+        sequential_local_directions(psi, restarts=6, seed=2)
+        assert sizes[0] == 7 and sizes == sorted(sizes, reverse=True) and sizes[-1] < 7
+        assert sum(sizes) == len(scalar_calls)
+
+    def test_rejects_bad_search_sizes(self):
+        psi = qf.ghz(3)
+        with pytest.raises(ValueError, match="restarts"):
+            qf.optimize_local_directions(psi, restarts=-1)
+        for max_iters in (0, -3):
+            with pytest.raises(ValueError, match="max_iters"):
+                qf.optimize_local_directions(psi, max_iters=max_iters)
+
+    def test_no_restarts_is_the_collective_start_alone(self):
+        psi = random_pure(np.random.default_rng(8), 3)
+        value, dirs = qf.optimize_local_directions(psi, restarts=0, seed=0)
+        ref_value, ref_dirs, values = sequential_local_directions(psi, restarts=0, seed=0)
+        assert values.size == 1
+        assert abs(value - ref_value) <= 1e-10
+        assert value >= qf.qfi_max(psi)[0] - 1e-8
+        # the seed draws nothing when there is no random start
+        assert np.array_equal(dirs, qf.optimize_local_directions(psi, restarts=0, seed=5)[1])
