@@ -265,9 +265,6 @@ def sweep_p(state_name: str, resolution: float = 1e-6) -> list[dict]:
         raise ValueError(f"the noise sweep needs a pure state, got {state_name!r}")
     n = state.num_qubits
 
-    def detector(name):
-        return lambda p: bool(evaluate(mix_with_identity(state, p).matrix[None], n, (name,))[name][0])
-
     rows = []  # (criterion, k, closed-form threshold)
     for k in range(1, n):
         ratio_max, ratio_avg = bound_ratios(state, k)
@@ -276,14 +273,25 @@ def sweep_p(state_name: str, resolution: float = 1e-6) -> list[dict]:
         fidelity = 0.5 - ghz_witness(state)
         closed = (0.5 - 0.125) / (fidelity - 0.125) if fidelity > 0.5 else None
         rows += [("witness", None, closed), ("dme", None, None)]
+    names = [f"{criterion}_{k + 1}" if k else criterion for criterion, k, _ in rows]
+
+    # every bisection starts at p = 1 and 1/2 and many share later steps, so
+    # each mixture is built and decided once, for every name of the sweep
+    flags_at = {}
+
+    def detects(name, p):
+        if p not in flags_at:
+            flags_at[p] = evaluate(mix_with_identity(state, p).matrix[None], n, names)
+        return bool(flags_at[p][name][0])
+
     return [
         {
             "criterion": criterion,
             "k": k,
-            "p_threshold": _bisect_p(detector(f"{criterion}_{k + 1}" if k else criterion), resolution),
+            "p_threshold": _bisect_p(partial(detects, name), resolution),
             "p_closed_form": closed,
         }
-        for criterion, k, closed in rows
+        for (criterion, k, closed), name in zip(rows, names)
     ]
 
 

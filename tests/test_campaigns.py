@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from qfisher.campaigns import (
     run_phase_sim,
 )
 from qfisher.cli import main
-from qfisher.zoo import plus_state
+from qfisher.core import mix_with_identity
+from qfisher.criteria import evaluate
+from qfisher.zoo import parse_state_spec, plus_state
 
 
 class TestTable2:
@@ -134,6 +137,24 @@ class TestSweep:
         assert {"witness", "dme"} <= crits
         wit = next(r for r in rows if r["criterion"] == "witness")
         assert abs(wit["p_threshold"] - wit["p_closed_form"]) <= 2e-6
+
+    @pytest.mark.parametrize("spec", ["ghz:3", "ghz:4", "dicke:4:2"])
+    def test_one_mixture_per_weight_and_per_name_thresholds(self, spec, monkeypatch):
+        # each bisection on its own, one evaluate call per step and name
+        state = parse_state_spec(spec)
+        n = state.num_qubits
+
+        def alone(name, p):
+            return bool(evaluate(mix_with_identity(state, p).matrix[None], n, (name,))[name][0])
+
+        weights = []
+        mix = campaigns.mix_with_identity
+        monkeypatch.setattr(campaigns, "mix_with_identity", lambda s, p: weights.append(p) or mix(s, p))
+        rows = sweep_p(spec)
+        assert len(weights) == len(set(weights))
+        for row in rows:
+            name = f"{row['criterion']}_{row['k'] + 1}" if row["k"] else row["criterion"]
+            assert row["p_threshold"] == campaigns._bisect_p(partial(alone, name), 1e-6)
 
     def test_needs_pure_state(self):
         with pytest.raises(ValueError):
