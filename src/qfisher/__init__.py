@@ -13,11 +13,8 @@ from .core import (
     HermitianOperator,
     InvariantError,
     PureState,
-    Spectrum,
     collective_spin,
     density_from_pure,
-    eig_hermitian,
-    expectation,
     get_max_qubits,
     is_ppt,
     load_state,
@@ -38,11 +35,9 @@ from .fisher import (
     Povm,
     SpinQfiMatrix,
     classical_fisher,
-    computational_povm,
     model_probabilities,
     optimize_local_directions,
     parity_povm,
-    povm_from_basis,
     qfi,
     qfi_avg,
     qfi_avg_montecarlo,
@@ -53,7 +48,6 @@ from .fisher import (
 from .criteria import (
     CriterionReport,
     DmeResult,
-    ProducibilityBound,
     avg_qfi_bound,
     bound_ratios,
     build_report,
@@ -63,7 +57,6 @@ from .criteria import (
     entanglement_depth,
     evaluate,
     ghz_witness,
-    producibility_bound,
     qfi_bound,
     white_noise_factor,
 )
@@ -86,7 +79,6 @@ from .zoo import (
 from .estimation import (
     EstimationRun,
     evolve,
-    ml_estimate,
     precision_limits,
     run_phase_estimation,
     sample_outcomes,

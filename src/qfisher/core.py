@@ -30,7 +30,6 @@ __all__ = [
     "PureState",
     "DensityMatrix",
     "HermitianOperator",
-    "Spectrum",
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
@@ -43,11 +42,9 @@ __all__ = [
     "spin_along",
     "local_generator",
     "unit_direction",
-    "eig_hermitian",
     "partial_transpose",
     "is_ppt",
     "mix_with_identity",
-    "expectation",
     "variance",
     "state_to_json",
     "state_from_json",
@@ -225,32 +222,12 @@ class HermitianOperator:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # orthonormal columns, eigenvectors[:, i] <-> eigenvalues[i]
-    zero_cut: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", _frozen(np.asarray(self.eigenvalues, float)))
-        object.__setattr__(self, "eigenvectors", _frozen(np.asarray(self.eigenvectors, complex)))
-
-
 def _as_matrix(op) -> np.ndarray:
     if isinstance(op, HermitianOperator):
         return op.matrix
     if isinstance(op, DensityMatrix):
         return op.matrix
     return np.asarray(op, dtype=complex)
-
-
-def _state_vector(state) -> np.ndarray | None:
-    """Amplitude vector for pure inputs, None for density matrices."""
-    if isinstance(state, PureState):
-        return state.amplitudes
-    return None
 
 
 def _state_matrix(state) -> np.ndarray:
@@ -389,22 +366,6 @@ def local_generator(directions) -> HermitianOperator:
     return HermitianOperator(out)
 
 
-def eig_hermitian(op, zero_cut: float = 1e-12) -> Spectrum:
-    """Eigendecomposition with descending eigenvalues and validated orthonormality."""
-    mat = _as_matrix(op)
-    if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
-        raise InvariantError("matrix is not Hermitian within 1e-10")
-    vals, vecs = np.linalg.eigh(mat)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    recon = (vecs * vals) @ vecs.conj().T
-    if np.max(np.abs(recon - mat)) > 1e-9:
-        raise InvariantError("eigendecomposition failed to reconstruct the matrix")
-    gram = vecs.conj().T @ vecs
-    if np.max(np.abs(gram - np.eye(mat.shape[0]))) > 1e-10:
-        raise InvariantError("eigenvectors are not orthonormal within 1e-10")
-    return Spectrum(vals, vecs, zero_cut)
-
-
 def _qubit_subset(subset, num_qubits: int) -> list[int]:
     qubits = sorted(set(int(q) for q in subset))
     if not qubits:
@@ -441,36 +402,17 @@ def mix_with_identity(state, p: float) -> DensityMatrix:
     """White-noise mixture p * rho + (1 - p) * I / 2**N."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {p}")
-    if isinstance(state, PureState):
-        num_qubits = state.num_qubits
-        proj = np.outer(state.amplitudes, state.amplitudes.conj())
-    elif isinstance(state, DensityMatrix):
-        num_qubits, proj = state.num_qubits, state.matrix
-    else:
+    if not isinstance(state, (PureState, DensityMatrix)):
         raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
-    d = 2**num_qubits
-    return DensityMatrix(num_qubits, p * proj + (1.0 - p) * np.eye(d) / d)
-
-
-def expectation(state, op) -> float:
-    """<op> in the given pure or mixed state (real for Hermitian op)."""
-    mat = _as_matrix(op)
-    vec = _state_vector(state)
-    if vec is not None:
-        if mat.shape[0] != vec.size:
-            raise ValueError(f"dimension mismatch: state {vec.size}, operator {mat.shape[0]}")
-        return float(np.real(np.vdot(vec, mat @ vec)))
-    rho = _state_matrix(state)
-    if mat.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: state {rho.shape}, operator {mat.shape}")
-    return float(np.real(np.trace(rho @ mat)))
+    d = state.dim
+    return DensityMatrix(state.num_qubits, p * _state_matrix(state) + (1.0 - p) * np.eye(d) / d)
 
 
 def variance(state, op) -> float:
     """Variance <op^2> - <op>^2 in the given pure or mixed state."""
     mat = _as_matrix(op)
-    vec = _state_vector(state)
-    if vec is not None:
+    if isinstance(state, PureState):
+        vec = state.amplitudes
         if mat.shape[0] != vec.size:
             raise ValueError(f"dimension mismatch: state {vec.size}, operator {mat.shape[0]}")
         w = mat @ vec

@@ -31,8 +31,6 @@ from .fisher import qfi_matrix, optimize_local_directions
 
 __all__ = [
     "STRICT_MARGIN",
-    "ProducibilityBound",
-    "producibility_bound",
     "qfi_bound",
     "avg_qfi_bound",
     "entanglement_depth",
@@ -72,23 +70,6 @@ def avg_qfi_bound(num_qubits: int, k: int) -> float:
     return (s * (k**2 + 2 * k - (k == 1)) + r**2 + 2 * r - (r == 1)) / 3.0
 
 
-@dataclass(frozen=True)
-class ProducibilityBound:
-    num_qubits: int
-    k: int
-    s: int
-    r: int
-    qfi_bound: float
-    avg_qfi_bound: float
-
-
-def producibility_bound(num_qubits: int, k: int) -> ProducibilityBound:
-    s, r = _split(num_qubits, k)
-    return ProducibilityBound(
-        num_qubits, k, s, r, qfi_bound(num_qubits, k), avg_qfi_bound(num_qubits, k)
-    )
-
-
 def entanglement_depth(value: float, num_qubits: int, which: str = "qfi") -> int:
     """Smallest producibility class whose bound the value does not exceed.
 
@@ -97,9 +78,7 @@ def entanglement_depth(value: float, num_qubits: int, which: str = "qfi") -> int
     """
     if value < 0:
         raise ValueError(f"Fisher information cannot be negative, got {value}")
-    bound = {"qfi": qfi_bound, "fq": qfi_bound, "fq_avg": avg_qfi_bound, "avg": avg_qfi_bound}.get(
-        which
-    )
+    bound = {"qfi": qfi_bound, "avg": avg_qfi_bound}.get(which)
     if bound is None:
         raise ValueError(f"unknown criterion {which!r}; use 'qfi' or 'avg'")
     top = bound(num_qubits, num_qubits)
@@ -428,7 +407,7 @@ def build_report(
         qfi_max=value_max,
         qfi_max_direction=tuple(float(x) for x in direction),
         qfi_avg=value_avg,
-        qfi_matrix=tuple(tuple(row) for row in gamma.as_list()),
+        qfi_matrix=tuple(tuple(float(x) for x in row) for row in gamma.matrix),
         depth_qfi=depth_max,
         depth_qfi_avg=depth_avg,
         entangled=depth >= 2,

@@ -19,7 +19,6 @@ __all__ = [
     "EstimationRun",
     "evolve",
     "sample_outcomes",
-    "ml_estimate",
     "precision_limits",
     "run_phase_estimation",
 ]
@@ -98,15 +97,6 @@ def _refine_peak(counts, grid: np.ndarray, log_probs: np.ndarray) -> float:
             offset = np.clip(0.5 * (left - right) / denom, -1.0, 1.0)
             return float(grid[peak] + offset * (grid[peak + 1] - grid[peak]))
     return float(grid[peak])
-
-
-def ml_estimate(counts, state, generator, povm: Povm, theta_grid) -> float:
-    """Grid maximum-likelihood phase estimate with one parabolic refinement.
-
-    Ties resolve to the lowest grid point; a likelihood that does not depend
-    on theta at all is an error since the model cannot identify the phase.
-    """
-    return _refine_peak(counts, *_likelihood_table(state, generator, povm, theta_grid))
 
 
 def precision_limits(num_qubits: int, m: int) -> tuple[float, float]:

@@ -39,9 +39,7 @@ __all__ = [
     "classical_fisher",
     "model_probabilities",
     "optimize_local_directions",
-    "povm_from_basis",
     "parity_povm",
-    "computational_povm",
     "x_basis_povm",
 ]
 
@@ -118,9 +116,6 @@ class SpinQfiMatrix:
         """Uniform Bloch-sphere average of the quadratic form (trace / 3)."""
         return float(self.matrix.trace() / 3.0)
 
-    def as_list(self) -> list[list[float]]:
-        return [[float(x) for x in row] for row in self.matrix]
-
 
 def _check_budget(nbytes: int, what: str) -> None:
     if nbytes > MAX_DENSE_BYTES:
@@ -190,8 +185,6 @@ def qfi(state, generator, zero_cut: float = ZERO_CUT) -> float:
     """
     g = _as_matrix(generator)
     if isinstance(state, PureState):
-        if g.shape[0] != state.dim:
-            raise ValueError(f"dimension mismatch: state {state.dim}, generator {g.shape[0]}")
         return 4.0 * variance(state, g)
     if not isinstance(state, DensityMatrix):
         raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
@@ -287,12 +280,6 @@ class Povm:
         return len(self.elements)
 
 
-def povm_from_basis(basis: np.ndarray) -> Povm:
-    """Projective POVM from the orthonormal columns of ``basis``."""
-    b = np.asarray(basis, dtype=complex)
-    return Povm(tuple(np.outer(b[:, i], b[:, i].conj()) for i in range(b.shape[1])))
-
-
 def parity_povm(num_qubits: int, axis: str = "x") -> Povm:
     """Two-outcome parity measurement (I +- sigma_axis^tensor(N)) / 2."""
     if axis not in PAULIS:
@@ -302,18 +289,16 @@ def parity_povm(num_qubits: int, axis: str = "x") -> Povm:
     return Povm(((eye + op) / 2, (eye - op) / 2))
 
 
-def computational_povm(num_qubits: int) -> Povm:
-    return povm_from_basis(np.eye(2**num_qubits, dtype=complex))
-
-
 def x_basis_povm(num_qubits: int) -> Povm:
     """Projective measurement in the sigma_x^tensor(N) eigenbasis: H^tensor(N)
     is (-1)^popcount(i & j) times 1/sqrt(2) multiplied in N times, as a kron
     chain rounds it (2^(-N/2) differs in the last bit)."""
+    d = 2**num_qubits
     scale = math.prod([1.0 / np.sqrt(2.0)] * num_qubits)
-    idx = np.arange(2**num_qubits, dtype=np.uint64)
+    idx = np.arange(d, dtype=np.uint64)
     parity = np.bitwise_count(idx[:, None] & idx[None, :]) & 1
-    return povm_from_basis((1.0 - 2.0 * parity) * scale)
+    basis = ((1.0 - 2.0 * parity) * scale).astype(complex)
+    return Povm(tuple(np.outer(basis[:, i], basis[:, i].conj()) for i in range(d)))
 
 
 def model_probabilities(state, generator, povm: Povm, thetas) -> np.ndarray:

@@ -111,10 +111,6 @@ class GhzDiagonalParams:
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "mus", mus)
 
-    @property
-    def normalization(self) -> float:
-        return sum(self.lambdas)
-
 
 def _x_form_sum(lam: np.ndarray) -> np.ndarray:
     """Sum of (..., 8) weights added left to right, as ``sum`` adds a tuple

@@ -104,12 +104,6 @@ class TestBounds:
                 assert qf.qfi_bound(n, k) < qf.qfi_bound(n, k + 1)
                 assert qf.avg_qfi_bound(n, k) <= qf.avg_qfi_bound(n, k + 1) + 1e-12
 
-    def test_bound_record(self):
-        b = qf.producibility_bound(7, 3)
-        assert (b.s, b.r) == (2, 1)
-        assert b.s * b.k + b.r == 7
-        assert b.qfi_bound == 19.0
-
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             qf.qfi_bound(4, 0)

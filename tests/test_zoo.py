@@ -40,7 +40,8 @@ class TestDicke:
         for n, k in ((4, 1), (5, 2), (6, 3)):
             psi = qf.dicke(n, k)
             jz = qf.collective_spin(n, "z")
-            assert abs(qf.expectation(psi, jz) - (n - 2 * k) / 2) <= 1e-12
+            mean = np.vdot(psi.amplitudes, jz.matrix @ psi.amplitudes).real
+            assert abs(mean - (n - 2 * k) / 2) <= 1e-12
             assert qf.variance(psi, jz) <= 1e-12
 
     def test_excitation_range(self):
@@ -57,7 +58,7 @@ class TestIsotropicFourQubit:
     def test_zero_mean_spin(self):
         psi = qf.psi_s4("+")
         for ax in "xyz":
-            assert abs(qf.expectation(psi, qf.collective_spin(4, ax))) <= 1e-12
+            assert abs(np.vdot(psi.amplitudes, qf.collective_spin(4, ax).matrix @ psi.amplitudes)) <= 1e-12
 
     def test_critical_mixing_halves_the_matrix(self):
         p_star = (7 + np.sqrt(113)) / 32
@@ -141,6 +142,10 @@ class TestDuer:
             assert abs(np.trace(rho.matrix).real - 1.0) <= 1e-12
             g = qf.ghz(n).amplitudes
             assert np.allclose(rho.matrix @ g, g / (n + 1), atol=1e-12)
+
+    def test_three_qubit_spectrum(self):
+        expected = np.array([0.0] + [0.125] * 6 + [0.25])
+        assert np.allclose(np.linalg.eigvalsh(qf.duer_state(3).matrix), expected, atol=1e-12)
 
     def test_pi_phase_partner_in_kernel(self):
         rho = qf.duer_state(3)
