@@ -294,6 +294,8 @@ def x_basis_povm(num_qubits: int) -> Povm:
     is (-1)^popcount(i & j) times 1/sqrt(2) multiplied in N times, as a kron
     chain rounds it (2^(-N/2) differs in the last bit)."""
     d = 2**num_qubits
+    # the d rank-one d x d effects and the Povm's frozen copies of them
+    _check_budget(2 * 16 * d**3, "the x-basis POVM")
     scale = math.prod([1.0 / np.sqrt(2.0)] * num_qubits)
     idx = np.arange(d, dtype=np.uint64)
     parity = np.bitwise_count(idx[:, None] & idx[None, :]) & 1

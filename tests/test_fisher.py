@@ -288,6 +288,23 @@ class TestMemoryBudget:
         assert main(["analyze", "--state", "duer:6"]) == 2
         assert "budget of fisher.MAX_DENSE_BYTES" in capsys.readouterr().err
 
+    def test_x_basis_povm_checked_before_it_allocates(self, monkeypatch):
+        # d effects of d x d and their frozen copies: 2 * 16 * d^3 bytes
+        monkeypatch.setattr(fisher, "MAX_DENSE_BYTES", 2 * 16 * 8**3)
+        assert len(qf.x_basis_povm(3)) == 8
+        monkeypatch.setattr(np, "bitwise_count", self._fail)
+        with pytest.raises(ValueError, match=r"^the x-basis POVM needs about 0 MB"):
+            qf.x_basis_povm(4)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match=r"^the x-basis POVM needs about 4096 MB"):
+            qf.x_basis_povm(9)
+
+    def test_phase_sim_x_basis_exits_2(self, capsys):
+        from qfisher.cli import main
+
+        assert main(["phase-sim", "--state", "plus:9"]) == 2
+        assert "the x-basis POVM needs about 4096 MB" in capsys.readouterr().err
+
 
 class TestQfiSummaries:
     def test_ghz4_max_direction(self):
