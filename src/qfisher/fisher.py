@@ -339,6 +339,8 @@ def classical_fisher(state, generator, povm: Povm, theta: float, dtheta: float =
     Outcomes with probability below 1e-12 are dropped; never exceeds the QFI
     (up to discretization error of the derivative).
     """
+    if not 0.0 < dtheta < np.inf:
+        raise ValueError(f"dtheta must be positive and finite, got {dtheta!r}")
     probs = model_probabilities(state, generator, povm, [theta, theta + dtheta, theta - dtheta])
     p0, pp, pm = probs[0], probs[1], probs[2]
     dp = (pp - pm) / (2.0 * dtheta)

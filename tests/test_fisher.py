@@ -415,6 +415,12 @@ class TestClassicalFisher:
         f = qf.classical_fisher(rho, qf.collective_spin(4, "z"), qf.x_basis_povm(4), 0.1)
         assert f <= 4 + 1e-4
 
+    @pytest.mark.parametrize("dtheta", [0.0, -1e-5, np.inf, np.nan])
+    def test_step_must_be_positive_and_finite(self, dtheta):
+        args = (qf.ghz(2), qf.collective_spin(2, "z"), qf.parity_povm(2, "x"), 0.3)
+        with pytest.raises(ValueError, match="dtheta must be positive and finite"):
+            qf.classical_fisher(*args, dtheta=dtheta)
+
     def test_never_exceeds_qfi(self):
         rng = np.random.default_rng(6)
         for _ in range(25):
