@@ -289,15 +289,13 @@ class TestMemoryBudget:
         assert "budget of fisher.MAX_DENSE_BYTES" in capsys.readouterr().err
 
     def test_x_basis_povm_checked_before_it_allocates(self, monkeypatch):
-        # d effects of d x d and their frozen copies: 2 * 16 * d^3 bytes
-        monkeypatch.setattr(fisher, "MAX_DENSE_BYTES", 2 * 16 * 8**3)
-        assert len(qf.x_basis_povm(3)) == 8
         monkeypatch.setattr(np, "bitwise_count", self._fail)
-        with pytest.raises(ValueError, match=r"^the x-basis POVM needs about 0 MB"):
-            qf.x_basis_povm(4)
-        monkeypatch.undo()
+        # d effects of d x d and their frozen copies: 2 * 16 * d^3 bytes
         with pytest.raises(ValueError, match=r"^the x-basis POVM needs about 4096 MB"):
             qf.x_basis_povm(9)
+        monkeypatch.setattr(fisher, "MAX_DENSE_BYTES", 2 * 16 * 8**3 - 1)
+        with pytest.raises(ValueError, match=r"^the x-basis POVM needs about .* fisher.MAX_DENSE_BYTES$"):
+            qf.x_basis_povm(3)
 
     def test_phase_sim_x_basis_exits_2(self, capsys):
         from qfisher.cli import main
