@@ -20,6 +20,16 @@ def is_close(a, b, tol=1e-12):
     return abs(a - b) <= tol
 
 
+def kron_spin_sum(dirs):
+    """sum_l (1/2) sigma_(n_l)^(l) from explicit Kronecker products."""
+    n = len(dirs)
+    ref = np.zeros((2**n, 2**n), dtype=complex)
+    for l, v in enumerate(dirs):
+        sigma = v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z
+        ref += 0.5 * reduce(np.kron, [np.eye(2**l), sigma, np.eye(2 ** (n - 1 - l))])
+    return ref
+
+
 class TestMakePure:
     def test_basis_state(self):
         psi = qf.make_pure(1, [1, 0])
@@ -217,6 +227,27 @@ class TestSpinOperators:
     def test_non_unit_direction(self):
         with pytest.raises(InvariantError):
             qf.spin_along(2, (1.0, 1.0, 0.0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_collective_spin_equals_kron_reference(self, n, axis):
+        dirs = np.tile(np.eye(3)["xyz".index(axis)], (n, 1))
+        assert np.array_equal(qf.collective_spin(n, axis).matrix, kron_spin_sum(dirs))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_spin_along_matches_kron_reference(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            v = rng.standard_normal(3)
+            v /= np.linalg.norm(v)
+            assert np.max(np.abs(qf.spin_along(n, v).matrix - kron_spin_sum([v] * n))) <= 1e-14
+
+    @pytest.mark.parametrize("n", [True, 0, 10**9])
+    def test_bad_qubit_count_rejected(self, n):
+        with pytest.raises(ValueError, match="qubit"):
+            qf.collective_spin(n, "z")
+        with pytest.raises(ValueError, match="qubit"):
+            qf.spin_along(n, (0.0, 0.0, 1.0))
 
 
 class TestLocalGenerator:
