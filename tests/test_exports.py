@@ -1,9 +1,10 @@
 """The export lists: ``from qfisher.<module> import *`` and ``import qfisher``
-must not name anything that is gone."""
+must not name anything that is gone, and neither may the README or the demos."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import qfisher
 
 MODULES = [info.name for info in pkgutil.iter_modules(qfisher.__path__)]
+ROOT = Path(__file__).parent.parent
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -27,3 +29,23 @@ def test_package_imports_only_exported_names():
     for node in imports:
         exported = importlib.import_module(f"qfisher.{node.module}").__all__
         assert [alias.name for alias in node.names if alias.name not in exported] == []
+
+
+def _documented_sources():
+    """The demos and the Python blocks of the README."""
+    yield from (path.read_text() for path in sorted((ROOT / "demos").glob("*.py")))
+    yield from re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+
+
+def test_documented_names_resolve():
+    """Every ``qf.<name>`` and ``from qfisher... import <name>`` in the docs
+    names something that exists, including in the demos no test runs."""
+    refs = set()
+    for source in _documented_sources():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "qf":
+                refs.add(("qfisher", node.attr))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qfisher":
+                refs.update((node.module, alias.name) for alias in node.names)
+    assert len(refs) >= 30
+    assert sorted(ref for ref in refs if not hasattr(importlib.import_module(ref[0]), ref[1])) == []
