@@ -81,7 +81,6 @@ from .estimation import (
     evolve,
     precision_limits,
     run_phase_estimation,
-    sample_outcomes,
 )
 
 __version__ = "0.1.0"

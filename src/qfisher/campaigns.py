@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from . import zoo
-from .core import PureState, collective_spin, mix_with_identity
+from .core import PureState, _check_density_stack, _check_pure_stack, collective_spin, mix_with_identity
 from .criteria import (
     _detects,
     avg_qfi_bound,
@@ -132,6 +132,7 @@ TABLE2_LOCAL_CRITERIA = TABLE2_CRITERIA + ("fq_2_local", "fq_3_local", "witness_
 
 def _table2_chunk(start: int, stop: int, seed: int, local: bool) -> np.ndarray:
     psis = zoo._random_pure_batch(_streams(seed, start, stop))
+    _check_pure_stack(psis)
     flags = evaluate(psis, 3, TABLE2_CRITERIA)
     if not local:
         return _counts(flags, TABLE2_CRITERIA)
@@ -179,7 +180,7 @@ TABLE3_CRITERIA = ("witness", "fq_3", "fq_avg_3")
 
 
 def _table3_chunk(start: int, stop: int, seed: int, mode: str) -> np.ndarray:
-    rhos = zoo._random_ghz_diagonal_batch(_streams(seed, start, stop), mode)
+    rhos = _check_density_stack(zoo._random_ghz_diagonal_batch(_streams(seed, start, stop), mode))
     return _counts(evaluate(rhos, 3, TABLE3_CRITERIA), TABLE3_CRITERIA)
 
 
@@ -204,7 +205,8 @@ SCAN_FIELDS = ("ppt_all_cuts", "fq_2", "fq_avg_2")
 
 
 def _scan_chunk(start: int, stop: int, seed: int) -> np.ndarray:
-    rhos = zoo._random_ghz_diagonal_batch(_streams(seed, start, stop), "bound_entangled")
+    streams = _streams(seed, start, stop)
+    rhos = _check_density_stack(zoo._random_ghz_diagonal_batch(streams, "bound_entangled"))
     return _counts(evaluate(rhos, 3, SCAN_FIELDS), SCAN_FIELDS)
 
 

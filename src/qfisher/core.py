@@ -11,10 +11,12 @@ States and explicitly requested operators are stored dense; the qubit count
 is capped (default 12) because the eigendecompositions that dominate the
 cost scale as ``8**N``. The spin-QFI kernels never build a collective spin:
 they apply J_x and J_y to a basis index as bit flips and J_z as a popcount
-diagonal.
+diagonal. Dense generators (1/2) sum_l sigma_(n_l)^(l), the collective spins
+included, are filled entry by entry by ``local_generator``.
 Every other single-qubit operator goes through one private primitive,
 ``_on_qubit``, which applies 2x2 matrices to one qubit of any basis axis of
-a batched array; ``tensor`` is the only Kronecker product.
+a batched array and builds no dense operator; ``tensor`` is the only
+Kronecker product.
 """
 
 from __future__ import annotations
@@ -271,31 +273,11 @@ def _popcounts(dim: int) -> np.ndarray:
     return np.bitwise_count(np.arange(dim, dtype=np.uint64)).astype(np.int64)
 
 
-def collective_spin_matrix(num_qubits: int, axis: str) -> np.ndarray:
-    """Dense matrix of J_axis = (1/2) sum_l sigma_axis^(l)."""
-    d = _check_num_qubits(num_qubits)
-    out = np.zeros((d, d), dtype=complex)
-    idx = np.arange(d)
-    if axis == "z":
-        out[idx, idx] = (num_qubits - 2 * _popcounts(d)) / 2.0
-        return out
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    for l in range(num_qubits):
-        mask = 1 << (num_qubits - 1 - l)
-        partner = idx ^ mask
-        if axis == "x":
-            out[partner, idx] += 0.5
-        else:
-            # sigma_y |0> = i|1>, sigma_y |1> = -i|0>
-            bit = (idx & mask) > 0
-            out[partner, idx] += np.where(bit, -0.5j, 0.5j)
-    return out
-
-
 def collective_spin(num_qubits: int, axis: str) -> HermitianOperator:
     """Collective spin operator J_x, J_y or J_z on N qubits."""
-    return HermitianOperator(collective_spin_matrix(num_qubits, axis))
+    if axis not in ("x", "y", "z"):
+        raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
+    return spin_along(num_qubits, np.eye(3)["xyz".index(axis)])
 
 
 def unit_direction(direction) -> np.ndarray:
@@ -310,11 +292,8 @@ def unit_direction(direction) -> np.ndarray:
 
 def spin_along(num_qubits: int, direction) -> HermitianOperator:
     """Collective spin J_n = n_x J_x + n_y J_y + n_z J_z for a unit direction."""
-    n = unit_direction(direction)
-    mat = sum(
-        n[i] * collective_spin_matrix(num_qubits, ax) for i, ax in enumerate("xyz")
-    )
-    return HermitianOperator(mat)
+    _check_num_qubits(num_qubits)
+    return local_generator(np.tile(unit_direction(direction), (num_qubits, 1)))
 
 
 def _on_qubit(
@@ -352,17 +331,23 @@ def _pauli_power(num_qubits: int, axis: str) -> np.ndarray:
 
 
 def local_generator(directions) -> HermitianOperator:
-    """Phase generator (1/2) sum_l sigma_(n_l)^(l) with one direction per qubit."""
+    """Phase generator (1/2) sum_l sigma_(n_l)^(l) with one direction per qubit.
+
+    Filled entry by entry: qubit l adds +-n_z/2 to the diagonal and
+    (n_x +- i n_y)/2 where it flips bit l (+ when the bit was 0)."""
     dirs = np.asarray(directions, dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != 3:
         raise ValueError(f"expected an (N, 3) array of directions, got shape {dirs.shape}")
     num_qubits = dirs.shape[0]
-    eye = np.eye(_check_num_qubits(num_qubits), dtype=complex)
-    out = np.zeros_like(eye)
+    d = _check_num_qubits(num_qubits)
+    idx = np.arange(d)
+    out = np.zeros((d, d), dtype=complex)
     for l in range(num_qubits):
         n = unit_direction(dirs[l])
-        sigma_n = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
-        out += 0.5 * _on_qubit(sigma_n, eye, l, num_qubits, axis=0)
+        mask = 1 << (num_qubits - 1 - l)
+        sign = np.where(idx & mask, -1.0, 1.0)
+        out[idx, idx] += 0.5 * n[2] * sign
+        out[idx ^ mask, idx] += 0.5 * (n[0] + 1j * n[1] * sign)
     return HermitianOperator(out)
 
 

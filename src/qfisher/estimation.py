@@ -1,9 +1,10 @@
 """Phase-estimation simulator: evolve, measure, estimate, compare to limits.
 
-A probe state is conjugated by exp(-i theta H), a POVM is sampled m times,
-and a grid maximum-likelihood estimator recovers theta. Repeating the
-procedure gives an empirical standard deviation to hold against the
-Cramer-Rao bound 1 / sqrt(m F) and the shot-noise / Heisenberg floors.
+A probe state is conjugated by exp(-i theta H), its POVM outcome
+distribution is computed once, m outcomes are drawn from it per trial, and
+a grid maximum-likelihood estimator recovers theta. Repeating the trial
+gives an empirical standard deviation to hold against the Cramer-Rao bound
+1 / sqrt(m F) and the shot-noise / Heisenberg floors.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .fisher import Povm, model_probabilities
 __all__ = [
     "EstimationRun",
     "evolve",
-    "sample_outcomes",
     "precision_limits",
     "run_phase_estimation",
 ]
@@ -58,21 +58,6 @@ def evolve(state, generator, theta: float) -> DensityMatrix:
     phases = np.exp(-1j * theta * lam)
     u = (v * phases) @ v.conj().T
     return DensityMatrix(num_qubits, u @ rho @ u.conj().T)
-
-
-def sample_outcomes(state, povm: Povm, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Multinomial counts of POVM outcomes over ``shots`` repetitions."""
-    if shots < 1:
-        raise ValueError("need at least one shot")
-    if not isinstance(povm, Povm):
-        raise TypeError("povm must be a Povm instance")
-    rho = _state_matrix(state)
-    probs = np.array([float(np.real(np.trace(rho @ e))) for e in povm.elements])
-    if probs.min() < -1e-9 or probs.max() > 1.0 + 1e-9:
-        raise ValueError(f"outcome probabilities out of range: {probs}")
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    return rng.multinomial(shots, probs)
 
 
 def _likelihood_table(state, generator, povm: Povm, theta_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -120,20 +105,30 @@ def run_phase_estimation(
     """Simulate ``trials`` independent m-shot estimates of one fixed phase.
 
     The likelihood grid spans ``window`` (callers restrict it to a stretch
-    where the fringe pattern is unambiguous). Its table is built once per
-    run; each trial draws from its own seed-and-index RNG stream, so results
-    do not depend on scheduling, and then only refines the likelihood peak.
+    where the fringe pattern is unambiguous). Its table and the outcome
+    distribution at the true phase are computed once per run; each trial
+    draws multinomial counts from its own seed-and-index RNG stream, so
+    results do not depend on scheduling, and then only refines the
+    likelihood peak.
     """
+    if m < 1 or trials < 1:
+        raise ValueError("shots per estimate and trial count must be positive")
     if window is None:
         raise ValueError("an identifiability window (lo, hi) around the phase is required")
     lo, hi = window
     if not lo < true_theta < hi:
         raise ValueError("true phase must lie inside the estimation window")
-    evolved = evolve(state, generator, true_theta)
+    rho = evolve(state, generator, true_theta).matrix
+    # the table rejects a non-Povm before povm.elements is read below
     grid, log_probs = _likelihood_table(state, generator, povm, np.linspace(lo, hi, grid_points))
+    probs = np.array([float(np.real(np.trace(rho @ e))) for e in povm.elements])
+    if probs.min() < -1e-9 or probs.max() > 1.0 + 1e-9:
+        raise ValueError(f"outcome probabilities out of range: {probs}")
+    probs = np.clip(probs, 0.0, None)
+    probs /= probs.sum()
     estimates = np.empty(trials)
     for trial in range(trials):
-        counts = sample_outcomes(evolved, povm, m, np.random.default_rng([seed, trial]))
+        counts = np.random.default_rng([seed, trial]).multinomial(m, probs)
         estimates[trial] = _refine_peak(counts, grid, log_probs)
     return EstimationRun(
         true_theta=float(true_theta),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DensityMatrix, InvariantError, PureState, load_state
-from .core import _check_density_stack, _check_num_qubits, _check_pure_stack, _pauli_power, _raise_first
+from .core import _check_num_qubits, _pauli_power, _raise_first
 
 __all__ = [
     "ghz",
@@ -238,6 +238,7 @@ def _haar_draws(rng: np.random.Generator) -> np.ndarray:
 def _random_pure_batch(rngs) -> np.ndarray:
     """(B, 8) Haar-random 3-qubit amplitudes, row k drawn from the k-th
     generator of the iterable ``rngs``, by inverse-CDF spherical coordinates.
+    The stack is not validated; its caller does that once.
 
     The hyperspherical angles have distribution function sin(alpha_i)^(2i),
     so alpha_i = arcsin(u^(1/(2i))) with u uniform; the phases are uniform.
@@ -253,7 +254,6 @@ def _random_pure_batch(rngs) -> np.ndarray:
     tails = np.cumprod(sines[:, ::-1], axis=1)
     cos_factors = np.concatenate((cosines[:, 5::-1], np.ones((len(u), 1))), axis=1)
     amps[:, 1:] = cos_factors * tails * np.exp(1j * phis[:, ::-1])
-    _check_pure_stack(amps)
     return amps
 
 
@@ -312,8 +312,9 @@ def _ppt_family_draw(rng: np.random.Generator) -> np.ndarray:
 
 
 def _random_ghz_diagonal_batch(rngs, mode: str) -> np.ndarray:
-    """(B, 8, 8) validated X-form density matrices, matrix k drawn from the
-    k-th generator of the iterable ``rngs`` (modes as in ``random_ghz_diagonal``)."""
+    """(B, 8, 8) X-form matrices with checked weights, matrix k drawn from the
+    k-th generator of the iterable ``rngs`` (modes as in ``random_ghz_diagonal``).
+    The stack is not validated as density matrices; its caller does that once."""
     if mode in ("dme_violating", "full_family"):
         kept = _antidiagonal_violating(rngs, full=mode == "full_family")
         lam = np.concatenate((kept[:, :4], kept[:, 3::-1]), axis=1)
@@ -324,7 +325,7 @@ def _random_ghz_diagonal_batch(rngs, mode: str) -> np.ndarray:
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
     _check_x_form(lam, mus)
-    return _check_density_stack(_x_form_matrices(lam, mus))
+    return _x_form_matrices(lam, mus)
 
 
 def random_ghz_diagonal(rng: np.random.Generator, mode: str) -> DensityMatrix:

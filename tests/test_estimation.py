@@ -10,6 +10,15 @@ def z_basis_povm(num_qubits):
     return qf.Povm(tuple(np.diag(e) for e in np.eye(2**num_qubits)))
 
 
+def per_trial_estimate(state, gen, povm, theta0, m, rng, grid):
+    """One estimate built from scratch: evolved probe, outcome distribution,
+    multinomial counts and likelihood table."""
+    rho = qf.evolve(state, gen, theta0).matrix
+    probs = np.clip([np.real(np.trace(rho @ e)) for e in povm.elements], 0.0, None)
+    counts = rng.multinomial(m, probs / probs.sum())
+    return _refine_peak(counts, *_likelihood_table(state, gen, povm, grid))
+
+
 class TestEvolve:
     def test_zero_phase_is_identity(self):
         rho = qf.mix_with_identity(qf.ghz(3), 0.7)
@@ -38,35 +47,6 @@ class TestEvolve:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             qf.evolve(qf.ghz(2), qf.collective_spin(3, "z"), 0.1)
-
-
-class TestSampling:
-    def test_deterministic_outcome(self):
-        rho = qf.density_from_pure(qf.ones_state(2))
-        counts = qf.sample_outcomes(rho, z_basis_povm(2), 100, np.random.default_rng(0))
-        assert counts[3] == 100 and counts.sum() == 100
-
-    def test_frequencies_match_probabilities(self):
-        rho = qf.density_from_pure(qf.plus_state(2))
-        shots = 100_000
-        counts = qf.sample_outcomes(rho, z_basis_povm(2), shots, np.random.default_rng(1))
-        # each outcome has probability 1/4; allow four sigma
-        sigma = np.sqrt(shots * 0.25 * 0.75)
-        assert np.all(np.abs(counts - shots / 4) <= 4 * sigma)
-
-    def test_seed_reproducible(self):
-        rho = qf.density_from_pure(qf.plus_state(2))
-        povm = z_basis_povm(2)
-        a = qf.sample_outcomes(rho, povm, 1000, np.random.default_rng(42))
-        b = qf.sample_outcomes(rho, povm, 1000, np.random.default_rng(42))
-        assert np.array_equal(a, b)
-
-    def test_input_validation(self):
-        rho = qf.density_from_pure(qf.ghz(2))
-        with pytest.raises(ValueError):
-            qf.sample_outcomes(rho, z_basis_povm(2), 0, np.random.default_rng(0))
-        with pytest.raises(TypeError):
-            qf.sample_outcomes(rho, [np.eye(4)], 10, np.random.default_rng(0))
 
 
 class TestMlEstimate:
@@ -112,6 +92,8 @@ class TestPhaseEstimationRuns:
         crb = 1.0 / np.sqrt(m * n**2)
         assert abs(run.empirical_std - crb) <= 0.25 * crb
         assert run.empirical_std >= (1 - 3 / np.sqrt(trials)) * crb
+        # counts drawn from the wrong distribution would bias the estimates
+        assert abs(run.estimator_values.mean() - theta0) <= 4 * crb / np.sqrt(trials)
 
     def test_trial_streams_reproducible(self):
         theta0 = np.pi / 4
@@ -138,16 +120,38 @@ class TestPhaseEstimationRuns:
             state, gen, povm, theta0, m=m, trials=trials, seed=seed, window=window, grid_points=128
         )
         grid = np.linspace(*window, 128)
-        evolved = qf.evolve(state, gen, theta0)
-        # the table is rebuilt in every trial, as a per-trial estimator would
         loop = [
-            _refine_peak(
-                qf.sample_outcomes(evolved, povm, m, np.random.default_rng([seed, t])),
-                *_likelihood_table(state, gen, povm, grid),
-            )
+            per_trial_estimate(state, gen, povm, theta0, m, np.random.default_rng([seed, t]), grid)
             for t in range(trials)
         ]
         assert np.max(np.abs(run.estimator_values - loop)) <= 1e-12
+
+    @pytest.mark.parametrize("trials", [1, 7])
+    def test_probe_evolved_once_per_run(self, trials, monkeypatch):
+        from qfisher import estimation
+
+        calls = []
+
+        def counting_evolve(*args):
+            calls.append(args)
+            return qf.evolve(*args)
+
+        monkeypatch.setattr(estimation, "evolve", counting_evolve)
+        theta0 = np.pi / 4
+        qf.run_phase_estimation(
+            qf.ghz(2), qf.collective_spin(2, "z"), qf.parity_povm(2, "x"), theta0,
+            m=50, trials=trials, window=(0.0, np.pi / 2),
+        )
+        assert len(calls) == 1
+
+    def test_input_validation(self):
+        args = (qf.ghz(2), qf.collective_spin(2, "z"))
+        kw = dict(window=(0.0, np.pi / 2))
+        for m, trials in ((0, 5), (10, 0), (10, -1)):
+            with pytest.raises(ValueError, match="must be positive"):
+                qf.run_phase_estimation(*args, qf.parity_povm(2, "x"), 0.3, m, trials, **kw)
+        with pytest.raises(TypeError, match="Povm"):
+            qf.run_phase_estimation(*args, [np.eye(4)], 0.3, 10, 5, **kw)
 
     def test_flat_likelihood_and_short_grid_rejected(self):
         kw = dict(m=10, trials=3, window=(0.0, 1.0))

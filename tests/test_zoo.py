@@ -6,7 +6,7 @@ import pytest
 
 import qfisher as qf
 from qfisher import zoo
-from qfisher.core import PAULIS, InvariantError
+from qfisher.core import PAULIS, InvariantError, _check_density_stack
 from qfisher.zoo import GhzDiagonalParams
 
 
@@ -112,7 +112,7 @@ class TestXForm:
         with pytest.raises(InvariantError, match=r"^smallest eigenvalue -3\.\d+e-08 below -1e-09$"):
             qf.ghz_diagonal(lam, mus)
         with pytest.raises(InvariantError, match=r"^sample 0: smallest eigenvalue -3\.\d+e-08 below"):
-            zoo._check_density_stack(zoo._x_form_matrices(lam[None], mus[None]))
+            _check_density_stack(zoo._x_form_matrices(lam[None], mus[None]))
 
 
 class TestBoundEntangledFamily:
@@ -429,6 +429,27 @@ class TestBatchSamplers:
                 rho = qf.random_ghz_diagonal(np.random.default_rng([5, i]), mode)
                 expected = _reference_ghz_diagonal(np.random.default_rng([5, i]), mode)
                 assert np.array_equal(rho.matrix, expected)
+
+    def test_each_sample_validated_once(self, monkeypatch):
+        from qfisher import campaigns, core
+
+        calls = []
+        for name in ("_check_pure_stack", "_check_density_stack"):
+
+            def counting(stack, check=getattr(core, name)):
+                calls.append(stack.shape)
+                return check(stack)
+
+            for module in (core, zoo, campaigns):
+                monkeypatch.setattr(module, name, counting, raising=False)
+        qf.random_pure_3qubit(np.random.default_rng(0))
+        qf.random_ghz_diagonal(np.random.default_rng(0), "dme_violating")
+        assert calls == [(8,), (8, 8)]
+        campaigns._table2_chunk(0, 5, 0, local=False)
+        campaigns._table3_chunk(0, 5, 0, "dme_violating")
+        campaigns._scan_chunk(0, 5, 0)
+        # the criteria also build single reference states (the GHZ state)
+        assert [shape for shape in calls[2:] if shape[0] == 5] == [(5, 8), (5, 8, 8), (5, 8, 8)]
 
     def test_bad_x_form_block_names_the_sample(self):
         lam = np.full((5, 8), 0.125)
