@@ -117,37 +117,57 @@ def _raise_first(bad: np.ndarray, message: str, *values: np.ndarray) -> None:
     raise InvariantError(text)
 
 
+def _real_if_real(x: np.ndarray) -> np.ndarray:
+    """``x`` if it has a nonzero imaginary part, else its real part (a view),
+    so that LAPACK runs in real arithmetic on real input."""
+    return x if x.imag.any() else x.real
+
+
 def _check_pure_stack(amps: np.ndarray) -> None:
-    """Check that every amplitude vector of a (..., d) stack has unit norm."""
+    """Check that every amplitude vector of a (..., d) stack has unit norm
+    (a NaN or infinite amplitude fails)."""
     norm_sq = (np.abs(amps) ** 2).sum(axis=-1)
-    _raise_first(np.abs(norm_sq - 1.0) > NORM_TOL, "state not normalized: sum |a|^2 = {!r}", norm_sq)
+    _raise_first(~(np.abs(norm_sq - 1.0) <= NORM_TOL), "state not normalized: sum |a|^2 = {!r}", norm_sq)
 
 
 def _check_density_stack(mats: np.ndarray) -> np.ndarray:
-    """Hermitian part of a (..., d, d) stack after checking that every matrix
-    is Hermitian, has unit trace and is positive semidefinite.
+    """Hermitian part of a (..., d, d) stack, as complex, after checking that
+    every matrix has finite entries, is Hermitian, has unit trace and is
+    positive semidefinite.
 
     A matrix passes the PSD test when the Cholesky factorisation of
     rho + PSD_TOL * I succeeds, which needs its smallest eigenvalue above
     -PSD_TOL up to rounding. Only when some factorisation fails does one
     batched ``eigvalsh`` decide and report the smallest eigenvalue.
 
-    The real and imaginary parts are combined through views, so no
-    conjugate copy is made: besides its result, the check holds at most one
-    d x d complex temporary and the two buffers of the factorisation.
+    A stack with no imaginary part is checked in real arithmetic: its
+    Hermitian part is built as a float array, factorised (and, if needed,
+    diagonalised) by real LAPACK and converted to complex once, at the end.
+    Otherwise the real and imaginary parts are combined through views, so no
+    conjugate copy is made. Besides its result, the check holds at most one
+    d x d temporary and the two buffers of the factorisation.
     """
     re, im = mats.real, mats.imag
+    real = not im.any()
     re_t, im_t = re.swapaxes(-1, -2), im.swapaxes(-1, -2)
-    asym = re - re_t
-    np.hypot(asym, im + im_t, out=asym)  # |rho - rho^dag|
-    asym = asym.max(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):  # inf - inf is reported below
+        asym = re - re_t
+        if real:
+            np.abs(asym, out=asym)
+        else:
+            np.hypot(asym, im + im_t, out=asym)  # |rho - rho^dag|
+    asym = asym.max(axis=(-2, -1))  # NaN or inf where an entry is
+    _raise_first(~np.isfinite(asym), "density matrix has a non-finite entry")
     _raise_first(asym > HERMITICITY_TOL, "density matrix is not Hermitian within 1e-10")
-    herm = np.empty(mats.shape, dtype=complex)
-    np.add(re, re_t, out=herm.real)
-    np.subtract(im, im_t, out=herm.imag)
+    if real:
+        herm = re + re_t
+    else:
+        herm = np.empty(mats.shape, dtype=complex)
+        np.add(re, re_t, out=herm.real)
+        np.subtract(im, im_t, out=herm.imag)
     herm /= 2
     tr = np.real(np.trace(herm, axis1=-2, axis2=-1))
-    _raise_first(np.abs(tr - 1.0) > TRACE_TOL, "trace is {!r}, expected 1", tr)
+    _raise_first(~(np.abs(tr - 1.0) <= TRACE_TOL), "trace is {!r}, expected 1", tr)
     # shift the diagonal in place for the factorisation and restore it exactly
     diag = herm.reshape(herm.shape[:-2] + (-1,))[..., :: herm.shape[-1] + 1]
     saved = diag.copy()
@@ -161,7 +181,7 @@ def _check_density_stack(mats: np.ndarray) -> np.ndarray:
     if not factored:
         lo = np.linalg.eigvalsh(herm)[..., 0]
         _raise_first(lo < -PSD_TOL, f"smallest eigenvalue {{!r}} below -{PSD_TOL}", lo)
-    return herm
+    return herm.astype(complex) if real else herm
 
 
 @dataclass(frozen=True)
@@ -215,7 +235,7 @@ class HermitianOperator:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvariantError(f"operator must be square, got shape {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
+        if not np.max(np.abs(mat - mat.conj().T)) <= HERMITICITY_TOL:  # NaN fails too
             raise InvariantError("operator is not Hermitian within 1e-10")
         object.__setattr__(self, "matrix", _frozen(mat))
 
@@ -379,7 +399,7 @@ def partial_transpose(rho, subset) -> np.ndarray:
 def is_ppt(rho, subset, tol: float = 1e-9) -> bool | np.ndarray:
     """True iff the partial transpose over the subset has no eigenvalue below
     -tol; a (..., d, d) stack gives a bool array of its leading shape."""
-    ppt = np.linalg.eigvalsh(partial_transpose(rho, subset))[..., 0] >= -tol
+    ppt = np.linalg.eigvalsh(_real_if_real(partial_transpose(rho, subset)))[..., 0] >= -tol
     return bool(ppt) if ppt.ndim == 0 else ppt
 
 
@@ -439,7 +459,8 @@ def state_from_json(data: dict):
     try:
         n = data["n"]  # checked as an integer by the constructors, never converted
         kind = data["kind"]
-        arr = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
+        arr = np.asarray(data["re"], dtype=float).astype(complex)
+        arr.imag = np.asarray(data["im"], dtype=float)  # no 1j * im, which turns inf into nan
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state record: {exc}") from exc
     if kind == "pure":

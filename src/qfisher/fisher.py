@@ -25,6 +25,7 @@ from .core import (
     _on_qubit,
     _pauli_power,
     _popcounts,
+    _real_if_real,
     _state_matrix,
 )
 
@@ -136,8 +137,8 @@ def _real_gram(x: np.ndarray) -> np.ndarray:
 def _mixed_qfi_batch(rhos: np.ndarray, apply, num_ops: int, zero_cut: float = ZERO_CUT) -> np.ndarray:
     """QFI matrices Gamma_ij of a (B, d, d) stack of density matrices for
     ``num_ops`` generators G_i, shape (B, num_ops, num_ops); ``apply(x)``
-    returns the G_i x stacked as a (num_ops,) + x.shape array, with G_i acting
-    on axis -2 of x.
+    returns the G_i x stacked as a complex (num_ops,) + x.shape array, with
+    G_i acting on axis -2 of x.
 
     Only the support enters. S holds the eigenvectors whose eigenvalue is
     above ``zero_cut`` times the trace in some member of the batch, and a
@@ -147,11 +148,14 @@ def _mixed_qfi_batch(rhos: np.ndarray, apply, num_ops: int, zero_cut: float = ZE
     sum 2 sum_ab w_ab Re (G_i)_ab (G_j)_ba becomes
     Gamma_ij = 4 Re <G_i W|G_j W> - 8 sum_ab Re(m_i,ab conj(m_j,ab)) / (lam_a + lam_b).
     G acts on the d x r block W alone, and no d x d pair table is built.
+    A stack with no imaginary part is diagonalised by real LAPACK, so W is
+    real and each m_i is one real product with the (re, im) view of G_i W.
     """
     b, d, _ = rhos.shape
-    # eigenvectors, LAPACK's copy of one matrix and its complex and real workspace
+    # eigenvectors, LAPACK's copy of one matrix and its complex and real
+    # workspace (a real stack needs about half of this)
     _check_budget(16 * d * d * (b + 3), "the eigendecomposition")
-    evals, vecs = np.linalg.eigh(rhos)
+    evals, vecs = np.linalg.eigh(_real_if_real(rhos))
     kept = evals > zero_cut * np.sum(evals, axis=-1, keepdims=True)
     first = d - int(kept.sum(axis=-1).max())  # eigenvalues ascend, so S is a suffix
     lam = np.where(kept, evals, 0.0)[:, first:]
@@ -164,11 +168,12 @@ def _mixed_qfi_batch(rhos: np.ndarray, apply, num_ops: int, zero_cut: float = ZE
     del vecs, den
     gw = apply(w)  # (num_ops, B, d, r)
     gamma = 4.0 * _real_gram(gw)
-    w_dag = np.conj(w, out=w).swapaxes(-1, -2)
+    real = not np.iscomplexobj(w)
+    w_dag = (w if real else np.conj(w, out=w)).swapaxes(-1, -2)
     # m_i overwrites the start of G_i W, which nothing reads after it
     m = gw.reshape(num_ops, -1)[:, : b * r * r].reshape(num_ops, b, r, r)
     for i in range(num_ops):
-        m[i] = w_dag @ gw[i]
+        m[i] = (w_dag @ gw[i].view(float)).view(complex) if real else w_dag @ gw[i]
     m *= scale
     gamma -= 8.0 * _real_gram(m)
     upper = np.triu_indices(num_ops, 1)
@@ -260,10 +265,11 @@ class Povm:
         for e in elems:
             if e.shape != (d, d):
                 raise InvariantError("POVM elements must share one square shape")
-            if np.linalg.eigvalsh((e + e.conj().T) / 2)[0] < -1e-9:
+            h = _real_if_real(e)
+            if np.linalg.eigvalsh((h + h.conj().T) / 2)[0] < -1e-9:
                 raise InvariantError("POVM element is not positive semidefinite")
             total += e
-        if np.max(np.abs(total - np.eye(d))) > 1e-9:
+        if not np.max(np.abs(total - np.eye(d))) <= 1e-9:  # NaN fails too
             raise InvariantError("POVM elements do not sum to the identity")
         frozen = []
         for e in elems:

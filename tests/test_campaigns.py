@@ -404,6 +404,20 @@ class TestCli:
         path.write_text(json.dumps(bad))
         assert main(["analyze", "--state", str(path)]) == 3
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"kind": "mixed", "re": [0.5, np.nan, np.nan, 0.5], "im": [0.0] * 4}, "non-finite entry"),
+            ({"kind": "mixed", "re": [0.5, 0.0, 0.0, 0.5], "im": [0.0, np.inf, 0.0, 0.0]}, "non-finite entry"),
+            ({"kind": "pure", "re": [np.nan, 0.0], "im": [0.0, 0.0]}, "sum |a|^2 = nan"),
+        ],
+    )
+    def test_non_finite_state_file_exit_3(self, tmp_path, capsys, record, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 1, **record}))  # written as NaN and Infinity
+        assert main(["analyze", "--state", str(path)]) == 3
+        assert message in capsys.readouterr().err
+
     def test_output_files(self, tmp_path, capsys):
         csv_path = tmp_path / "rows.csv"
         assert main(["table3", "--samples", "300", "--seed", "1", "--out", str(csv_path)]) == 0

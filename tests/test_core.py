@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 from itertools import combinations
 
@@ -18,6 +19,20 @@ from qfisher.core import (
 
 def is_close(a, b, tol=1e-12):
     return abs(a - b) <= tol
+
+
+def record_dtypes(monkeypatch, *names):
+    """Wrap the named ``np.linalg`` functions so that each call records the
+    dtype of its matrix argument; returns {name: [dtypes in call order]}."""
+    seen = {name: [] for name in names}
+    for name in names:
+
+        def recording(a, *args, _call=getattr(np.linalg, name), _seen=seen[name], **kwargs):
+            _seen.append(a.dtype)
+            return _call(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return seen
 
 
 def kron_spin_sum(dirs):
@@ -138,6 +153,120 @@ class TestStackValidators:
         with pytest.raises(InvariantError, match=r"^sample 3: state not normalized: sum \|a\|\^2 = 0.875"):
             _check_pure_stack(amps)
         _check_pure_stack(amps[:3])
+
+
+class TestNonFiniteEntries:
+    """A NaN or inf entry fails the validators, in a real or a complex matrix."""
+
+    @staticmethod
+    def _base(imaginary_part):
+        return np.array([[0.5, 0.25j], [-0.25j, 0.5]]) if imaginary_part else np.eye(2, dtype=complex) / 2
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("imaginary_part", [False, True])
+    def test_density_matrix(self, value, imaginary_part):
+        for where in [(0, 1), (1, 1)]:
+            for part in ("real", "imag"):
+                mat = self._base(imaginary_part)
+                getattr(mat, part)[where] = value
+                with pytest.raises(InvariantError, match=r"^density matrix has a non-finite entry$"):
+                    qf.DensityMatrix(1, mat)
+                if not mat.imag.any():
+                    with pytest.raises(InvariantError, match=r"^density matrix has a non-finite entry$"):
+                        qf.DensityMatrix(1, mat.real)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("imaginary_part", [False, True])
+    def test_stack_names_the_sample(self, value, imaginary_part):
+        rhos = np.stack([self._base(imaginary_part)] * 4)
+        rhos[2, 1, 0] = value
+        with pytest.raises(InvariantError, match=r"^sample 2: density matrix has a non-finite entry$"):
+            _check_density_stack(rhos)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1j * np.nan])
+    def test_pure(self, value):
+        for amps in ([0.6, 0.8], [0.6, 0.8j]):
+            amps = np.array(amps, dtype=complex)
+            amps[1] = value
+            with pytest.raises(InvariantError, match=r"^state not normalized"):
+                qf.PureState(1, amps)
+            stack = np.tile(np.array([0.6, 0.8j]), (3, 1))
+            stack[1] = amps
+            with pytest.raises(InvariantError, match=r"^sample 1: state not normalized"):
+                _check_pure_stack(stack)
+
+    def test_operator_and_povm(self):
+        with pytest.raises(InvariantError, match="not Hermitian"):
+            qf.HermitianOperator(np.diag([np.nan, 1.0]))
+        with pytest.raises(InvariantError, match="do not sum to the identity"):
+            qf.Povm((np.diag([np.nan, 0.5]), np.diag([0.5, 0.5])))
+
+
+class TestRealArithmetic:
+    """A stack with no imaginary part is validated by real LAPACK; the
+    result is the same complex Hermitian part as on the complex path."""
+
+    @staticmethod
+    def _real_stack(b=6, d=8, seed=5):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((b, d, d))
+        rhos = g @ g.swapaxes(-1, -2)
+        return rhos / np.trace(rhos, axis1=-2, axis2=-1)[:, None, None]
+
+    def test_hermitian_part_is_complex_and_exact(self, monkeypatch):
+        seen = record_dtypes(monkeypatch, "cholesky", "eigvalsh")
+        rhos = self._real_stack()
+        for stack in (rhos, rhos.astype(complex)):
+            out = _check_density_stack(stack)
+            assert out.dtype == complex and not out.imag.any()
+            assert np.array_equal(out.real, (rhos + rhos.swapaxes(-1, -2)) / 2)
+        assert seen == {"cholesky": [np.float64, np.float64], "eigvalsh": []}
+
+    def test_complex_stack_stays_complex(self, monkeypatch):
+        seen = record_dtypes(monkeypatch, "cholesky")
+        _check_density_stack(TestStackValidators._stack())
+        qf.duer_state(4, phi=0.3)
+        assert seen["cholesky"] == [np.complex128, np.complex128]
+
+    def test_real_non_psd_matrix_named(self, monkeypatch):
+        seen = record_dtypes(monkeypatch, "cholesky", "eigvalsh")
+        rhos = self._real_stack(d=4)
+        rhos[5] = np.diag([1.5, -0.5, 0.0, 0.0])
+        with pytest.raises(InvariantError, match=r"^sample 5: smallest eigenvalue -0.5 below -1e-09$"):
+            _check_density_stack(rhos.astype(complex))
+        assert seen == {"cholesky": [np.float64], "eigvalsh": [np.float64]}
+
+    def test_is_ppt_real_stack_matches_complex_reference(self, monkeypatch):
+        # white noise over real states at weights from 0 to 1: PPT and NPT members
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((16, 8, 2))
+        rhos = a @ a.swapaxes(-1, -2)
+        rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
+        weights = np.linspace(0.0, 1.0, 16)[:, None, None]
+        rhos = (weights * rhos + (1 - weights) * np.eye(8) / 8).astype(complex)
+        seen = record_dtypes(monkeypatch, "eigvalsh")
+        flags = {q: qf.is_ppt(rhos, [q]) for q in range(3)}
+        qf.is_ppt(qf.duer_state(3, phi=0.3), [0])
+        assert seen["eigvalsh"] == [np.float64] * 3 + [np.complex128]
+        monkeypatch.undo()
+        for q, got in flags.items():
+            pts = qf.partial_transpose(rhos, [q])
+            assert np.array_equal(got, np.linalg.eigvalsh(pts)[:, 0] >= -1e-9)
+        assert {True, False} <= set(np.concatenate(list(flags.values())).tolist())
+
+    def test_real_construction_memory(self):
+        # the real Hermitian part and its factor are 8 d^2 bytes each, and the
+        # complex result 16 d^2: the parent held a complex part and factor
+        mat = np.array(qf.duer_state(8).matrix)
+        d = mat.shape[0]
+        tracemalloc.start()
+        try:
+            rho = qf.DensityMatrix(8, mat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rho.matrix.dtype == complex and np.array_equal(rho.matrix, mat)
+        assert peak <= 1.6 * 16 * d * d
 
 
 class TestPsdBoundary:

@@ -21,6 +21,26 @@ def random_mixed(rng, n, rank=None):
     return qf.DensityMatrix(n, rho / np.trace(rho))
 
 
+def random_real_mixed(rng, n, rank):
+    a = rng.standard_normal((2**n, rank))
+    rho = a @ a.T
+    return qf.DensityMatrix(n, rho / np.trace(rho))
+
+
+def record_dtypes(monkeypatch, *names):
+    """Wrap the named ``np.linalg`` functions so that each call records the
+    dtype of its matrix argument; returns {name: [dtypes in call order]}."""
+    seen = {name: [] for name in names}
+    for name in names:
+
+        def recording(a, *args, _call=getattr(np.linalg, name), _seen=seen[name], **kwargs):
+            _seen.append(a.dtype)
+            return _call(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return seen
+
+
 def projective_povm(basis):
     """Projective POVM from the orthonormal columns of ``basis``."""
     return qf.Povm(tuple(np.outer(b, b.conj()) for b in basis.T))
@@ -255,6 +275,74 @@ class TestSpinKernelsAgainstDense:
             tracemalloc.stop()
         assert abs(gamma[0, 0] - 84.0) <= 1e-9 and witness == 0.5
         assert peak < 64 * 2**20
+
+
+class TestRealArithmetic:
+    """States with no imaginary part are diagonalised by real LAPACK. The
+    reference diagonalises the same matrix as complex, with dense J's."""
+
+    @staticmethod
+    def real_states():
+        rng = np.random.default_rng(11)
+        states = [qf.duer_state(n) for n in range(3, 9)] + [qf.smolin_state(2), qf.smolin_state(3)]
+        for mode in ("dme_violating", "full_family", "bound_entangled"):
+            states += [qf.random_ghz_diagonal(rng, mode) for _ in range(4)]
+        states += [qf.bound_entangled_ghz_diagonal(2.0, 3.0, 5.0)]
+        for psi in (qf.ghz(5), qf.dicke(6, 3)):
+            states += [qf.mix_with_identity(psi, p) for p in (0.0, 0.3, 0.8, 1.0)]
+        for n in (3, 4, 6):
+            d = 2**n
+            states += [random_real_mixed(rng, n, rank) for rank in sorted({1, 2, d // 2, d})]
+        return states
+
+    def test_gamma_matches_complex_reference(self):
+        states = self.real_states()
+        jays = {n: dense_collective_spins(n) for n in {rho.num_qubits for rho in states}}
+        for rho in states:
+            assert rho.matrix.dtype == complex and not rho.matrix.imag.any()
+            ref = dense_gamma(rho.matrix, jays[rho.num_qubits])  # a complex eigh
+            TestSpinKernelsAgainstDense.assert_close(qf.qfi_matrix(rho).matrix, ref)
+
+    def test_batched_samples_match_complex_reference(self):
+        from qfisher import zoo
+
+        jays = dense_collective_spins(3)
+        for mode in ("dme_violating", "full_family", "bound_entangled"):
+            rngs = [np.random.default_rng([4, i]) for i in range(16)]
+            rhos = zoo._random_ghz_diagonal_batch(rngs, mode)
+            for gamma, rho in zip(fisher._gamma_mixed_batch(rhos, 3), rhos):
+                TestSpinKernelsAgainstDense.assert_close(gamma, dense_gamma(rho, jays))
+
+    def test_generic_generator(self):
+        rng = np.random.default_rng(12)
+        for n in (2, 3, 4):
+            d = 2**n
+            for rank in sorted({1, 2, d // 2, d}):
+                rho = random_real_mixed(rng, n, rank)
+                g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                g = g + g.conj().T
+                ref = dense_gamma(rho.matrix, [g])[0, 0]
+                assert abs(qf.qfi(rho, g) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_lapack_sees_the_real_part(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        seen = record_dtypes(monkeypatch, "eigh", "cholesky")
+        for rho in (qf.duer_state(6), random_real_mixed(rng, 3, 4), qf.mix_with_identity(qf.ghz(4), 0.5)):
+            qf.qfi_matrix(rho)
+        assert seen == {"eigh": [np.float64] * 3, "cholesky": [np.float64] * 3}
+
+    def test_complex_states_stay_complex(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        seen = record_dtypes(monkeypatch, "eigh", "cholesky")
+        for rho in (qf.duer_state(6, phi=0.3), random_mixed(rng, 3, 4)):
+            qf.qfi_matrix(rho)
+        assert seen == {"eigh": [np.complex128] * 2, "cholesky": [np.complex128] * 2}
+
+    def test_povm_effects(self, monkeypatch):
+        seen = record_dtypes(monkeypatch, "eigvalsh")
+        qf.parity_povm(3, "x")
+        qf.parity_povm(3, "y")
+        assert seen["eigvalsh"] == [np.float64] * 2 + [np.complex128] * 2
 
 
 class TestMemoryBudget:
