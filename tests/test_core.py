@@ -21,20 +21,6 @@ def is_close(a, b, tol=1e-12):
     return abs(a - b) <= tol
 
 
-def record_dtypes(monkeypatch, *names):
-    """Wrap the named ``np.linalg`` functions so that each call records the
-    dtype of its matrix argument; returns {name: [dtypes in call order]}."""
-    seen = {name: [] for name in names}
-    for name in names:
-
-        def recording(a, *args, _call=getattr(np.linalg, name), _seen=seen[name], **kwargs):
-            _seen.append(a.dtype)
-            return _call(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, recording)
-    return seen
-
-
 def kron_spin_sum(dirs):
     """sum_l (1/2) sigma_(n_l)^(l) from explicit Kronecker products."""
     n = len(dirs)
@@ -213,8 +199,8 @@ class TestRealArithmetic:
         rhos = g @ g.swapaxes(-1, -2)
         return rhos / np.trace(rhos, axis1=-2, axis2=-1)[:, None, None]
 
-    def test_hermitian_part_is_complex_and_exact(self, monkeypatch):
-        seen = record_dtypes(monkeypatch, "cholesky", "eigvalsh")
+    def test_hermitian_part_is_complex_and_exact(self, linalg_dtypes):
+        seen = linalg_dtypes("cholesky", "eigvalsh")
         rhos = self._real_stack()
         for stack in (rhos, rhos.astype(complex)):
             out = _check_density_stack(stack)
@@ -222,21 +208,21 @@ class TestRealArithmetic:
             assert np.array_equal(out.real, (rhos + rhos.swapaxes(-1, -2)) / 2)
         assert seen == {"cholesky": [np.float64, np.float64], "eigvalsh": []}
 
-    def test_complex_stack_stays_complex(self, monkeypatch):
-        seen = record_dtypes(monkeypatch, "cholesky")
+    def test_complex_stack_stays_complex(self, linalg_dtypes):
+        seen = linalg_dtypes("cholesky")
         _check_density_stack(TestStackValidators._stack())
         qf.duer_state(4, phi=0.3)
         assert seen["cholesky"] == [np.complex128, np.complex128]
 
-    def test_real_non_psd_matrix_named(self, monkeypatch):
-        seen = record_dtypes(monkeypatch, "cholesky", "eigvalsh")
+    def test_real_non_psd_matrix_named(self, linalg_dtypes):
+        seen = linalg_dtypes("cholesky", "eigvalsh")
         rhos = self._real_stack(d=4)
         rhos[5] = np.diag([1.5, -0.5, 0.0, 0.0])
         with pytest.raises(InvariantError, match=r"^sample 5: smallest eigenvalue -0.5 below -1e-09$"):
             _check_density_stack(rhos.astype(complex))
         assert seen == {"cholesky": [np.float64], "eigvalsh": [np.float64]}
 
-    def test_is_ppt_real_stack_matches_complex_reference(self, monkeypatch):
+    def test_is_ppt_real_stack_matches_complex_reference(self, linalg_dtypes):
         # white noise over real states at weights from 0 to 1: PPT and NPT members
         rng = np.random.default_rng(6)
         a = rng.standard_normal((16, 8, 2))
@@ -244,19 +230,17 @@ class TestRealArithmetic:
         rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
         weights = np.linspace(0.0, 1.0, 16)[:, None, None]
         rhos = (weights * rhos + (1 - weights) * np.eye(8) / 8).astype(complex)
-        seen = record_dtypes(monkeypatch, "eigvalsh")
-        flags = {q: qf.is_ppt(rhos, [q]) for q in range(3)}
+        reference = [np.linalg.eigvalsh(qf.partial_transpose(rhos, [q]))[:, 0] >= -1e-9 for q in range(3)]
+        assert {True, False} <= set(np.concatenate(reference).tolist())
+        seen = linalg_dtypes("eigvalsh")
+        for q in range(3):
+            assert np.array_equal(qf.is_ppt(rhos, [q]), reference[q])
         qf.is_ppt(qf.duer_state(3, phi=0.3), [0])
         assert seen["eigvalsh"] == [np.float64] * 3 + [np.complex128]
-        monkeypatch.undo()
-        for q, got in flags.items():
-            pts = qf.partial_transpose(rhos, [q])
-            assert np.array_equal(got, np.linalg.eigvalsh(pts)[:, 0] >= -1e-9)
-        assert {True, False} <= set(np.concatenate(list(flags.values())).tolist())
 
     def test_real_construction_memory(self):
-        # the real Hermitian part and its factor are 8 d^2 bytes each, and the
-        # complex result 16 d^2: the parent held a complex part and factor
+        # the real Hermitian part and its factor take 8 d^2 bytes each and the
+        # complex result 16 d^2; a complex part and factor would take 2 x 16 d^2
         mat = np.array(qf.duer_state(8).matrix)
         d = mat.shape[0]
         tracemalloc.start()

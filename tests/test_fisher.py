@@ -27,20 +27,6 @@ def random_real_mixed(rng, n, rank):
     return qf.DensityMatrix(n, rho / np.trace(rho))
 
 
-def record_dtypes(monkeypatch, *names):
-    """Wrap the named ``np.linalg`` functions so that each call records the
-    dtype of its matrix argument; returns {name: [dtypes in call order]}."""
-    seen = {name: [] for name in names}
-    for name in names:
-
-        def recording(a, *args, _call=getattr(np.linalg, name), _seen=seen[name], **kwargs):
-            _seen.append(a.dtype)
-            return _call(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, recording)
-    return seen
-
-
 def projective_povm(basis):
     """Projective POVM from the orthonormal columns of ``basis``."""
     return qf.Povm(tuple(np.outer(b, b.conj()) for b in basis.T))
@@ -324,22 +310,22 @@ class TestRealArithmetic:
                 ref = dense_gamma(rho.matrix, [g])[0, 0]
                 assert abs(qf.qfi(rho, g) - ref) <= 1e-12 * max(1.0, abs(ref))
 
-    def test_lapack_sees_the_real_part(self, monkeypatch):
+    def test_lapack_sees_the_real_part(self, linalg_dtypes):
         rng = np.random.default_rng(13)
-        seen = record_dtypes(monkeypatch, "eigh", "cholesky")
+        seen = linalg_dtypes("eigh", "cholesky")
         for rho in (qf.duer_state(6), random_real_mixed(rng, 3, 4), qf.mix_with_identity(qf.ghz(4), 0.5)):
             qf.qfi_matrix(rho)
         assert seen == {"eigh": [np.float64] * 3, "cholesky": [np.float64] * 3}
 
-    def test_complex_states_stay_complex(self, monkeypatch):
+    def test_complex_states_stay_complex(self, linalg_dtypes):
         rng = np.random.default_rng(14)
-        seen = record_dtypes(monkeypatch, "eigh", "cholesky")
+        seen = linalg_dtypes("eigh", "cholesky")
         for rho in (qf.duer_state(6, phi=0.3), random_mixed(rng, 3, 4)):
             qf.qfi_matrix(rho)
         assert seen == {"eigh": [np.complex128] * 2, "cholesky": [np.complex128] * 2}
 
-    def test_povm_effects(self, monkeypatch):
-        seen = record_dtypes(monkeypatch, "eigvalsh")
+    def test_povm_effects(self, linalg_dtypes):
+        seen = linalg_dtypes("eigvalsh")
         qf.parity_povm(3, "x")
         qf.parity_povm(3, "y")
         assert seen["eigvalsh"] == [np.float64] * 2 + [np.complex128] * 2
