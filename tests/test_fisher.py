@@ -1,5 +1,6 @@
 import tracemalloc
 from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
@@ -223,10 +224,10 @@ class TestSpinKernelsAgainstDense:
 
     def test_generic_generator(self):
         rng = np.random.default_rng(8)
-        for n in (1, 2, 3, 4):
+        for mixed, n in product((random_mixed, random_real_mixed), (1, 2, 3, 4)):
             d = 2**n
             for rank in sorted({1, max(1, d // 2), d}):
-                rho = random_mixed(rng, n, rank)
+                rho = mixed(rng, n, rank)
                 g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                 g = g + g.conj().T
                 ref = dense_gamma(rho.matrix, [g])[0, 0]
@@ -298,17 +299,6 @@ class TestRealArithmetic:
             rhos = zoo._random_ghz_diagonal_batch(rngs, mode)
             for gamma, rho in zip(fisher._gamma_mixed_batch(rhos, 3), rhos):
                 TestSpinKernelsAgainstDense.assert_close(gamma, dense_gamma(rho, jays))
-
-    def test_generic_generator(self):
-        rng = np.random.default_rng(12)
-        for n in (2, 3, 4):
-            d = 2**n
-            for rank in sorted({1, 2, d // 2, d}):
-                rho = random_real_mixed(rng, n, rank)
-                g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                g = g + g.conj().T
-                ref = dense_gamma(rho.matrix, [g])[0, 0]
-                assert abs(qf.qfi(rho, g) - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_lapack_sees_the_real_part(self, linalg_dtypes):
         rng = np.random.default_rng(13)
