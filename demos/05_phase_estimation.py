@@ -1,4 +1,7 @@
-"""Phase estimation end to end: evolve, measure, estimate, compare limits.
+"""Phase estimation end to end: model, measure, estimate, compare limits.
+
+One call of the outcome model gives each run its likelihood table and the
+outcome distribution at the true phase that the counts are drawn from.
 
 The Fisher information is not an abstraction: simulated maximum-likelihood
 estimation saturates 1/sqrt(m F), putting GHZ probes at the Heisenberg

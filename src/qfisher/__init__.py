@@ -78,7 +78,6 @@ from .zoo import (
 )
 from .estimation import (
     EstimationRun,
-    evolve,
     precision_limits,
     run_phase_estimation,
 )

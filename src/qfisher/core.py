@@ -9,8 +9,8 @@ Conventions used throughout the package:
 
 States and explicitly requested operators are stored dense; the qubit count
 is capped (default 12) because the eigendecompositions that dominate the
-cost scale as ``8**N``. The spin-QFI kernels never build a collective spin:
-they apply J_x and J_y to a basis index as bit flips and J_z as a popcount
+cost scale as ``8**N``. The spin-QFI kernel never builds a collective spin:
+it applies J_x and J_y to a basis index as bit flips and J_z as a popcount
 diagonal. Dense generators (1/2) sum_l sigma_(n_l)^(l), the collective spins
 included, are filled entry by entry by ``local_generator``.
 Every other single-qubit operator goes through one private primitive,
@@ -235,7 +235,11 @@ class HermitianOperator:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvariantError(f"operator must be square, got shape {mat.shape}")
-        if not np.max(np.abs(mat - mat.conj().T)) <= HERMITICITY_TOL:  # NaN fails too
+        with np.errstate(invalid="ignore"):  # inf - inf is reported below
+            asym = np.max(np.abs(mat - mat.conj().T))  # NaN or inf where an entry is
+        if not np.isfinite(asym):
+            raise InvariantError("operator has a non-finite entry")
+        if asym > HERMITICITY_TOL:
             raise InvariantError("operator is not Hermitian within 1e-10")
         object.__setattr__(self, "matrix", _frozen(mat))
 
@@ -258,6 +262,15 @@ def _state_matrix(state) -> np.ndarray:
     if isinstance(state, DensityMatrix):
         return state.matrix
     return np.asarray(state, dtype=complex)
+
+
+def _as_batch(state) -> np.ndarray:
+    """A one-member stack: the amplitudes of a pure state or the matrix of a mixed one."""
+    if isinstance(state, PureState):
+        return state.amplitudes[None]
+    if isinstance(state, DensityMatrix):
+        return state.matrix[None]
+    raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
 
 
 def make_pure(num_qubits: int, amplitudes) -> PureState:

@@ -19,9 +19,9 @@ from .core import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    DensityMatrix,
     InvariantError,
     PureState,
+    _as_batch,
     _on_qubit,
     _state_matrix,
     is_ppt,
@@ -174,8 +174,7 @@ def evaluate(batch, num_qubits: int, names) -> dict[str, np.ndarray]:
     needed = set(quantities.values())
     values, flags = {}, {}  # values go through _detects, flags are final
     if needed & {"fq", "fq_avg"}:
-        kernel = fisher._gamma_pure_batch if batch.ndim == 2 else fisher._gamma_mixed_batch
-        gammas = kernel(batch, num_qubits)
+        gammas = fisher._spin_gammas(batch, num_qubits)
         if "fq" in needed:
             values["fq"] = np.linalg.eigvalsh(gammas)[:, -1]
         if "fq_avg" in needed:
@@ -192,13 +191,6 @@ def evaluate(batch, num_qubits: int, names) -> dict[str, np.ndarray]:
         name: flags[name] if name in flags else _detects(name, num_qubits, values[quantity])
         for name, quantity in quantities.items()
     }
-
-
-def _as_batch(state) -> np.ndarray:
-    """A one-member stack: the amplitudes of a pure state, else the matrix."""
-    if isinstance(state, PureState):
-        return state.amplitudes[None]
-    return _state_matrix(state)[None]
 
 
 @dataclass(frozen=True)
@@ -387,10 +379,8 @@ def build_report(
     seed=0,
 ) -> CriterionReport:
     """Run every applicable criterion on one pure or mixed state."""
-    if not isinstance(state, (PureState, DensityMatrix)):
-        raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
+    gamma = qfi_matrix(state)  # raises TypeError for anything but a state
     n = state.num_qubits
-    gamma = qfi_matrix(state)
     value_max, direction = gamma.max_direction()
     value_avg = gamma.average()
     depth_max = entanglement_depth(value_max, n, "qfi")

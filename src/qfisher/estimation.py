@@ -1,10 +1,11 @@
-"""Phase-estimation simulator: evolve, measure, estimate, compare to limits.
+"""Phase-estimation simulator: model, measure, estimate, compare to limits.
 
-A probe state is conjugated by exp(-i theta H), its POVM outcome
-distribution is computed once, m outcomes are drawn from it per trial, and
-a grid maximum-likelihood estimator recovers theta. Repeating the trial
-gives an empirical standard deviation to hold against the Cramer-Rao bound
-1 / sqrt(m F) and the shot-noise / Heisenberg floors.
+A probe state evolves under exp(-i theta H). One call of the outcome model
+``model_probabilities`` gives the POVM outcome probabilities on the
+likelihood grid and at the true phase; m outcomes are drawn from the latter
+per trial, and a grid maximum-likelihood estimator recovers theta.
+Repeating the trial gives an empirical standard deviation to hold against
+the Cramer-Rao bound 1 / sqrt(m F) and the shot-noise / Heisenberg floors.
 """
 
 from __future__ import annotations
@@ -13,12 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, PureState, _as_matrix, _state_matrix
 from .fisher import Povm, model_probabilities
 
 __all__ = [
     "EstimationRun",
-    "evolve",
     "precision_limits",
     "run_phase_estimation",
 ]
@@ -45,30 +44,18 @@ class EstimationRun:
             raise ValueError("standard deviation cannot be negative")
 
 
-def evolve(state, generator, theta: float) -> DensityMatrix:
-    """Conjugate a state by exp(-i theta G) through the eigenbasis of G."""
-    g = _as_matrix(generator)
-    rho = _state_matrix(state)
-    if rho.shape != g.shape:
-        raise ValueError(f"dimension mismatch: state {rho.shape}, generator {g.shape}")
-    num_qubits = state.num_qubits if isinstance(state, (PureState, DensityMatrix)) else int(
-        round(np.log2(g.shape[0]))
-    )
-    lam, v = np.linalg.eigh(g)
-    phases = np.exp(-1j * theta * lam)
-    u = (v * phases) @ v.conj().T
-    return DensityMatrix(num_qubits, u @ rho @ u.conj().T)
-
-
-def _likelihood_table(state, generator, povm: Povm, theta_grid) -> tuple[np.ndarray, np.ndarray]:
-    """Validated grid and log P[t, mu] on it; the table never depends on the counts."""
+def _likelihood_table(state, generator, povm: Povm, theta_grid, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated grid, log P[t, mu] on it and P[mu] at ``theta``, from one
+    model call on the grid with ``theta`` appended; the table never depends
+    on the counts."""
     grid = np.asarray(theta_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise ValueError("theta grid needs at least three points")
-    probs = model_probabilities(state, generator, povm, grid)
+    probs = model_probabilities(state, generator, povm, np.append(grid, theta))
+    probs, at_theta = probs[:-1], probs[-1]
     if np.max(probs.max(axis=0) - probs.min(axis=0)) < 1e-14:
         raise ValueError("flat likelihood: outcome probabilities do not depend on theta")
-    return grid, np.log(np.clip(probs, 1e-300, None))
+    return grid, np.log(np.clip(probs, 1e-300, None)), at_theta
 
 
 def _refine_peak(counts, grid: np.ndarray, log_probs: np.ndarray) -> float:
@@ -106,10 +93,10 @@ def run_phase_estimation(
 
     The likelihood grid spans ``window`` (callers restrict it to a stretch
     where the fringe pattern is unambiguous). Its table and the outcome
-    distribution at the true phase are computed once per run; each trial
-    draws multinomial counts from its own seed-and-index RNG stream, so
-    results do not depend on scheduling, and then only refines the
-    likelihood peak.
+    distribution at the true phase come from one ``model_probabilities``
+    call per run; each trial draws multinomial counts from its own
+    seed-and-index RNG stream, so results do not depend on scheduling, and
+    then only refines the likelihood peak.
     """
     if m < 1 or trials < 1:
         raise ValueError("shots per estimate and trial count must be positive")
@@ -118,10 +105,9 @@ def run_phase_estimation(
     lo, hi = window
     if not lo < true_theta < hi:
         raise ValueError("true phase must lie inside the estimation window")
-    rho = evolve(state, generator, true_theta).matrix
-    # the table rejects a non-Povm before povm.elements is read below
-    grid, log_probs = _likelihood_table(state, generator, povm, np.linspace(lo, hi, grid_points))
-    probs = np.array([float(np.real(np.trace(rho @ e))) for e in povm.elements])
+    grid, log_probs, probs = _likelihood_table(
+        state, generator, povm, np.linspace(lo, hi, grid_points), true_theta
+    )
     if probs.min() < -1e-9 or probs.max() > 1.0 + 1e-9:
         raise ValueError(f"outcome probabilities out of range: {probs}")
     probs = np.clip(probs, 0.0, None)

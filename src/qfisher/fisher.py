@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    HERMITICITY_TOL,
     PAULIS,
-    DensityMatrix,
     InvariantError,
     PureState,
-    variance,
+    _as_batch,
     _as_matrix,
     _on_qubit,
     _pauli_power,
@@ -134,42 +134,49 @@ def _real_gram(x: np.ndarray) -> np.ndarray:
     return flat @ flat.swapaxes(-1, -2)
 
 
-def _mixed_qfi_batch(rhos: np.ndarray, apply, num_ops: int, zero_cut: float = ZERO_CUT) -> np.ndarray:
-    """QFI matrices Gamma_ij of a (B, d, d) stack of density matrices for
-    ``num_ops`` generators G_i, shape (B, num_ops, num_ops); ``apply(x)``
-    returns the G_i x stacked as a complex (num_ops,) + x.shape array, with
-    G_i acting on axis -2 of x.
+def _qfi_batch(states: np.ndarray, apply, num_ops: int, zero_cut: float = ZERO_CUT) -> np.ndarray:
+    """QFI matrices Gamma_ij of a (B, d) stack of amplitude vectors or a
+    (B, d, d) stack of density matrices for ``num_ops`` generators G_i, shape
+    (B, num_ops, num_ops); ``apply(x)`` returns the G_i x stacked as a complex
+    (num_ops,) + x.shape array, with G_i acting on axis -2 of x.
 
-    Only the support enters. S holds the eigenvectors whose eigenvalue is
-    above ``zero_cut`` times the trace in some member of the batch, and a
-    member's other eigenvalues count as 0. The pair weight
-    (lam_a - lam_b)^2 / (lam_a + lam_b) equals lam_a + lam_b - 4 lam_a lam_b /
-    (lam_a + lam_b), so with W = V_S sqrt(lam) and m_i = W^dag G_i W the pair
-    sum 2 sum_ab w_ab Re (G_i)_ab (G_j)_ba becomes
-    Gamma_ij = 4 Re <G_i W|G_j W> - 8 sum_ab Re(m_i,ab conj(m_j,ab)) / (lam_a + lam_b).
-    G acts on the d x r block W alone, and no d x d pair table is built.
-    A stack with no imaginary part is diagonalised by real LAPACK, so W is
-    real and each m_i is one real product with the (re, im) view of G_i W.
+    Only the support enters, as W = V_S sqrt(lam). A pure stack is its own
+    support: W = psi and lam = 1, with no eigendecomposition. For a mixed
+    stack, S holds the eigenvectors whose eigenvalue is above ``zero_cut``
+    times the trace in some member of the batch, and a member's other
+    eigenvalues count as 0. The pair weight (lam_a - lam_b)^2 / (lam_a +
+    lam_b) equals lam_a + lam_b - 4 lam_a lam_b / (lam_a + lam_b), so with
+    m_i = W^dag G_i W the pair sum 2 sum_ab w_ab Re (G_i)_ab (G_j)_ba becomes
+    Gamma_ij = 4 Re <G_i W|G_j W> - 8 sum_ab Re(m_i,ab conj(m_j,ab)) / (lam_a + lam_b),
+    which for a pure state is 4 Re Cov(G_i, G_j). G acts on the d x r block W
+    alone, and no d x d pair table is built. A mixed stack with no imaginary
+    part is diagonalised by real LAPACK, so W is real and each m_i is one
+    real product with the (re, im) view of G_i W.
     """
-    b, d, _ = rhos.shape
-    # eigenvectors, LAPACK's copy of one matrix and its complex and real
-    # workspace (a real stack needs about half of this)
-    _check_budget(16 * d * d * (b + 3), "the eigendecomposition")
-    evals, vecs = np.linalg.eigh(_real_if_real(rhos))
-    kept = evals > zero_cut * np.sum(evals, axis=-1, keepdims=True)
-    first = d - int(kept.sum(axis=-1).max())  # eigenvalues ascend, so S is a suffix
-    lam = np.where(kept, evals, 0.0)[:, first:]
-    r = d - first
+    pure = states.ndim == 2
+    if pure:
+        b, d = states.shape
+        w, lam = states[:, :, None], np.ones((b, 1))  # w is the caller's array
+    else:
+        b, d, _ = states.shape
+        # eigenvectors, LAPACK's copy of one matrix and its complex and real
+        # workspace (a real stack needs about half of this)
+        _check_budget(16 * d * d * (b + 3), "the eigendecomposition")
+        evals, vecs = np.linalg.eigh(_real_if_real(states))
+        kept = evals > zero_cut * np.sum(evals, axis=-1, keepdims=True)
+        first = d - int(kept.sum(axis=-1).max())  # eigenvalues ascend, so S is a suffix
+        lam = np.where(kept, evals, 0.0)[:, first:]
+        w = vecs[:, :, first:] * np.sqrt(lam)[:, None, :]
+        del vecs
+    r = lam.shape[1]
     # W, the G_i W, and one m_i before it moves into the space of G_i W
     _check_budget(16 * b * r * (d + num_ops * d + r), "the mixed QFI kernel")
-    den = lam[:, :, None] + lam[:, None, :]
-    scale = np.sqrt(np.divide(1.0, den, out=np.zeros_like(den), where=den > 0))
-    w = vecs[:, :, first:] * np.sqrt(lam)[:, None, :]
-    del vecs, den
+    scale = lam[:, :, None] + lam[:, None, :]
+    np.sqrt(np.divide(1.0, scale, out=scale, where=scale > 0), out=scale)  # 0 stays 0
     gw = apply(w)  # (num_ops, B, d, r)
     gamma = 4.0 * _real_gram(gw)
     real = not np.iscomplexobj(w)
-    w_dag = (w if real else np.conj(w, out=w)).swapaxes(-1, -2)
+    w_dag = (w if real else np.conj(w, out=None if pure else w)).swapaxes(-1, -2)
     # m_i overwrites the start of G_i W, which nothing reads after it
     m = gw.reshape(num_ops, -1)[:, : b * r * r].reshape(num_ops, b, r, r)
     for i in range(num_ops):
@@ -182,46 +189,24 @@ def _mixed_qfi_batch(rhos: np.ndarray, apply, num_ops: int, zero_cut: float = ZE
 
 
 def qfi(state, generator, zero_cut: float = ZERO_CUT) -> float:
-    """Quantum Fisher information of a state for a Hermitian generator.
-
-    Pure states use the closed form 4 * variance; mixed states go through
-    the eigendecomposition, restricted to the eigenvalues above ``zero_cut``
-    times the trace (``_mixed_qfi_batch``).
-    """
+    """Quantum Fisher information of a pure or mixed state for a Hermitian
+    generator, from its support: the eigenvalues above ``zero_cut`` times the
+    trace of a mixed state (``_qfi_batch``)."""
     g = _as_matrix(generator)
-    if isinstance(state, PureState):
-        return 4.0 * variance(state, g)
-    if not isinstance(state, DensityMatrix):
-        raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
-    if g.shape != state.matrix.shape:
-        raise ValueError(f"dimension mismatch: state {state.matrix.shape}, generator {g.shape}")
-    gamma = _mixed_qfi_batch(state.matrix[None, :, :], lambda v: (g @ v)[None], 1, zero_cut)
-    return float(gamma[0, 0, 0])
+    batch = _as_batch(state)
+    if g.shape != (batch.shape[1],) * 2:
+        raise ValueError(f"dimension mismatch: state {batch.shape[1:]}, generator {g.shape}")
+    return float(_qfi_batch(batch, lambda v: (g @ v)[None], 1, zero_cut)[0, 0, 0])
 
 
-def _gamma_pure_batch(psis: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Spin-QFI matrices 4 Re Cov(J_i, J_j) of a batch of pure states, (B, 3, 3)."""
-    v = _apply_spins(psis, num_qubits)
-    e = np.real(np.einsum("bx,ibx->bi", psis.conj(), v))
-    s = np.real(np.einsum("ibx,jbx->bij", v.conj(), v))
-    return 4.0 * (s - e[:, :, None] * e[:, None, :])
-
-
-def _gamma_mixed_batch(rhos: np.ndarray, num_qubits: int, zero_cut: float = ZERO_CUT) -> np.ndarray:
-    """Spin-QFI matrices for a batch of density matrices, shape (B, 3, 3)."""
-    return _mixed_qfi_batch(rhos, lambda v: _apply_spins(v, num_qubits, axis=-2), 3, zero_cut)
+def _spin_gammas(batch: np.ndarray, num_qubits: int, zero_cut: float = ZERO_CUT) -> np.ndarray:
+    """Spin-QFI matrices of a (B, d) pure or (B, d, d) mixed stack, (B, 3, 3)."""
+    return _qfi_batch(batch, lambda v: _apply_spins(v, num_qubits, axis=-2), 3, zero_cut)
 
 
 def qfi_matrix(state, zero_cut: float = ZERO_CUT) -> SpinQfiMatrix:
     """3x3 collective-spin QFI matrix of a pure or mixed state."""
-    if isinstance(state, PureState):
-        gamma = _gamma_pure_batch(state.amplitudes[None, :], state.num_qubits)[0]
-    elif isinstance(state, DensityMatrix):
-        gamma = _gamma_mixed_batch(state.matrix[None, :, :], state.num_qubits, zero_cut)[0]
-    else:
-        raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
-    gamma = np.triu(gamma) + np.triu(gamma, 1).T  # exactly symmetric
-    return SpinQfiMatrix(gamma, state.num_qubits)
+    return SpinQfiMatrix(_spin_gammas(_as_batch(state), state.num_qubits, zero_cut)[0], state.num_qubits)
 
 
 def qfi_max(state) -> tuple[float, np.ndarray]:
@@ -266,7 +251,10 @@ class Povm:
             if e.shape != (d, d):
                 raise InvariantError("POVM elements must share one square shape")
             h = _real_if_real(e)
-            if np.linalg.eigvalsh((h + h.conj().T) / 2)[0] < -1e-9:
+            with np.errstate(invalid="ignore"):  # a NaN or inf entry fails the sum below
+                if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
+                    raise InvariantError("POVM element is not Hermitian within 1e-10")
+            if np.linalg.eigvalsh(h)[0] < -1e-9:
                 raise InvariantError("POVM element is not positive semidefinite")
             total += e
         if not np.max(np.abs(total - np.eye(d))) <= 1e-9:  # NaN fails too

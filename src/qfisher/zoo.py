@@ -230,21 +230,18 @@ def ghz_basis_state(bits, phi: float = 0.0) -> PureState:
     return PureState(n, amps)
 
 
-def _haar_draws(rng: np.random.Generator) -> np.ndarray:
-    """One stream's 7 uniforms and 7 phases for ``_random_pure_batch``."""
-    return np.concatenate((rng.random(7), rng.uniform(0.0, 2.0 * np.pi, 7)))
-
-
 def _random_pure_batch(rngs) -> np.ndarray:
     """(B, 8) Haar-random 3-qubit amplitudes, row k drawn from the k-th
     generator of the iterable ``rngs``, by inverse-CDF spherical coordinates.
     The stack is not validated; its caller does that once.
 
     The hyperspherical angles have distribution function sin(alpha_i)^(2i),
-    so alpha_i = arcsin(u^(1/(2i))) with u uniform; the phases are uniform.
+    so alpha_i = arcsin(u^(1/(2i))) with u uniform; the phases are 2 pi u.
+    Each stream gives one ``random(14)``: 7 u's, then 7 for the phases (the
+    numbers of ``random(7)`` and ``uniform(0, 2 pi, 7)`` in turn).
     """
-    draws = np.fromiter(map(_haar_draws, rngs), dtype=np.dtype((float, 14)))
-    u, phis = draws[:, :7], draws[:, 7:]
+    draws = np.fromiter((rng.random(14) for rng in rngs), dtype=np.dtype((float, 14)))
+    u, phis = draws[:, :7], 2.0 * np.pi * draws[:, 7:]
     alphas = np.arcsin(u ** (1.0 / (2.0 * np.arange(1, 8))))
     sines = np.sin(alphas)
     cosines = np.cos(alphas)

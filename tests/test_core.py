@@ -182,8 +182,10 @@ class TestNonFiniteEntries:
                 _check_pure_stack(stack)
 
     def test_operator_and_povm(self):
-        with pytest.raises(InvariantError, match="not Hermitian"):
-            qf.HermitianOperator(np.diag([np.nan, 1.0]))
+        for value in (np.nan, np.inf, -np.inf):
+            for mat in (np.diag([value, 1.0]), np.array([[1.0, value], [0.0, 1.0]])):
+                with pytest.raises(InvariantError, match=r"^operator has a non-finite entry$"):
+                    qf.HermitianOperator(mat)
         with pytest.raises(InvariantError, match="do not sum to the identity"):
             qf.Povm((np.diag([np.nan, 0.5]), np.diag([0.5, 0.5])))
 

@@ -439,8 +439,7 @@ class TestEvaluate:
         flags = evaluate(batch, n, names)
         assert list(flags) == list(names)
         # the values behind the flags, from the engine's helpers on the stack
-        kernel = fisher._gamma_pure_batch if batch.ndim == 2 else fisher._gamma_mixed_batch
-        gammas = kernel(batch, n)
+        gammas = fisher._spin_gammas(batch, n)
         fq_max = np.linalg.eigvalsh(gammas)[:, -1]
         fq_avg = np.trace(gammas, axis1=1, axis2=2) / 3.0
         fidelity = _ghz_fidelity(batch, n)
@@ -491,10 +490,21 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(qf.ghz(3).amplitudes, 3, ("fq_2",))
 
+    def test_stacks_left_unchanged(self):
+        # complex amplitudes: an in-place conjugate would show in the bytes
+        names = ("fq_2", "fq_avg_3", "witness")
+        psis = zoo._random_pure_batch(np.random.default_rng([1, i]) for i in range(50))
+        rhos = np.stack([rho.matrix for rho in sampled_states("full_family")[:50]])
+        for batch in (psis, rhos):
+            assert batch.flags.writeable
+            before = batch.tobytes()
+            evaluate(batch, 3, names)
+            assert batch.tobytes() == before
+
     def test_spin_qfi_computed_once_and_only_when_needed(self, monkeypatch):
         calls = []
-        kernel = fisher._gamma_pure_batch
-        monkeypatch.setattr(fisher, "_gamma_pure_batch", lambda *args: calls.append(1) or kernel(*args))
+        kernel = fisher._spin_gammas
+        monkeypatch.setattr(fisher, "_spin_gammas", lambda *args: calls.append(1) or kernel(*args))
         psis = stack(zoo_states(3)[0])
         evaluate(psis, 3, ("dme", "dme_family", "witness", "ppt_all_cuts"))
         assert not calls

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -11,42 +13,60 @@ def z_basis_povm(num_qubits):
 
 
 def per_trial_estimate(state, gen, povm, theta0, m, rng, grid):
-    """One estimate built from scratch: evolved probe, outcome distribution,
-    multinomial counts and likelihood table."""
-    rho = qf.evolve(state, gen, theta0).matrix
-    probs = np.clip([np.real(np.trace(rho @ e)) for e in povm.elements], 0.0, None)
+    """One estimate built from scratch: the model call on the grid plus
+    theta0, multinomial counts from P(theta0) and the likelihood peak."""
+    grid, log_probs, probs = _likelihood_table(state, gen, povm, grid, theta0)
+    probs = np.clip(probs, 0.0, None)
     counts = rng.multinomial(m, probs / probs.sum())
-    return _refine_peak(counts, *_likelihood_table(state, gen, povm, grid))
+    return _refine_peak(counts, grid, log_probs)
 
 
-class TestEvolve:
-    def test_zero_phase_is_identity(self):
-        rho = qf.mix_with_identity(qf.ghz(3), 0.7)
-        out = qf.evolve(rho, qf.collective_spin(3, "z"), 0.0)
-        assert np.allclose(out.matrix, rho.matrix, atol=1e-14)
+def dense_spin_z(num_qubits):
+    """Collective J_z as a kron sum, independent of the library."""
+    jz = np.zeros((2**num_qubits,) * 2)
+    for l in range(num_qubits):
+        jz += np.kron(np.kron(np.eye(2**l), np.diag([0.5, -0.5])), np.eye(2 ** (num_qubits - 1 - l)))
+    return jz
+
+
+class TestOutcomeDistribution:
+    """P(mu | theta0), which the run draws its counts from, against a dense
+    evolution Tr(U rho U^dag E_mu) with U = exp(-i theta0 G) built here."""
+
+    @staticmethod
+    def dense_probabilities(rho, g, povm, theta):
+        lam, v = np.linalg.eigh(g)
+        u = (v * np.exp(-1j * theta * lam)) @ v.conj().T
+        evolved = u @ rho @ u.conj().T
+        return np.array([np.real(np.trace(evolved @ e)) for e in povm.elements])
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_dense_evolution(self, n):
+        rng = np.random.default_rng(40 + n)
+        a = rng.standard_normal((2**n, 3)) + 1j * rng.standard_normal((2**n, 3))
+        probes = [
+            qf.ghz(n),
+            qf.plus_state(n),
+            qf.mix_with_identity(qf.ghz(n), 0.7),
+            qf.DensityMatrix(n, a @ a.conj().T / np.trace(a @ a.conj().T).real),
+        ]
+        direction = rng.standard_normal(3)
+        gens = [dense_spin_z(n), qf.spin_along(n, direction / np.linalg.norm(direction)).matrix]
+        grid = np.linspace(0.0, np.pi, 7)
+        for probe, g, povm in product(probes, gens, (qf.parity_povm(n, "x"), qf.x_basis_povm(n))):
+            rho = qf.density_from_pure(probe).matrix if isinstance(probe, qf.PureState) else probe.matrix
+            for theta in (0.0, np.pi / (2 * n), 1.234):
+                got = _likelihood_table(probe, g, povm, grid, theta)[2]
+                ref = self.dense_probabilities(rho, g, povm, theta)
+                assert np.max(np.abs(got - ref)) <= 1e-12
 
     def test_ghz_corner_phase(self):
-        # the corner coherence of the GHZ projector rotates N times faster
+        # parity in x reads the corner coherence, which turns N times faster
         for n, theta in ((3, 0.3), (4, 0.11)):
-            rho = qf.density_from_pure(qf.ghz(n))
-            out = qf.evolve(rho, qf.collective_spin(n, "z"), theta)
-            corner = out.matrix[0, 2**n - 1]
-            assert abs(corner - 0.5 * np.exp(-1j * n * theta)) <= 1e-12
-
-    def test_spectrum_preserved(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        rho = qf.DensityMatrix(3, (a @ a.conj().T) / np.trace(a @ a.conj().T).real)
-        h = qf.spin_along(3, np.array([1.0, 1.0, 1.0]) / np.sqrt(3))
-        out = qf.evolve(rho, h, 1.234)
-        assert np.allclose(
-            np.linalg.eigvalsh(out.matrix), np.linalg.eigvalsh(rho.matrix), atol=1e-10
-        )
-        assert abs(np.trace(out.matrix) - 1.0) <= 1e-10
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            qf.evolve(qf.ghz(2), qf.collective_spin(3, "z"), 0.1)
+            probs = _likelihood_table(
+                qf.ghz(n), qf.collective_spin(n, "z"), qf.parity_povm(n, "x"), np.linspace(0, 1, 3), theta
+            )[2]
+            assert abs(probs[0] - (1 + np.cos(n * theta)) / 2) <= 1e-12
 
 
 class TestMlEstimate:
@@ -55,9 +75,9 @@ class TestMlEstimate:
         state = qf.density_from_pure(qf.ghz(n))
         gen = qf.collective_spin(n, "z")
         povm = qf.parity_povm(n, "x")
-        probs = qf.model_probabilities(state, gen, povm, [theta0])[0]
         grid = np.linspace(theta0 - 0.3, theta0 + 0.3, 401)
-        est = _refine_peak(1000 * probs, *_likelihood_table(state, gen, povm, grid))
+        grid, log_probs, probs = _likelihood_table(state, gen, povm, grid, theta0)
+        est = _refine_peak(1000 * probs, grid, log_probs)
         assert abs(est - theta0) <= 2 * (grid[1] - grid[0])
 
 
@@ -127,22 +147,11 @@ class TestPhaseEstimationRuns:
         assert np.max(np.abs(run.estimator_values - loop)) <= 1e-12
 
     @pytest.mark.parametrize("trials", [1, 7])
-    def test_probe_evolved_once_per_run(self, trials, monkeypatch):
-        from qfisher import estimation
-
-        calls = []
-
-        def counting_evolve(*args):
-            calls.append(args)
-            return qf.evolve(*args)
-
-        monkeypatch.setattr(estimation, "evolve", counting_evolve)
-        theta0 = np.pi / 4
-        qf.run_phase_estimation(
-            qf.ghz(2), qf.collective_spin(2, "z"), qf.parity_povm(2, "x"), theta0,
-            m=50, trials=trials, window=(0.0, np.pi / 2),
-        )
-        assert len(calls) == 1
+    def test_generator_diagonalised_once_per_run(self, trials, linalg_dtypes):
+        args = (qf.ghz(2), qf.collective_spin(2, "z"), qf.parity_povm(2, "x"), np.pi / 4)
+        seen = linalg_dtypes("eigh")
+        qf.run_phase_estimation(*args, m=50, trials=trials, window=(0.0, np.pi / 2))
+        assert len(seen["eigh"]) == 1
 
     def test_input_validation(self):
         args = (qf.ghz(2), qf.collective_spin(2, "z"))
@@ -152,6 +161,8 @@ class TestPhaseEstimationRuns:
                 qf.run_phase_estimation(*args, qf.parity_povm(2, "x"), 0.3, m, trials, **kw)
         with pytest.raises(TypeError, match="Povm"):
             qf.run_phase_estimation(*args, [np.eye(4)], 0.3, 10, 5, **kw)
+        with pytest.raises(ValueError, match="dimensions do not match"):
+            qf.run_phase_estimation(qf.ghz(2), qf.collective_spin(3, "z"), qf.parity_povm(3, "x"), 0.3, 10, 5, **kw)
 
     def test_flat_likelihood_and_short_grid_rejected(self):
         kw = dict(m=10, trials=3, window=(0.0, 1.0))

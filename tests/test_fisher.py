@@ -63,6 +63,12 @@ class TestQfi:
             h = qf.spin_along(3, random_direction(rng))
             mixed_path = qf.qfi(qf.density_from_pure(psi), h)
             assert abs(mixed_path - 4.0 * qf.variance(psi, h)) <= 1e-8
+            assert abs(qf.qfi(psi, h) - 4.0 * qf.variance(psi, h)) <= 1e-12 * max(1.0, qf.qfi(psi, h))
+
+    def test_rejects_a_bare_array(self):
+        for call in (lambda a: qf.qfi(a, np.eye(2)), qf.qfi_matrix):
+            with pytest.raises(TypeError, match="expected PureState or DensityMatrix"):
+                call(np.eye(2) / 2)
 
     def test_dimension_mismatch(self):
         for state in (qf.ghz(2), qf.density_from_pure(qf.ghz(2))):
@@ -171,6 +177,14 @@ def dense_gamma_pure(psi, jays):
     )
 
 
+def covariance_gammas(psis, num_qubits):
+    """The pure-state formula 4 Re Cov(J_i, J_j) of a (B, d) stack, (B, 3, 3)."""
+    v = fisher._apply_spins(psis, num_qubits)
+    e = np.real(np.einsum("bx,ibx->bi", psis.conj(), v))
+    s = np.real(np.einsum("ibx,jbx->bij", v.conj(), v))
+    return 4.0 * (s - e[:, :, None] * e[:, None, :])
+
+
 class TestSpinKernelsAgainstDense:
     """The bit-flip kernels against dense J's built in the test itself."""
 
@@ -185,6 +199,15 @@ class TestSpinKernelsAgainstDense:
         for _ in range(3):
             psi = random_pure(rng, n)
             self.assert_close(qf.qfi_matrix(psi).matrix, dense_gamma_pure(psi.amplitudes, jays))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_pure_stack_against_covariance_formula(self, n):
+        # Gaussian amplitudes, normalised: Haar-random states
+        rng = np.random.default_rng(150 + n)
+        psis = rng.standard_normal((20, 2**n)) + 1j * rng.standard_normal((20, 2**n))
+        psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+        for gamma, ref in zip(fisher._spin_gammas(psis, n), covariance_gammas(psis, n)):
+            self.assert_close(gamma, ref)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_mixed_full_rank_and_rank_deficient(self, n):
@@ -217,7 +240,7 @@ class TestSpinKernelsAgainstDense:
         # dropped eigenvalues must weigh nothing
         rng = np.random.default_rng(7)
         rhos = np.stack([random_mixed(rng, 3, rank).matrix for rank in range(1, 9)])
-        gammas = fisher._gamma_mixed_batch(rhos[::-1], 3)
+        gammas = fisher._spin_gammas(rhos[::-1], 3)
         jays = dense_collective_spins(3)
         for gamma, rho in zip(gammas, rhos[::-1]):
             self.assert_close(gamma, dense_gamma(rho, jays))
@@ -297,7 +320,7 @@ class TestRealArithmetic:
         for mode in ("dme_violating", "full_family", "bound_entangled"):
             rngs = [np.random.default_rng([4, i]) for i in range(16)]
             rhos = zoo._random_ghz_diagonal_batch(rngs, mode)
-            for gamma, rho in zip(fisher._gamma_mixed_batch(rhos, 3), rhos):
+            for gamma, rho in zip(fisher._spin_gammas(rhos, 3), rhos):
                 TestSpinKernelsAgainstDense.assert_close(gamma, dense_gamma(rho, jays))
 
     def test_lapack_sees_the_real_part(self, linalg_dtypes):
@@ -455,6 +478,13 @@ class TestPovm:
             qf.Povm((eye * 0.5,))  # incomplete
         with pytest.raises(InvariantError):
             qf.Povm((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))  # negative element
+
+    def test_non_hermitian_effects_rejected(self):
+        # I/2 +- 0.4i X sum to I and have PSD Hermitian parts I/2
+        x = PAULIS["x"]
+        for part in (0.4j * x, 0.4 * (PAULIS["z"] @ x)):
+            with pytest.raises(InvariantError, match=r"^POVM element is not Hermitian within 1e-10$"):
+                qf.Povm((np.eye(2) / 2 + part, np.eye(2) / 2 - part))
 
 
 class TestClassicalFisher:
