@@ -54,8 +54,8 @@ CASES = {
 # phase-sim summary (std, ratio) at the configurations above; the CSV keeps
 # only 10 significant digits of each estimate, so the summary is pinned too
 PHASE_SIM_SUMMARY = {
-    "phase_sim_ghz4.csv": (0.008202192850879966, 1.0375044486692202),
-    "phase_sim_plus4.csv": (0.01582583810848902, 1.0009138860783247),
+    "phase_sim_ghz4.csv": (0.008202192850879593, 1.037504448669173),
+    "phase_sim_plus4.csv": (0.01781481834977703, 1.1267080417491524),
 }
 
 
