@@ -156,7 +156,7 @@ def _qfi_batch(states: np.ndarray, apply, num_ops: int, zero_cut: float = ZERO_C
     pure = states.ndim == 2
     if pure:
         b, d = states.shape
-        w, lam = states[:, :, None], np.ones((b, 1))  # w is the caller's array
+        w, lam = states[:, :, None], np.ones((b, 1))  # a view: never written
     else:
         b, d, _ = states.shape
         # eigenvectors, LAPACK's copy of one matrix and its complex and real
@@ -172,7 +172,7 @@ def _qfi_batch(states: np.ndarray, apply, num_ops: int, zero_cut: float = ZERO_C
     # W, the G_i W, and one m_i before it moves into the space of G_i W
     _check_budget(16 * b * r * (d + num_ops * d + r), "the mixed QFI kernel")
     scale = lam[:, :, None] + lam[:, None, :]
-    np.sqrt(np.divide(1.0, scale, out=scale, where=scale > 0), out=scale)  # 0 stays 0
+    np.sqrt(np.divide(1.0, scale, out=scale, where=scale > 0), out=scale)  # 0 where lam_a + lam_b is
     gw = apply(w)  # (num_ops, B, d, r)
     gamma = 4.0 * _real_gram(gw)
     real = not np.iscomplexobj(w)

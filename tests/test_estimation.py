@@ -60,14 +60,6 @@ class TestOutcomeDistribution:
                 ref = self.dense_probabilities(rho, g, povm, theta)
                 assert np.max(np.abs(got - ref)) <= 1e-12
 
-    def test_ghz_corner_phase(self):
-        # parity in x reads the corner coherence, which turns N times faster
-        for n, theta in ((3, 0.3), (4, 0.11)):
-            probs = _likelihood_table(
-                qf.ghz(n), qf.collective_spin(n, "z"), qf.parity_povm(n, "x"), np.linspace(0, 1, 3), theta
-            )[2]
-            assert abs(probs[0] - (1 + np.cos(n * theta)) / 2) <= 1e-12
-
 
 class TestMlEstimate:
     def test_noiseless_counts_recover_phase(self):
