@@ -21,14 +21,6 @@ def per_trial_estimate(state, gen, povm, theta0, m, rng, grid):
     return _refine_peak(counts, grid, log_probs)
 
 
-def dense_spin_z(num_qubits):
-    """Collective J_z as a kron sum, independent of the library."""
-    jz = np.zeros((2**num_qubits,) * 2)
-    for l in range(num_qubits):
-        jz += np.kron(np.kron(np.eye(2**l), np.diag([0.5, -0.5])), np.eye(2 ** (num_qubits - 1 - l)))
-    return jz
-
-
 class TestOutcomeDistribution:
     """P(mu | theta0), which the run draws its counts from, against a dense
     evolution Tr(U rho U^dag E_mu) with U = exp(-i theta0 G) built here."""
@@ -51,7 +43,7 @@ class TestOutcomeDistribution:
             qf.DensityMatrix(n, a @ a.conj().T / np.trace(a @ a.conj().T).real),
         ]
         direction = rng.standard_normal(3)
-        gens = [dense_spin_z(n), qf.spin_along(n, direction / np.linalg.norm(direction)).matrix]
+        gens = [qf.collective_spin(n, "z").matrix, qf.spin_along(n, direction / np.linalg.norm(direction)).matrix]
         grid = np.linspace(0.0, np.pi, 7)
         for probe, g, povm in product(probes, gens, (qf.parity_povm(n, "x"), qf.x_basis_povm(n))):
             rho = qf.density_from_pure(probe).matrix if isinstance(probe, qf.PureState) else probe.matrix
