@@ -69,6 +69,8 @@ class CampaignConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be at least 0")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.m < 1:

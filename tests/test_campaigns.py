@@ -223,6 +223,8 @@ class TestRunCampaign:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             CampaignConfig("table2", samples=0)
+        with pytest.raises(ValueError, match="^seed must be at least 0$"):
+            CampaignConfig("table2", seed=-1)
 
 
 class _RecordingPool:
@@ -291,6 +293,11 @@ class TestCli:
 
     def test_missing_option_exit_2(self, capsys):
         assert main(["bounds-curve"]) == 2
+
+    @pytest.mark.parametrize("argv", [["table2"], ["bounds-curve", "--n", "4"]])
+    def test_negative_seed_exit_2(self, argv, capsys):
+        assert main([*argv, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be at least 0\n"
 
     @pytest.mark.parametrize(
         "flags",
