@@ -140,22 +140,25 @@ def _check_density_stack(mats: np.ndarray) -> np.ndarray:
     -PSD_TOL up to rounding. Only when some factorisation fails does one
     batched ``eigvalsh`` decide and report the smallest eigenvalue.
 
-    A stack with no imaginary part is checked in real arithmetic: its
-    Hermitian part is built as a float array, factorised (and, if needed,
-    diagonalised) by real LAPACK and converted to complex once, at the end.
+    A float stack, or a complex one with no imaginary part, is checked in
+    real arithmetic: its Hermitian part is built as a float array,
+    factorised (and, if needed, diagonalised) by real LAPACK and converted
+    to complex once, at the end.
     Otherwise the real and imaginary parts are combined through views, so no
     conjugate copy is made. Besides its result, the check holds at most one
     d x d temporary and the two buffers of the factorisation.
     """
-    re, im = mats.real, mats.imag
-    real = not im.any()
-    re_t, im_t = re.swapaxes(-1, -2), im.swapaxes(-1, -2)
+    re = mats.real
+    re_t = re.swapaxes(-1, -2)
+    # a float stack has no imaginary part to read; its .imag would be a new zero array
+    im = mats.imag if np.iscomplexobj(mats) else None
+    real = im is None or not im.any()
     with np.errstate(invalid="ignore"):  # inf - inf is reported below
         asym = re - re_t
         if real:
             np.abs(asym, out=asym)
         else:
-            np.hypot(asym, im + im_t, out=asym)  # |rho - rho^dag|
+            np.hypot(asym, im + im.swapaxes(-1, -2), out=asym)  # |rho - rho^dag|
     asym = asym.max(axis=(-2, -1))  # NaN or inf where an entry is
     _raise_first(~np.isfinite(asym), "density matrix has a non-finite entry")
     _raise_first(asym > HERMITICITY_TOL, "density matrix is not Hermitian within 1e-10")
@@ -164,7 +167,7 @@ def _check_density_stack(mats: np.ndarray) -> np.ndarray:
     else:
         herm = np.empty(mats.shape, dtype=complex)
         np.add(re, re_t, out=herm.real)
-        np.subtract(im, im_t, out=herm.imag)
+        np.subtract(im, im.swapaxes(-1, -2), out=herm.imag)
     herm /= 2
     tr = np.real(np.trace(herm, axis1=-2, axis2=-1))
     _raise_first(~(np.abs(tr - 1.0) <= TRACE_TOL), "trace is {!r}, expected 1", tr)
@@ -213,10 +216,12 @@ class DensityMatrix:
 
     def __post_init__(self):
         d = _check_num_qubits(self.num_qubits)
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.asarray(self.matrix)
+        # a real matrix is checked as it is, with no complex copy made first
+        mat = mat.astype(complex if np.iscomplexobj(mat) else float, copy=False)
         if mat.shape != (d, d):
             raise InvariantError(f"matrix has shape {mat.shape}, expected {(d, d)}")
-        herm = _check_density_stack(mat)  # a new array, so freezing it needs no copy
+        herm = _check_density_stack(mat)  # a new complex array, so freezing it needs no copy
         herm.setflags(write=False)
         object.__setattr__(self, "matrix", herm)
 

@@ -184,10 +184,11 @@ def duer_state(num_qubits: int, phi: float = 0.0) -> DensityMatrix:
         raise ValueError("this family needs at least 3 qubits")
     n = num_qubits
     d = _check_num_qubits(n)
-    mat = np.zeros((d, d), dtype=complex)
+    # real at phi = 0, so it is built and checked as a float matrix
+    mat = np.zeros((d, d), dtype=complex if phi else float)
     mat[0, 0] = mat[d - 1, d - 1] = 0.5
-    mat[0, d - 1] = 0.5 * np.exp(-1j * phi)
-    mat[d - 1, 0] = 0.5 * np.exp(1j * phi)
+    mat[0, d - 1] = 0.5 * np.exp(-1j * phi) if phi else 0.5
+    mat[d - 1, 0] = 0.5 * np.exp(1j * phi) if phi else 0.5
     for l in range(n):
         single = 1 << (n - 1 - l)
         mat[single, single] += 0.5
