@@ -23,7 +23,6 @@ from .core import (
     PureState,
     _as_batch,
     _on_qubit,
-    _state_matrix,
     is_ppt,
 )
 from . import fisher, zoo
@@ -220,33 +219,45 @@ def dme_family(state) -> tuple[DmeResult, ...]:
     return tuple(DmeResult(j + 1, bool(violated[j]), float(lhs[j]), float(rhs[j])) for j in range(4))
 
 
-def _witness_seesaw(rho: np.ndarray, target: np.ndarray, num_qubits: int, rng, restarts: int) -> np.ndarray:
+def _witness_seesaw(states: np.ndarray, target: np.ndarray, num_qubits: int, seeds, restarts: int) -> np.ndarray:
     """Best GHZ fidelity over product unitaries via per-qubit eigen-updates,
-    from ``restarts`` random starting points; one value per restart, (R,).
+    for every member of a (B, d) stack of amplitude vectors or a (B, d, d)
+    stack of density matrices, from ``restarts`` random starting points per
+    member; one value per restart, (B, restarts).
 
     With all other factors frozen, the fidelity is a quadratic form in the
     quaternion coordinates of one factor, so each update is a 4x4
     eigenproblem and the fidelity never decreases: form[g, h] =
     Re <w_g|rho|w_h>, w_g = G_g^dagger V^dagger |target>, for V the frozen
-    factors and G = (I, iX, iY, iZ), all applied qubit by qubit.
+    factors and G = (I, iX, iY, iZ), all applied qubit by qubit. For a pure
+    state the form is Re o o^dagger with o_g = <w_g|psi>, so no d x d
+    projector is formed; a mixed state keeps w rho w^dagger.
 
-    The starting points are one (R, N, 4) normal draw, the numbers of R
-    (N, 4) draws in turn. All restarts advance in lock step on an (R, N, 4)
-    array of coordinates, and the R updates of one qubit are one batched
-    ``eigh``. A restart whose sweep gains less than 1e-12, or that has run
-    100 sweeps, stops and is left out of later sweeps.
+    Member b draws its starting points from ``default_rng(seeds[b])`` as one
+    (restarts, N, 4) normal array, the numbers of that many (N, 4) draws in
+    turn. The restarts of the whole stack advance in lock step on one
+    (B restarts, N, 4) array of coordinates, each against the state it
+    belongs to, and the updates of one qubit are one batched ``eigh``. A
+    restart whose sweep gains less than 1e-12, or that has run 100 sweeps,
+    stops and is left out of later sweeps.
     """
     gens_dag = np.stack([np.eye(2), -1j * PAULI_X, -1j * PAULI_Y, -1j * PAULI_Z])
-    xs = rng.standard_normal((restarts, num_qubits, 4))
+    size, pure = len(states), states.ndim == 2
+    xs = np.concatenate([np.random.default_rng(seed).standard_normal((restarts, num_qubits, 4)) for seed in seeds])
     xs /= np.linalg.norm(xs, axis=2, keepdims=True)
+    owner = np.repeat(np.arange(size), restarts)  # the state of each restart
 
-    best = np.full(restarts, -np.inf)
-    live = np.arange(restarts)  # the restarts still climbing
+    best = np.full(size * restarts, -np.inf)
+    live = np.arange(size * restarts)  # the restarts still climbing
     for _ in range(100):
         if live.size == 0:
             break
-        x = xs[live]
+        x, mine = xs[live], owner[live]
         targets = np.broadcast_to(target, (live.size, target.size))
+        if pure:
+            bras = states[mine].conj()
+        else:
+            rhos = states if size == 1 else states[mine]  # one state broadcasts, with no copy per restart
         for l in range(num_qubits):
             udag = np.einsum("rmg,gab->rmab", x, gens_dag)  # u^dagger = sum_g x_g G_g^dagger
             phi = targets
@@ -254,8 +265,14 @@ def _witness_seesaw(rho: np.ndarray, target: np.ndarray, num_qubits: int, rng, r
                 if m != l:
                     phi = _on_qubit(udag[:, m], phi, m, num_qubits, paired=True)
             w = _on_qubit(gens_dag, phi, l, num_qubits).swapaxes(0, 1)  # (R, 4, d)
-            form = np.real(w.conj() @ rho @ w.swapaxes(1, 2))
-            form = (form + form.swapaxes(1, 2)) / 2
+            if pure:
+                # <psi|w_g> = conj(o_g); Re o_g conj(o_h) is the real dot of
+                # the (re, im) views, so the form is exactly symmetric
+                o = np.ascontiguousarray(np.einsum("rgx,rx->rg", w, bras)).view(float).reshape(-1, 4, 2)
+                form = o @ o.swapaxes(1, 2)
+            else:
+                form = np.real(w.conj() @ rhos @ w.swapaxes(1, 2))
+                form = (form + form.swapaxes(1, 2)) / 2
             evals, evecs = np.linalg.eigh(form)
             x[:, l] = evecs[:, :, -1]
             value = evals[:, -1]
@@ -263,7 +280,15 @@ def _witness_seesaw(rho: np.ndarray, target: np.ndarray, num_qubits: int, rng, r
         best[live] = np.where(done, np.maximum(best[live], value), value)
         xs[live] = x
         live = live[~done]
-    return best
+    return best.reshape(size, restarts)
+
+
+def _optimized_witness(batch: np.ndarray, num_qubits: int, seeds, restarts: int) -> np.ndarray:
+    """1/2 minus the larger of the identity-product GHZ fidelity and the
+    best ``_witness_seesaw`` restart, for every member of a pure or mixed
+    stack, (B,)."""
+    values = _witness_seesaw(batch, zoo.ghz(num_qubits).amplitudes, num_qubits, seeds, restarts)
+    return 0.5 - np.maximum(_ghz_fidelity(batch, num_qubits), values.max(axis=1, initial=-np.inf))
 
 
 def ghz_witness(state, optimize_local_unitaries: bool = False, restarts: int = 20, seed=None) -> float:
@@ -275,20 +300,19 @@ def ghz_witness(state, optimize_local_unitaries: bool = False, restarts: int = 2
     ``restarts`` random-restart coordinate ascents, run in lock step by
     ``_witness_seesaw``. Their starting points are one (restarts, N, 4)
     draw from ``default_rng(seed)``, the numbers of that many (N, 4) draws
-    in turn, and each restart stops on its own convergence test.
-    ``restarts=0`` leaves the identity product alone.
+    in turn, and each restart stops on its own convergence test. A pure
+    state enters through its amplitudes, as overlaps <w_g|psi>, and never as
+    a d x d projector. This is the one-state case of the stack form that
+    ``table2 --mode local`` runs once per chunk. ``restarts=0`` leaves the
+    identity product alone.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be at least 0, got {restarts}")
     batch = _as_batch(state)
     num_qubits = batch.shape[1].bit_length() - 1
-    fidelity = float(_ghz_fidelity(batch, num_qubits)[0])
     if not optimize_local_unitaries:
-        return 0.5 - fidelity
-    mat = _state_matrix(state)
-    target = zoo.ghz(num_qubits).amplitudes
-    values = _witness_seesaw(mat, target, num_qubits, np.random.default_rng(seed), restarts)
-    return 0.5 - float(np.max(values, initial=fidelity))
+        return 0.5 - float(_ghz_fidelity(batch, num_qubits)[0])
+    return float(_optimized_witness(batch, num_qubits, [seed], restarts)[0])
 
 
 def white_noise_factor(p: float, num_qubits: int) -> float:

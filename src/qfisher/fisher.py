@@ -105,17 +105,22 @@ class SpinQfiMatrix:
 
     def max_direction(self) -> tuple[float, np.ndarray]:
         """Largest eigenvalue and the corresponding unit direction."""
-        evals, evecs = np.linalg.eigh(self.matrix)
-        direction = evecs[:, -1]
-        # fix the sign so equal inputs give identical directions
-        pivot = np.argmax(np.abs(direction))
-        if direction[pivot] < 0:
-            direction = -direction
-        return float(evals[-1]), direction
+        value, direction = _top_directions(self.matrix[None])
+        return float(value[0]), direction[0]
 
     def average(self) -> float:
         """Uniform Bloch-sphere average of the quadratic form (trace / 3)."""
         return float(self.matrix.trace() / 3.0)
+
+
+def _top_directions(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest eigenvalue of each (B, 3, 3) symmetric matrix and its unit
+    eigenvector, (B,) and (B, 3); each vector's largest-magnitude entry is
+    made positive, so equal inputs give identical directions."""
+    evals, evecs = np.linalg.eigh(mats)
+    dirs = evecs[:, :, -1]
+    pivot = np.take_along_axis(dirs, np.argmax(np.abs(dirs), axis=1)[:, None], axis=1)
+    return evals[:, -1], np.where(pivot < 0, -dirs, dirs)
 
 
 def _check_budget(nbytes: int, what: str) -> None:
@@ -382,25 +387,40 @@ def _quartic_roots(coeffs: np.ndarray) -> np.ndarray:
     return roots
 
 
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Re <u_m|v_m> of every row of two (M, d) complex stacks, as real dot
+    products of their (re, im) views."""
+    return np.einsum("mx,mx->m", u.view(float), v.view(float))
+
+
 def _max_on_sphere(a: np.ndarray, c: np.ndarray, current: np.ndarray) -> np.ndarray:
     """Row-wise argmax over unit n of -(n.a)^2 + 2 n.c (exact, via a quartic)
-    for one (3,) vector ``a`` and (R, 3) stacks ``c`` and ``current``.
+    for (R, 3) stacks ``a``, ``c`` and ``current``; a (3,) ``a`` is shared by
+    every row.
 
-    With a = 0 a row goes along c, or keeps its current direction if c = 0
+    A row with a = 0 goes along c, or keeps its current direction if c = 0
     too. Otherwise n = t a_hat + s p_hat, where p_hat is the unit part of c
     across a (any direction across a when c is parallel to a, and then t is
     the clipped vertex of the parabola in t). In general the stationary t
-    solve a quartic, whose R instances share one companion eigenproblem; the
+    solve a quartic, whose instances share one companion eigenproblem; the
     best of its real roots in [-1, 1], the ends and 21 interior probes wins,
     ties going to the first candidate.
     """
-    na = np.linalg.norm(a)
-    if na < 1e-14:
-        nc = np.linalg.norm(c, axis=-1, keepdims=True)
+    a = np.broadcast_to(a, c.shape)
+    na = np.linalg.norm(a, axis=-1)
+    out = np.empty(c.shape)
+    rows = slice(None)
+    flat = na < 1e-14
+    if flat.any():
+        nc = np.linalg.norm(c[flat], axis=-1, keepdims=True)
         moves = nc >= 1e-14
-        return np.where(moves, c / np.where(moves, nc, 1.0), current)
-    a_hat = a / na
-    c_par = c @ a_hat
+        out[flat] = np.where(moves, c[flat] / np.where(moves, nc, 1.0), current[flat])
+        rows = ~flat
+        a, c, na = a[rows], c[rows], na[rows]
+        if not len(c):
+            return out
+    a_hat = a / na[:, None]
+    c_par = np.einsum("ri,ri->r", c, a_hat)
     c_perp_vec = c - c_par[:, None] * a_hat
     cp = np.linalg.norm(c_perp_vec, axis=-1)
     parallel = cp < 1e-14
@@ -408,9 +428,10 @@ def _max_on_sphere(a: np.ndarray, c: np.ndarray, current: np.ndarray) -> np.ndar
     if any_parallel:
         # across a: the basis vector a_hat leans on least, minus its part
         # along a; these rows take t from the parabola, not from the quartic
-        probe = np.eye(3)[np.argmin(np.abs(a_hat))]
-        probe = probe - np.dot(probe, a_hat) * a_hat
-        c_perp_vec[parallel], cp[parallel] = probe, np.linalg.norm(probe)
+        along = a_hat[parallel]
+        probe = np.eye(3)[np.argmin(np.abs(along), axis=-1)]
+        probe -= np.einsum("ri,ri->r", probe, along)[:, None] * along
+        c_perp_vec[parallel], cp[parallel] = probe, np.linalg.norm(probe, axis=-1)
     beta = na**2
 
     # stationary points satisfy (c_par - beta t)^2 (1 - t^2) = cp^2 t^2
@@ -425,14 +446,79 @@ def _max_on_sphere(a: np.ndarray, c: np.ndarray, current: np.ndarray) -> np.ndar
     cand = np.empty((len(c), 4 + probes.size))
     cand[:, :4] = roots.real
     cand[:, 4:] = probes
-    g = -beta * cand * cand + 2.0 * c_par[:, None] * cand
+    g = -beta[:, None] * cand * cand + 2.0 * c_par[:, None] * cand
     g += 2.0 * cp[:, None] * np.sqrt(np.maximum(0.0, 1.0 - cand * cand))
     g[:, :4][(np.abs(roots.imag) >= 1e-9) | (np.abs(roots.real) > 1.0)] = -np.inf
     t = cand[np.arange(len(c)), np.argmax(g, axis=1)]  # ties go to the first candidate
     if any_parallel:
-        t[parallel] = np.clip(c_par[parallel] / beta, -1.0, 1.0)
+        t[parallel] = np.clip(c_par[parallel] / beta[parallel], -1.0, 1.0)
     s = np.sqrt(np.maximum(0.0, 1.0 - t * t)) / cp
-    return t[:, None] * a_hat + s[:, None] * c_perp_vec
+    out[rows] = t[:, None] * a_hat + s[:, None] * c_perp_vec
+    return out
+
+
+def _local_directions_batch(
+    amps: np.ndarray, num_qubits: int, seeds, max_iters: int = 100, restarts: int = 10
+) -> tuple[np.ndarray, np.ndarray]:
+    """``optimize_local_directions`` for every member of a (B, d) stack of
+    amplitude vectors, member b searching from ``default_rng(seeds[b])``;
+    the best values, (B,), and their directions, (B, N, 3).
+
+    The B (restarts + 1) restarts of the whole stack advance in lock step on
+    one (B (restarts + 1), N, 3) array, each restart against the state it
+    belongs to, so a qubit update costs the same number of numpy calls for
+    any B.
+    """
+    if restarts < 0:
+        raise ValueError(f"restarts must be at least 0, got {restarts}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    n = num_qubits
+    size, per_state = len(amps), restarts + 1
+    # (B, N, 3, d) applications of the half-Paulis; fixed for the whole search
+    half_paulis = 0.5 * np.stack([PAULIS[ax] for ax in "xyz"])
+    paulis_psi = np.empty((size, n, 3, amps.shape[1]), dtype=complex)
+    for l in range(n):
+        paulis_psi[:, l] = _on_qubit(half_paulis, amps, l, n).swapaxes(0, 1)
+    means = np.einsum("bx,blix->bli", amps.conj(), paulis_psi).real
+    owner = np.repeat(np.arange(size), per_state)  # the state of each restart
+
+    def objective(h_psi, kets):
+        return 4.0 * (_row_dots(h_psi, h_psi) - _row_dots(kets, h_psi) ** 2)
+
+    _, collective_dirs = _top_directions(_spin_gammas(amps, n))
+    dirs = np.empty((size, per_state, n, 3))
+    dirs[:, 0] = collective_dirs[:, None]
+    for b, seed in enumerate(seeds):
+        raw = np.random.default_rng(seed).standard_normal((restarts, n, 3))
+        dirs[b, 1:] = raw / np.linalg.norm(raw, axis=2, keepdims=True)
+    h_psi = np.einsum("brli,blix->brx", dirs, paulis_psi).reshape(size * per_state, -1)
+    dirs = dirs.reshape(size * per_state, n, 3)
+    value = objective(h_psi, amps[owner])
+    live = np.arange(len(dirs))  # the restarts still climbing
+    for _ in range(max_iters):
+        d, h = dirs[live], h_psi[live]
+        mine, kets = owner[live], amps[owner[live]]
+        for l in range(n):
+            # the qubit-l terms of each restart's own state, as real (re, im)
+            # views: gathered per update, or broadcast when there is one state
+            p_l = (paulis_psi[:, l] if size == 1 else paulis_psi[mine, l]).view(float)
+            m_l = means[mine, l]
+            h -= np.einsum("ri,rix->rx", d[:, l], p_l).view(complex)  # every term but qubit l's
+            c = np.einsum("rix,rx->ri", p_l, h.view(float))
+            c -= m_l * _row_dots(kets, h)[:, None]
+            d[:, l] = _max_on_sphere(m_l, c, d[:, l])
+            h += np.einsum("ri,rix->rx", d[:, l], p_l).view(complex)
+        new_value = objective(h, kets)
+        done = new_value - value[live] < 1e-10
+        value[live] = np.where(done, np.maximum(value[live], new_value), new_value)
+        dirs[live], h_psi[live] = d, h
+        live = live[~done]
+        if live.size == 0:
+            break
+    best = np.argmax(value.reshape(size, per_state), axis=1)  # the first of equal values
+    picked = np.arange(size) * per_state + best
+    return value[picked], dirs[picked]
 
 
 def optimize_local_directions(
@@ -445,54 +531,17 @@ def optimize_local_directions(
     exactly, so the value never decreases. Restart 0 starts from the best
     collective direction, which guarantees the result is at least the
     collective optimum; ``restarts`` more start from random directions, drawn
-    as one (restarts, N, 3) normal array (the numbers of that many (N, 3)
-    draws in turn). All restarts advance in lock step on an (R, N, 3) array,
-    and each qubit update solves the R sphere steps at once. A restart whose
-    sweep gains less than 1e-10, or that has run ``max_iters`` sweeps, stops
-    and is left out of later sweeps. The first restart with the largest value
-    wins.
+    from ``default_rng(seed)`` as one (restarts, N, 3) normal array (the
+    numbers of that many (N, 3) draws in turn). A restart whose sweep gains
+    less than 1e-10, or that has run ``max_iters`` sweeps, stops and is left
+    out of later sweeps. The first restart with the largest value wins.
+
+    This is the one-state case of ``_local_directions_batch``, which advances
+    the restarts of a whole stack of states in lock step: each qubit update
+    solves the sphere steps of every live restart at once, and ``table2
+    --mode local`` runs the restarts of all states of a chunk together.
     """
     if not isinstance(psi, PureState):
         raise TypeError("local-direction optimization needs a pure state")
-    if restarts < 0:
-        raise ValueError(f"restarts must be at least 0, got {restarts}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-    n = psi.num_qubits
-    amps = psi.amplitudes
-    rng = np.random.default_rng(seed)
-    # (N, 3, d) applications of the half-Paulis; fixed for the whole search
-    half_paulis = 0.5 * np.stack([PAULIS[ax] for ax in "xyz"])
-    paulis_psi = np.stack([_on_qubit(half_paulis, amps, l, n) for l in range(n)])
-    paulis_dag = paulis_psi.conj().swapaxes(1, 2)
-    bra = amps.conj()
-    means = np.real(np.einsum("x,lix->li", bra, paulis_psi))
-
-    def objective(h_psi):
-        mean = np.real(h_psi @ bra)
-        return 4.0 * (np.real(np.einsum("rx,rx->r", h_psi.conj(), h_psi)) - mean**2)
-
-    _, collective_dir = qfi_max(psi)
-    raw = rng.standard_normal((restarts, n, 3))
-    raw /= np.linalg.norm(raw, axis=2, keepdims=True)
-    dirs = np.concatenate([np.tile(collective_dir, (1, n, 1)), raw])
-    h_psi = np.einsum("rli,lix->rx", dirs, paulis_psi)
-    value = objective(h_psi)
-    live = np.arange(len(dirs))  # the restarts still climbing
-    for _ in range(max_iters):
-        d, h = dirs[live], h_psi[live]
-        for l in range(n):
-            b_psi = h - d[:, l] @ paulis_psi[l]
-            b_mean = np.real(b_psi @ bra)
-            c = np.real(b_psi @ paulis_dag[l]) - means[l] * b_mean[:, None]
-            d[:, l] = _max_on_sphere(means[l], c, d[:, l])
-            h = b_psi + d[:, l] @ paulis_psi[l]
-        new_value = objective(h)
-        done = new_value - value[live] < 1e-10
-        value[live] = np.where(done, np.maximum(value[live], new_value), new_value)
-        dirs[live], h_psi[live] = d, h
-        live = live[~done]
-        if live.size == 0:
-            break
-    best = int(np.argmax(value))  # the first of equal values
-    return float(value[best]), dirs[best]
+    values, dirs = _local_directions_batch(psi.amplitudes[None], psi.num_qubits, [seed], max_iters, restarts)
+    return float(values[0]), dirs[0]

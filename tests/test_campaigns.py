@@ -6,6 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+import qfisher as qf
 from qfisher import campaigns
 from qfisher.campaigns import (
     CampaignConfig,
@@ -20,7 +21,7 @@ from qfisher.campaigns import (
 )
 from qfisher.cli import main
 from qfisher.core import mix_with_identity
-from qfisher.criteria import evaluate
+from qfisher.criteria import _detects, evaluate
 from qfisher.zoo import parse_state_spec, plus_state
 
 
@@ -51,6 +52,48 @@ class TestTable2:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             run_table2(samples=10, seed=0, mode="sideways")
+
+    def test_local_chunk_matches_the_per_state_optimisers(self, monkeypatch):
+        # one call of each batch optimiser per chunk, whose values are those
+        # of the per-state functions with the chunk's per-sample seeds
+        calls = {}
+
+        def recording(name, fn):
+            def run(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                calls.setdefault(name, []).append(out[0] if isinstance(out, tuple) else out)
+                return out
+
+            monkeypatch.setattr(campaigns, name, run)
+
+        recording("_local_directions_batch", campaigns._local_directions_batch)
+        recording("_optimized_witness", campaigns._optimized_witness)
+        seed = 1000
+        for start, stop in ((0, 7), (7, 16)):
+            calls.clear()
+            counts = campaigns._table2_chunk(start, stop, seed, local=True)
+            assert {name: len(values) for name, values in calls.items()} == {
+                "_local_directions_batch": 1,
+                "_optimized_witness": 1,
+            }
+            fq_local, witness_opt = calls["_local_directions_batch"][0], calls["_optimized_witness"][0]
+            psis = qf.zoo._random_pure_batch(campaigns._streams(seed, start, stop))
+            states = list(zip(range(start, stop), (qf.PureState(3, psi) for psi in psis)))
+            fq_ref = np.array([qf.optimize_local_directions(psi, restarts=4, seed=(seed, i, 1))[0] for i, psi in states])
+            witness_ref = np.array(
+                [qf.ghz_witness(psi, optimize_local_unitaries=True, restarts=5, seed=(seed, i, 2)) for i, psi in states]
+            )
+            assert np.max(np.abs(fq_local - fq_ref)) <= 1e-12
+            assert np.max(np.abs(witness_opt - witness_ref)) <= 1e-12
+            flags = []
+            for name, values, ref in (
+                ("fq_2", fq_local, fq_ref),
+                ("fq_3", fq_local, fq_ref),
+                ("witness", witness_opt, witness_ref),
+            ):
+                flags.append(_detects(name, 3, ref))
+                assert np.array_equal(_detects(name, 3, values), flags[-1])
+            assert counts[-3:].tolist() == [int(f.sum()) for f in flags]
 
 
 class TestTable3:

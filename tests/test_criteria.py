@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qfisher as qf
-from qfisher import fisher, zoo
+from qfisher import core, criteria, fisher, zoo
 from qfisher.core import PAULI_X, PAULI_Y, PAULI_Z, InvariantError
 from qfisher.criteria import STRICT_MARGIN, _antidiagonal, _ghz_fidelity, _witness_seesaw, evaluate
 
@@ -64,15 +64,20 @@ def kron_seesaw(rho, target, n, rng):
     return best
 
 
-def random_rho(n, rng, pure):
+def random_state(n, rng, pure):
+    """Normalised amplitudes, or a full-rank density matrix."""
     d = 2**n
     if pure:
         psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        psi /= np.linalg.norm(psi)
-        return np.outer(psi, psi.conj())
+        return psi / np.linalg.norm(psi)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def random_rho(n, rng, pure):
+    state = random_state(n, rng, pure)
+    return np.outer(state, state.conj()) if pure else state
 
 
 class TestBounds:
@@ -212,18 +217,43 @@ class TestWitness:
         # which a seesaw that conjugates the wrong factor still finds the optimum.
         # The lock-step restarts draw their starts from one rng in the order of
         # successive reference runs, so restart r must match reference run r.
+        # A pure state enters as its amplitudes (the overlap form), the
+        # reference as its projector; the three states then run as one stack.
         rng = np.random.default_rng([n, 99])
         psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
         restarts = 2
         for target in (qf.ghz(n).amplitudes, psi / np.linalg.norm(psi)):
+            states, all_refs = [], []
             for seed in range(3):
-                rho = random_rho(n, np.random.default_rng([n, seed]), pure)
+                state = random_state(n, np.random.default_rng([n, seed]), pure)
+                rho = np.outer(state, state.conj()) if pure else state
                 ref_rng = np.random.default_rng(seed)
                 refs = [kron_seesaw(rho, target, n, ref_rng) for _ in range(restarts)]
-                values = _witness_seesaw(rho, target, n, np.random.default_rng(seed), restarts)
+                values = _witness_seesaw(state[None], target, n, [np.random.default_rng(seed)], restarts)[0]
                 assert values.shape == (restarts,)
                 for value, ref in zip(values, refs):
                     assert abs(value - ref) <= 1e-12
+                states.append(state)
+                all_refs.append(refs)
+            stacked = _witness_seesaw(np.stack(states), target, n, range(3), restarts)
+            assert np.max(np.abs(stacked - all_refs)) <= 1e-12
+
+    def test_pure_state_forms_no_projector(self, monkeypatch):
+        amps = random_state(3, np.random.default_rng(3), pure=True)
+        expected = qf.ghz_witness(
+            qf.DensityMatrix(3, np.outer(amps, amps.conj())), optimize_local_unitaries=True, restarts=4, seed=1
+        )
+        called, original = [], core._state_matrix
+
+        def spy(state):
+            called.append(state)
+            return original(state)
+
+        for module in (core, criteria):
+            monkeypatch.setattr(module, "_state_matrix", spy, raising=False)
+        value = qf.ghz_witness(qf.PureState(3, amps), optimize_local_unitaries=True, restarts=4, seed=1)
+        assert not called
+        assert abs(value - expected) <= 1e-12
 
     def test_rejects_negative_restarts(self):
         for optimize in (False, True):
@@ -234,7 +264,7 @@ class TestWitness:
         state = qf.DensityMatrix(3, random_rho(3, np.random.default_rng(6), pure=False))
         value = qf.ghz_witness(state, optimize_local_unitaries=True, restarts=0, seed=0)
         assert value == qf.ghz_witness(state)
-        assert _witness_seesaw(state.matrix, qf.ghz(3).amplitudes, 3, np.random.default_rng(0), 0).shape == (0,)
+        assert _witness_seesaw(state.matrix[None], qf.ghz(3).amplitudes, 3, [np.random.default_rng(0)], 0).shape == (1, 0)
 
     def test_converged_restarts_do_no_more_work(self, monkeypatch):
         # each restart stops on its own: the lock-step eigen-updates number
@@ -244,10 +274,10 @@ class TestWitness:
         sizes = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
-        values = _witness_seesaw(rho, target, 3, np.random.default_rng(1), 6)
+        values = _witness_seesaw(rho[None], target, 3, [np.random.default_rng(1)], 6)[0]
         batched, sizes[:] = list(sizes), []
         rng = np.random.default_rng(1)
-        singles = [_witness_seesaw(rho, target, 3, rng, 1)[0] for _ in range(6)]
+        singles = [_witness_seesaw(rho[None], target, 3, [rng], 1)[0, 0] for _ in range(6)]
         assert np.max(np.abs(values - singles)) <= 1e-12
         assert batched[0] == 6 and batched == sorted(batched, reverse=True) and batched[-1] < 6
         assert sum(batched) == len(sizes)

@@ -762,12 +762,19 @@ class TestLocalDirectionOptimization:
             (np.array([0.0, 0.0, 2.0]), np.array([[1.0, 0.5, 0.0], [1.0, 0.5, 0.25], [0.0, 5.0, 0.0], [0.0, 5.0, -1.0]])),
             # general rows beside the parallel and the c_par = 0 cases
             (a, np.vstack([2.0 * a, 0.7 * across, rng.standard_normal((6, 3))])),
+            # one a per row, as the restarts of a stack of states have: a = 0
+            # rows (c = 0 or not), c parallel to a, c_par = 0 and generic rows
+            (
+                np.vstack([np.zeros((2, 3)), a, -a, [0.0, 0.0, 2.0], rng.standard_normal((3, 3))]),
+                np.vstack([[1.0, -2.0, 0.5], np.zeros(3), 0.5 * a, 3.0 * a, [1.0, 0.5, 0.0], rng.standard_normal((3, 3))]),
+            ),
         ]
         for a_vec, c in batches:
             current = rng.standard_normal(c.shape)
             current /= np.linalg.norm(current, axis=1, keepdims=True)
             got = fisher._max_on_sphere(a_vec, c, current)
-            for row, want in enumerate(scalar_max_on_sphere(a_vec, c[i], current[i]) for i in range(len(c))):
+            a_rows = np.broadcast_to(a_vec, c.shape)
+            for row, want in enumerate(scalar_max_on_sphere(a_rows[i], c[i], current[i]) for i in range(len(c))):
                 assert np.max(np.abs(got[row] - want)) <= 1e-12
 
     def test_quartic_roots_strip_trailing_zeros_like_np_roots(self):
@@ -793,6 +800,25 @@ class TestLocalDirectionOptimization:
         sequential_local_directions(psi, restarts=6, seed=2)
         assert sizes[0] == 7 and sizes == sorted(sizes, reverse=True) and sizes[-1] < 7
         assert sum(sizes) == len(scalar_calls)
+
+    def test_stack_sweeps_as_long_as_its_slowest_state(self, monkeypatch):
+        # the restarts of a stack advance together: its batched root solves
+        # number those of its slowest state run alone, not the sum over states
+        psis = [random_pure(np.random.default_rng([13, i]), 3) for i in range(6)]
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(len(a)) or eigvals(a))
+        alone = []
+        for i, psi in enumerate(psis):
+            calls.clear()
+            value, _ = qf.optimize_local_directions(psi, restarts=4, seed=i)
+            alone.append((len(calls), value))
+        calls.clear()
+        amps = np.stack([psi.amplitudes for psi in psis])
+        values, dirs = fisher._local_directions_batch(amps, 3, range(6), restarts=4)
+        assert len(calls) == max(n for n, _ in alone) < sum(n for n, _ in alone)
+        assert dirs.shape == (6, 3, 3)
+        assert np.max(np.abs(values - [value for _, value in alone])) <= 1e-12
 
     def test_rejects_bad_search_sizes(self):
         psi = qf.ghz(3)
