@@ -8,12 +8,14 @@ by summation, which keeps the reduction order irrelevant.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -48,6 +50,8 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 2048  # fixed so the sample -> stream map never depends on workers
+# below this matrix dimension a second BLAS thread costs more than it saves
+SMALL_DIM = 256
 
 
 @dataclass(frozen=True)
@@ -76,8 +80,8 @@ class CampaignConfig:
             raise ValueError("workers must be at least 1")
         if self.m < 1:
             raise ValueError("m must be at least 1")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        if self.trials < 2:
+            raise ValueError("trials must be at least 2: a standard deviation needs two estimates")
         if self.theta is not None and not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta!r}")
 
@@ -99,8 +103,50 @@ class DetectionRate:
 
 
 def _streams(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
-    # lazy, so a sampler holds only the generators it is drawing from
-    return (np.random.default_rng([seed, i]) for i in range(start, stop))
+    # lazy, so a sampler holds only the generators it is drawing from; this
+    # is default_rng([seed, i]) without its per-call wrapper
+    return (np.random.Generator(np.random.PCG64([seed, i])) for i in range(start, stop))
+
+
+@cache
+def _blas_thread_api():
+    """The (get, set) thread-count functions of the OpenBLAS that NumPy
+    loaded, or None where there is no such library or symbol."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line and ".so" in line})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, set_ = (getattr(handle, name.format(verb), None) for verb in ("get", "set"))
+            if get is not None and set_ is not None:
+                return get, set_  # ctypes' default int return and argument fit both
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one BLAS thread, then restore the caller's count.
+
+    The count is process-wide, so it holds for all of the process while the
+    block runs. Without an OpenBLAS thread API this does nothing.
+    """
+    api = _blas_thread_api()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 def _map_chunks(chunk_fn, samples: int, workers: int) -> np.ndarray:
@@ -108,11 +154,14 @@ def _map_chunks(chunk_fn, samples: int, workers: int) -> np.ndarray:
     # a fork pool starts every worker on the first submit, so never ask for
     # more than there are chunks or CPUs
     workers = min(workers, len(ranges), os.cpu_count() or 1)
-    if workers <= 1:
-        parts = [chunk_fn(a, b) for a, b in ranges]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_apply_range, [(chunk_fn, a, b) for a, b in ranges]))
+    # every chunk function works on three-qubit (8 x 8) matrices; the pool
+    # forks inside the block, so its workers start on one thread too
+    with _one_blas_thread():
+        if workers <= 1:
+            parts = [chunk_fn(a, b) for a, b in ranges]
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                parts = list(pool.map(_apply_range, [(chunk_fn, a, b) for a, b in ranges]))
     return np.sum(parts, axis=0)
 
 
@@ -272,6 +321,8 @@ def sweep_p(state_name: str, resolution: float = 1e-6) -> list[dict]:
     if not isinstance(state, PureState):
         raise ValueError(f"the noise sweep needs a pure state, got {state_name!r}")
     n = state.num_qubits
+    if n < 2:
+        raise ValueError("need at least 2 qubits")
 
     rows = []  # (criterion, k, closed-form threshold)
     for k in range(1, n):
@@ -292,15 +343,16 @@ def sweep_p(state_name: str, resolution: float = 1e-6) -> list[dict]:
             flags_at[p] = evaluate(mix_with_identity(state, p).matrix[None], n, names)
         return bool(flags_at[p][name][0])
 
-    return [
-        {
-            "criterion": criterion,
-            "k": k,
-            "p_threshold": _bisect_p(partial(detects, name), resolution),
-            "p_closed_form": closed,
-        }
-        for (criterion, k, closed), name in zip(rows, names)
-    ]
+    with _one_blas_thread() if state.dim < SMALL_DIM else nullcontext():
+        return [
+            {
+                "criterion": criterion,
+                "k": k,
+                "p_threshold": _bisect_p(partial(detects, name), resolution),
+                "p_closed_form": closed,
+            }
+            for (criterion, k, closed), name in zip(rows, names)
+        ]
 
 
 def analyze(state_spec: str, optimize_witness: bool = False, seed: int = 0) -> dict:

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +204,13 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_p("duer:3")
 
+    def test_needs_two_qubits(self, capsys):
+        # one qubit has no class k in 1..N-1, so there would be no row at all
+        with pytest.raises(ValueError, match="^need at least 2 qubits$"):
+            sweep_p("ghz:1")
+        assert main(["sweep-p", "--state", "ghz:1"]) == 2
+        assert capsys.readouterr() == ("", "error: need at least 2 qubits\n")
+
 
 class TestAnalyze:
     def test_ghz4(self):
@@ -319,6 +327,79 @@ class TestWorkerCap:
         assert len(set(csvs.values())) == 1
 
 
+def _chunk_blas_threads(start: int, stop: int) -> np.ndarray:
+    """A chunk function reporting [BLAS threads it runs on (0 without the
+    thread API), 1 for the chunk itself]."""
+    api = campaigns._blas_thread_api()
+    return np.array([0 if api is None else api[0](), 1])
+
+
+class TestBlasThreads:
+    @pytest.fixture
+    def fake_api(self, monkeypatch):
+        calls = []
+        count = [3]
+
+        def set_(n):
+            calls.append(n)
+            count[0] = n
+
+        monkeypatch.setattr(campaigns, "_blas_thread_api", lambda: (lambda: count[0], set_))
+        return calls, count
+
+    def test_one_thread_in_the_block_then_the_callers_count(self, fake_api):
+        calls, count = fake_api
+        with campaigns._one_blas_thread():
+            assert count == [1]
+        assert calls == [1, 3]
+        assert count == [3]
+
+    def test_restored_when_the_block_raises(self, fake_api):
+        calls, count = fake_api
+        with pytest.raises(RuntimeError, match="^inside$"):
+            with campaigns._one_blas_thread():
+                raise RuntimeError("inside")
+        assert calls == [1, 3]
+        assert count == [3]
+
+    def test_campaigns_restore_the_callers_count(self, fake_api, monkeypatch):
+        calls, count = fake_api
+        seen = []
+        mix = campaigns.mix_with_identity
+        monkeypatch.setattr(campaigns, "mix_with_identity", lambda s, p: seen.append(count[0]) or mix(s, p))
+        run_table2(samples=100, seed=1)
+        assert (calls, count) == ([1, 3], [3])
+        sweep_p("ghz:3")  # d = 8, below the cut
+        assert (calls, count) == ([1, 3, 1, 3], [3])
+        assert set(seen) == {1}
+        monkeypatch.setattr(campaigns, "SMALL_DIM", 8)
+        seen.clear()
+        sweep_p("ghz:3")  # at the cut: the caller's threads, untouched
+        assert (calls, count) == ([1, 3, 1, 3], [3])
+        assert set(seen) == {3}
+
+    def test_csv_unchanged_without_the_thread_api(self, monkeypatch):
+        with_api = run_campaign(CampaignConfig("table2", samples=2500, seed=0))[0]
+        monkeypatch.setattr(campaigns, "_blas_thread_api", lambda: None)
+        without = run_campaign(CampaignConfig("table2", samples=2500, seed=0))[0]
+        golden = (Path(__file__).parent / "golden" / "table2.csv").read_text()
+        assert with_api == without == golden
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunk_functions_run_on_one_thread(self, workers, monkeypatch):
+        monkeypatch.setattr(campaigns, "CHUNK_SIZE", 10)
+        api = campaigns._blas_thread_api()
+        before = None if api is None else api[0]()
+        threads, chunks = campaigns._map_chunks(_chunk_blas_threads, 20, workers)
+        assert chunks == 2
+        if api is None:
+            # no OpenBLAS thread API in this process: the helper does nothing
+            assert threads == 0
+        else:
+            assert threads == 2  # one thread in each of the two chunks
+            assert api[0]() == before
+
+
 class TestCli:
     def test_bounds_curve_stdout(self, capsys):
         assert main(["bounds-curve", "--n", "6"]) == 0
@@ -344,7 +425,14 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--m", "0"], ["--trials", "0"], ["--theta", "nan"], ["--theta", "inf"], ["--mode", "witness-opt"]],
+        [
+            ["--m", "0"],
+            ["--trials", "0"],
+            ["--theta", "nan"],
+            ["--theta", "inf"],
+            ["--mode", "witness-opt"],
+            ["--trials", "1"],  # one estimate has no spread, so std / CRB would read 0
+        ],
     )
     def test_bad_phase_sim_field_exit_2(self, flags, capsys):
         assert main(["phase-sim", "--state", "ghz:2", *flags]) == 2
