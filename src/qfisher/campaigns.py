@@ -50,8 +50,10 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 2048  # fixed so the sample -> stream map never depends on workers
-# below this matrix dimension a second BLAS thread costs more than it saves
-SMALL_DIM = 256
+# below this matrix dimension a second BLAS thread costs more than it saves:
+# sweep-p on 2 CPUs took 5.2-5.3 s on one thread against 5.4-6.1 s on two at
+# ghz:8 (d = 256), but 31.5-32.5 against 24.4-29.4 s at ghz:9 (d = 512)
+SMALL_DIM = 512
 
 
 @dataclass(frozen=True)
@@ -103,9 +105,8 @@ class DetectionRate:
 
 
 def _streams(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
-    # lazy, so a sampler holds only the generators it is drawing from; this
-    # is default_rng([seed, i]) without its per-call wrapper
-    return (np.random.Generator(np.random.PCG64([seed, i])) for i in range(start, stop))
+    # lazy, so a sampler holds only the generators it is drawing from
+    return (np.random.default_rng([seed, i]) for i in range(start, stop))
 
 
 @cache
@@ -149,18 +150,26 @@ def _one_blas_thread():
         set_(previous)
 
 
+def _one_blas_thread_worker():
+    # a pool initializer: a forked worker inherits the caller's one thread,
+    # but a forkserver or spawn worker starts on the BLAS default
+    api = _blas_thread_api()
+    if api is not None:
+        api[1](1)
+
+
 def _map_chunks(chunk_fn, samples: int, workers: int) -> np.ndarray:
     ranges = [(s, min(s + CHUNK_SIZE, samples)) for s in range(0, samples, CHUNK_SIZE)]
     # a fork pool starts every worker on the first submit, so never ask for
     # more than there are chunks or CPUs
     workers = min(workers, len(ranges), os.cpu_count() or 1)
-    # every chunk function works on three-qubit (8 x 8) matrices; the pool
-    # forks inside the block, so its workers start on one thread too
+    # every chunk function works on three-qubit (8 x 8) matrices, in this
+    # process and in each worker
     with _one_blas_thread():
         if workers <= 1:
             parts = [chunk_fn(a, b) for a, b in ranges]
         else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread_worker) as pool:
                 parts = list(pool.map(_apply_range, [(chunk_fn, a, b) for a, b in ranges]))
     return np.sum(parts, axis=0)
 

@@ -1,7 +1,9 @@
 import json
+import multiprocessing
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -279,11 +281,12 @@ class TestRunCampaign:
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process
+    (so a worker initializer has no worker to run in)."""
 
     requested = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         self.requested.append(max_workers)
 
     def __enter__(self):
@@ -398,6 +401,19 @@ class TestBlasThreads:
         else:
             assert threads == 2  # one thread in each of the two chunks
             assert api[0]() == before
+
+    @pytest.mark.parametrize(
+        "method", [m for m in ("fork", "forkserver", "spawn") if m in multiprocessing.get_all_start_methods()]
+    )
+    def test_pool_workers_run_on_one_thread_under_any_start_method(self, method, monkeypatch):
+        # a forkserver or spawn worker does not inherit the caller's count;
+        # the pool's initializer sets it
+        monkeypatch.setattr(campaigns, "CHUNK_SIZE", 10)
+        context = multiprocessing.get_context(method)
+        monkeypatch.setattr(campaigns, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=context))
+        threads, chunks = campaigns._map_chunks(_chunk_blas_threads, 20, 2)
+        assert chunks == 2
+        assert threads == (0 if campaigns._blas_thread_api() is None else 2)
 
 
 class TestCli:
