@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import numbers
+import os
 import sys
 
 from .campaigns import CAMPAIGNS, CampaignConfig, run_campaign
@@ -110,14 +111,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _merge_config(args)
+        out_dir = os.path.dirname(config.out or "") or "."
+        if not os.path.isdir(out_dir):  # found before the campaign runs, not after
+            raise FileNotFoundError(f"output directory {out_dir!r} does not exist")
         csv_text, payload = run_campaign(config)
+        _emit(config, csv_text, payload)
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(config, csv_text, payload)
     return 0
 
 

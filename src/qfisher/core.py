@@ -12,17 +12,13 @@ is capped (default 12) because the eigendecompositions that dominate the
 cost scale as ``8**N``. The spin-QFI kernel never builds a collective spin:
 it applies J_x and J_y to a basis index as bit flips and J_z as a popcount
 diagonal. Dense generators (1/2) sum_l sigma_(n_l)^(l), the collective spins
-included, are filled entry by entry by ``local_generator``.
-Every other single-qubit operator goes through one private primitive,
-``_on_qubit``, which applies 2x2 matrices to one qubit of any basis axis of
-a batched array and builds no dense operator; ``tensor`` is the only
-Kronecker product.
+included, are filled entry by entry by ``local_generator``; ``tensor`` is
+the only Kronecker product.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,24 +328,6 @@ def spin_along(num_qubits: int, direction) -> HermitianOperator:
     """Collective spin J_n = n_x J_x + n_y J_y + n_z J_z for a unit direction."""
     _check_num_qubits(num_qubits)
     return local_generator(np.tile(unit_direction(direction), (num_qubits, 1)))
-
-
-def _on_qubit(
-    ops: np.ndarray, x: np.ndarray, qubit: int, num_qubits: int, axis: int = -1, paired: bool = False
-) -> np.ndarray:
-    """2x2 ``ops`` (any leading batch shape) applied to one qubit of the basis
-    axis ``axis`` of ``x``; the result has shape ``ops.shape[:-2] + x.shape``.
-
-    With ``paired`` the batch shape of ``ops`` is ``x.shape[:axis]`` and each
-    operator acts on its own member of ``x``; the result has ``x``'s shape."""
-    axis = axis % x.ndim
-    low = 2 ** (num_qubits - 1 - qubit) * math.prod(x.shape[axis + 1 :])
-    t = x.reshape(x.shape[:axis] + (2**qubit, 2, low))
-    if paired:
-        return (ops[..., None, :, :] @ t).reshape(x.shape)
-    batch = ops.shape[:-2]
-    out = ops.reshape(batch + (1,) * (axis + 1) + (2, 2)) @ t
-    return out.reshape(batch + x.shape)
 
 
 def _pauli_power(num_qubits: int, axis: str) -> np.ndarray:

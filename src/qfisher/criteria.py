@@ -22,7 +22,6 @@ from .core import (
     InvariantError,
     PureState,
     _as_batch,
-    _on_qubit,
     is_ppt,
 )
 from . import fisher, zoo
@@ -75,8 +74,8 @@ def entanglement_depth(value: float, num_qubits: int, which: str = "qfi") -> int
     A return of d proves d-particle entanglement; 1 means the value is
     compatible with fully separable states.
     """
-    if value < 0:
-        raise ValueError(f"Fisher information cannot be negative, got {value}")
+    if not 0 <= value < np.inf:  # NaN fails too
+        raise ValueError(f"Fisher information must be finite and non-negative, got {value}")
     bound = {"qfi": qfi_bound, "avg": avg_qfi_bound}.get(which)
     if bound is None:
         raise ValueError(f"unknown criterion {which!r}; use 'qfi' or 'avg'")
@@ -219,7 +218,7 @@ def dme_family(state) -> tuple[DmeResult, ...]:
     return tuple(DmeResult(j + 1, bool(violated[j]), float(lhs[j]), float(rhs[j])) for j in range(4))
 
 
-def _witness_seesaw(states: np.ndarray, target: np.ndarray, num_qubits: int, seeds, restarts: int) -> np.ndarray:
+def _witness_seesaw(states: np.ndarray, num_qubits: int, seeds, restarts: int) -> np.ndarray:
     """Best GHZ fidelity over product unitaries via per-qubit eigen-updates,
     for every member of a (B, d) stack of amplitude vectors or a (B, d, d)
     stack of density matrices, from ``restarts`` random starting points per
@@ -228,10 +227,14 @@ def _witness_seesaw(states: np.ndarray, target: np.ndarray, num_qubits: int, see
     With all other factors frozen, the fidelity is a quadratic form in the
     quaternion coordinates of one factor, so each update is a 4x4
     eigenproblem and the fidelity never decreases: form[g, h] =
-    Re <w_g|rho|w_h>, w_g = G_g^dagger V^dagger |target>, for V the frozen
-    factors and G = (I, iX, iY, iZ), all applied qubit by qubit. For a pure
-    state the form is Re o o^dagger with o_g = <w_g|psi>, so no d x d
-    projector is formed; a mixed state keeps w rho w^dagger.
+    Re <w_g|rho|w_h>, w_g = G_g^dagger V^dagger |GHZ>, for V the frozen
+    factors u_m and G = (I, iX, iY, iZ). With qubit l left open,
+    V^dagger |GHZ> = sum_a phi_a (x) |a>_l / sqrt(2), where the two product
+    vectors phi_a = (x)_{m != l} u_m^dagger |a> are built from the columns of
+    the frozen u_m^dagger. A pure state's overlaps <psi|w_g> then come from
+    one contraction of phi with psi, and its form is Re o o^dagger, with no
+    d x d projector and no stack of the w_g; a mixed state builds the (4, d)
+    w from phi and keeps w rho w^dagger.
 
     Member b draws its starting points from ``default_rng(seeds[b])`` as one
     (restarts, N, 4) normal array, the numbers of that many (N, 4) draws in
@@ -252,25 +255,27 @@ def _witness_seesaw(states: np.ndarray, target: np.ndarray, num_qubits: int, see
     for _ in range(100):
         if live.size == 0:
             break
-        x, mine = xs[live], owner[live]
-        targets = np.broadcast_to(target, (live.size, target.size))
+        x, mine, r = xs[live], owner[live], live.size
         if pure:
             bras = states[mine].conj()
         else:
             rhos = states if size == 1 else states[mine]  # one state broadcasts, with no copy per restart
         for l in range(num_qubits):
-            udag = np.einsum("rmg,gab->rmab", x, gens_dag)  # u^dagger = sum_g x_g G_g^dagger
-            phi = targets
+            cols = np.einsum("rmg,gja->rmaj", x, gens_dag)  # column a of u_m^dagger = sum_g x_g G_g^dagger
+            phi = np.full((r, 2, 1), 1 / np.sqrt(2))
             for m in range(num_qubits):
                 if m != l:
-                    phi = _on_qubit(udag[:, m], phi, m, num_qubits, paired=True)
-            w = _on_qubit(gens_dag, phi, l, num_qubits).swapaxes(0, 1)  # (R, 4, d)
+                    phi = (phi[..., None] * cols[:, m, :, None, :]).reshape(r, 2, -1)
+            phi = phi.reshape(r, 2, 2**l, -1)  # the frozen qubits before and after l
             if pure:
-                # <psi|w_g> = conj(o_g); Re o_g conj(o_h) is the real dot of
-                # the (re, im) views, so the form is exactly symmetric
-                o = np.ascontiguousarray(np.einsum("rgx,rx->rg", w, bras)).view(float).reshape(-1, 4, 2)
+                # o_g = <psi|w_g> from the overlaps of phi_a with psi at each
+                # value b of qubit l; Re o_g conj(o_h) is the real dot of the
+                # (re, im) views, so the form is exactly symmetric
+                c = np.einsum("rahk,rhbk->rab", phi, bras.reshape(r, 2**l, 2, -1))
+                o = np.ascontiguousarray(np.einsum("gba,rab->rg", gens_dag, c)).view(float).reshape(-1, 4, 2)
                 form = o @ o.swapaxes(1, 2)
             else:
+                w = np.einsum("gba,rahk->rghbk", gens_dag, phi).reshape(r, 4, -1)
                 form = np.real(w.conj() @ rhos @ w.swapaxes(1, 2))
                 form = (form + form.swapaxes(1, 2)) / 2
             evals, evecs = np.linalg.eigh(form)
@@ -287,7 +292,7 @@ def _optimized_witness(batch: np.ndarray, num_qubits: int, seeds, restarts: int)
     """1/2 minus the larger of the identity-product GHZ fidelity and the
     best ``_witness_seesaw`` restart, for every member of a pure or mixed
     stack, (B,)."""
-    values = _witness_seesaw(batch, zoo.ghz(num_qubits).amplitudes, num_qubits, seeds, restarts)
+    values = _witness_seesaw(batch, num_qubits, seeds, restarts)
     return 0.5 - np.maximum(_ghz_fidelity(batch, num_qubits), values.max(axis=1, initial=-np.inf))
 
 
@@ -332,8 +337,8 @@ def critical_p(ratio: float, num_qubits: int):
     The round trip white_noise_factor(critical_p(x, N), N) == x holds to
     1e-10 whenever a solution exists.
     """
-    if ratio <= 0:
-        raise ValueError(f"ratio must be positive, got {ratio}")
+    if not 0 < ratio < np.inf:  # NaN fails too
+        raise ValueError(f"ratio must be positive and finite, got {ratio}")
     half = 2.0 ** (num_qubits - 1)
     # positive root of p^2 * half - ratio * (half - 1) * p - ratio = 0
     b = ratio * (half - 1.0)
@@ -396,12 +401,7 @@ class CriterionReport:
         }
 
 
-def build_report(
-    state,
-    optimize_directions: bool = True,
-    optimize_witness: bool = False,
-    seed=0,
-) -> CriterionReport:
+def build_report(state, optimize_witness: bool = False, seed=0) -> CriterionReport:
     """Run every applicable criterion on one pure or mixed state."""
     gamma = qfi_matrix(state)  # raises TypeError for anything but a state
     n = state.num_qubits
@@ -411,7 +411,7 @@ def build_report(
     depth_avg = entanglement_depth(value_avg, n, "avg")
 
     local_opt = None
-    if isinstance(state, PureState) and optimize_directions:
+    if isinstance(state, PureState):
         local_opt, _ = optimize_local_directions(state, seed=seed)
     dme = dme_family(state) if n == 3 else None
     witness_opt = ghz_witness(state, optimize_local_unitaries=True, seed=seed) if optimize_witness else None

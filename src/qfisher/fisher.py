@@ -22,7 +22,6 @@ from .core import (
     PureState,
     _as_batch,
     _as_matrix,
-    _on_qubit,
     _pauli_power,
     _popcounts,
     _real_if_real,
@@ -146,7 +145,7 @@ def _real_gram(x: np.ndarray) -> np.ndarray:
     return flat @ flat.swapaxes(-1, -2)
 
 
-def _sketched_eigenpairs(rho: np.ndarray, zero_cut: float):
+def _sketched_eigenpairs(rho: np.ndarray):
     """Ascending eigenvalues (B, k) and eigenvectors (B, d, k) of a (B, d, d)
     stack compressed to the range of a randomized sketch, or None when the
     sketch cannot certify that range as the support of every member.
@@ -155,8 +154,8 @@ def _sketched_eigenpairs(rho: np.ndarray, zero_cut: float):
     (2011)): Y = rho Omega for a Gaussian d x k Omega from fixed seeds,
     Q = qr(Y), and the eigenpairs (lam, V) of Q^dag rho Q, returned as
     (lam, Q V). The sketch is certified when every member has at most
-    k - _SKETCH_SPARE eigenvalues above ``zero_cut`` times its trace, and the
-    trace it misses, tr rho - tr Q^dag rho Q, is at most ``zero_cut`` times
+    k - _SKETCH_SPARE eigenvalues above ``ZERO_CUT`` times its trace, and the
+    trace it misses, tr rho - tr Q^dag rho Q, is at most ``ZERO_CUT`` times
     the trace. Otherwise Omega gains as many columns as it has (32 at first,
     d / 8 at most); the new columns of Y are orthogonalised against Q, so each
     column costs one product with rho. With D the compression of rho to the
@@ -176,9 +175,9 @@ def _sketched_eigenpairs(rho: np.ndarray, zero_cut: float):
     evals = np.zeros((b, 0))
     while True:
         k = q.shape[2]
-        kept = evals > zero_cut * evals.sum(axis=1, keepdims=True)  # the kernel's cut
+        kept = evals > ZERO_CUT * evals.sum(axis=1, keepdims=True)  # the kernel's cut
         deficit = trace - evals.sum(axis=1)
-        if kept.sum(axis=1).max() <= k - _SKETCH_SPARE and np.all(deficit <= zero_cut * trace):
+        if kept.sum(axis=1).max() <= k - _SKETCH_SPARE and np.all(deficit <= ZERO_CUT * trace):
             return evals, q @ vecs
         rest = purity - np.einsum("bk,bk->b", evals, evals)
         step = max(k, 32)
@@ -193,7 +192,7 @@ def _sketched_eigenpairs(rho: np.ndarray, zero_cut: float):
         evals, vecs = np.linalg.eigh(q.conj().swapaxes(1, 2) @ rq)
 
 
-def _qfi_batch(states: np.ndarray, apply, num_ops: int, zero_cut: float = ZERO_CUT) -> np.ndarray:
+def _qfi_batch(states: np.ndarray, apply, num_ops: int) -> np.ndarray:
     """QFI matrices Gamma_ij of a (B, d) stack of amplitude vectors or a
     (B, d, d) stack of density matrices for ``num_ops`` generators G_i, shape
     (B, num_ops, num_ops); ``apply(x)`` returns the G_i x stacked as a complex
@@ -201,13 +200,13 @@ def _qfi_batch(states: np.ndarray, apply, num_ops: int, zero_cut: float = ZERO_C
 
     Only the support enters, as W = V_S sqrt(lam). A pure stack is its own
     support: W = psi and lam = 1, with no eigendecomposition. For a mixed
-    stack, S holds the eigenvectors whose eigenvalue is above ``zero_cut``
+    stack, S holds the eigenvectors whose eigenvalue is above ``ZERO_CUT``
     times the trace in some member of the batch, and a member's other
     eigenvalues count as 0. From d = _SKETCH_MIN_DIM (256) up, the
     eigenpairs come from a seeded randomized sketch of at most d / 8 columns
     (``_sketched_eigenpairs``), accepted only under its certificate:
     _SKETCH_SPARE columns to spare at or below the cut, and a missed trace of
-    at most ``zero_cut`` times the trace. Below that dimension, and for every
+    at most ``ZERO_CUT`` times the trace. Below that dimension, and for every
     stack the sketch cannot certify, they come from the full d x d
     eigendecomposition. The pair weight (lam_a - lam_b)^2 / (lam_a + lam_b)
     equals lam_a + lam_b - 4 lam_a lam_b / (lam_a + lam_b), so with
@@ -225,14 +224,14 @@ def _qfi_batch(states: np.ndarray, apply, num_ops: int, zero_cut: float = ZERO_C
     else:
         b, d, _ = states.shape
         rho = _real_if_real(states)
-        if d >= _SKETCH_MIN_DIM and (found := _sketched_eigenpairs(rho, zero_cut)) is not None:
+        if d >= _SKETCH_MIN_DIM and (found := _sketched_eigenpairs(rho)) is not None:
             evals, vecs = found
         else:
             # eigenvectors, LAPACK's copy of one matrix and its complex and
             # real workspace (a real stack needs about half of this)
             _check_budget(16 * d * d * (b + 3), "the eigendecomposition")
             evals, vecs = np.linalg.eigh(rho)
-        kept = evals > zero_cut * np.sum(evals, axis=-1, keepdims=True)
+        kept = evals > ZERO_CUT * np.sum(evals, axis=-1, keepdims=True)
         first = evals.shape[1] - int(kept.sum(axis=-1).max())  # eigenvalues ascend, so S is a suffix
         lam = np.where(kept, evals, 0.0)[:, first:]
         w = vecs[:, :, first:] * np.sqrt(lam)[:, None, :]
@@ -257,28 +256,28 @@ def _qfi_batch(states: np.ndarray, apply, num_ops: int, zero_cut: float = ZERO_C
     return gamma
 
 
-def qfi(state, generator, zero_cut: float = ZERO_CUT) -> float:
+def qfi(state, generator) -> float:
     """Quantum Fisher information of a pure or mixed state for a Hermitian
-    generator, from its support: the eigenvalues above ``zero_cut`` times the
+    generator, from its support: the eigenvalues above ``ZERO_CUT`` times the
     trace of a mixed state (``_qfi_batch``). From d = 256 they come from a
     seeded sketch of at most d / 8 columns that passes its certificate (8
-    columns to spare, at most ``zero_cut`` of the trace missed), else from the
+    columns to spare, at most ``ZERO_CUT`` of the trace missed), else from the
     full eigendecomposition."""
     g = _as_matrix(generator)
     batch = _as_batch(state)
     if g.shape != (batch.shape[1],) * 2:
         raise ValueError(f"dimension mismatch: state {batch.shape[1:]}, generator {g.shape}")
-    return float(_qfi_batch(batch, lambda v: (g @ v)[None], 1, zero_cut)[0, 0, 0])
+    return float(_qfi_batch(batch, lambda v: (g @ v)[None], 1)[0, 0, 0])
 
 
-def _spin_gammas(batch: np.ndarray, num_qubits: int, zero_cut: float = ZERO_CUT) -> np.ndarray:
+def _spin_gammas(batch: np.ndarray, num_qubits: int) -> np.ndarray:
     """Spin-QFI matrices of a (B, d) pure or (B, d, d) mixed stack, (B, 3, 3)."""
-    return _qfi_batch(batch, lambda v: _apply_spins(v, num_qubits, axis=-2), 3, zero_cut)
+    return _qfi_batch(batch, lambda v: _apply_spins(v, num_qubits, axis=-2), 3)
 
 
-def qfi_matrix(state, zero_cut: float = ZERO_CUT) -> SpinQfiMatrix:
+def qfi_matrix(state) -> SpinQfiMatrix:
     """3x3 collective-spin QFI matrix of a pure or mixed state."""
-    return SpinQfiMatrix(_spin_gammas(_as_batch(state), state.num_qubits, zero_cut)[0], state.num_qubits)
+    return SpinQfiMatrix(_spin_gammas(_as_batch(state), state.num_qubits)[0], state.num_qubits)
 
 
 def qfi_max(state) -> tuple[float, np.ndarray]:
@@ -546,7 +545,8 @@ def _local_directions_batch(
     half_paulis = 0.5 * np.stack([PAULIS[ax] for ax in "xyz"])
     paulis_psi = np.empty((size, n, 3, amps.shape[1]), dtype=complex)
     for l in range(n):
-        paulis_psi[:, l] = _on_qubit(half_paulis, amps, l, n).swapaxes(0, 1)
+        qubit_l = amps.reshape(size, 2**l, 2, -1)  # the qubits before l, qubit l, the qubits after it
+        paulis_psi[:, l] = np.einsum("iab,xhbk->xihak", half_paulis, qubit_l).reshape(size, 3, -1)
     means = np.einsum("bx,blix->bli", amps.conj(), paulis_psi).real
     owner = np.repeat(np.arange(size), per_state)  # the state of each restart
 

@@ -581,6 +581,18 @@ class TestCli:
         payload = json.loads(json_path.read_text())
         assert payload["campaign"] == "table3" and len(payload["rows"]) == 3
 
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a write that fails after the run: the output path is a directory
+        assert main(["bounds-curve", "--n", "4", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        # a missing directory is found before the campaign runs
+        ran = []
+        monkeypatch.setattr("qfisher.cli.run_campaign", lambda config: ran.append(config))
+        for campaign in (["bounds-curve", "--n", "4"], ["table2"]):
+            assert main([*campaign, "--out", str(tmp_path / "missing" / "x.csv")]) == 2
+            assert "does not exist" in capsys.readouterr().err
+        assert not ran
+
     def test_config_file_merging(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"samples": 250, "seed": 4, "state": "ghz:3"}))

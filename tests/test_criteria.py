@@ -139,6 +139,9 @@ class TestDepth:
             qf.entanglement_depth(17.0, 4, "qfi")
         with pytest.raises(ValueError):
             qf.entanglement_depth(-1.0, 4, "qfi")
+        for which in ("qfi", "avg"):
+            with pytest.raises(ValueError, match="finite"):
+                qf.entanglement_depth(float("nan"), 4, which)
         with pytest.raises(ValueError):
             qf.entanglement_depth(1.0, 4, "nope")
 
@@ -213,30 +216,37 @@ class TestWitness:
     @pytest.mark.parametrize("pure", [True, False])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_seesaw_matches_kron_reference(self, n, pure):
-        # a complex target breaks the GHZ target's conjugation symmetry, under
-        # which a seesaw that conjugates the wrong factor still finds the optimum.
         # The lock-step restarts draw their starts from one rng in the order of
         # successive reference runs, so restart r must match reference run r.
         # A pure state enters as its amplitudes (the overlap form), the
         # reference as its projector; the three states then run as one stack.
-        rng = np.random.default_rng([n, 99])
-        psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-        restarts = 2
-        for target in (qf.ghz(n).amplitudes, psi / np.linalg.norm(psi)):
-            states, all_refs = [], []
-            for seed in range(3):
-                state = random_state(n, np.random.default_rng([n, seed]), pure)
-                rho = np.outer(state, state.conj()) if pure else state
-                ref_rng = np.random.default_rng(seed)
-                refs = [kron_seesaw(rho, target, n, ref_rng) for _ in range(restarts)]
-                values = _witness_seesaw(state[None], target, n, [np.random.default_rng(seed)], restarts)[0]
-                assert values.shape == (restarts,)
-                for value, ref in zip(values, refs):
-                    assert abs(value - ref) <= 1e-12
-                states.append(state)
-                all_refs.append(refs)
-            stacked = _witness_seesaw(np.stack(states), target, n, range(3), restarts)
-            assert np.max(np.abs(stacked - all_refs)) <= 1e-12
+        target, restarts = qf.ghz(n).amplitudes, 2
+        states, all_refs = [], []
+        for seed in range(3):
+            state = random_state(n, np.random.default_rng([n, seed]), pure)
+            rho = np.outer(state, state.conj()) if pure else state
+            ref_rng = np.random.default_rng(seed)
+            refs = [kron_seesaw(rho, target, n, ref_rng) for _ in range(restarts)]
+            values = _witness_seesaw(state[None], n, [np.random.default_rng(seed)], restarts)[0]
+            assert values.shape == (restarts,)
+            for value, ref in zip(values, refs):
+                assert abs(value - ref) <= 1e-12
+            states.append(state)
+            all_refs.append(refs)
+        stacked = _witness_seesaw(np.stack(states), n, range(3), restarts)
+        assert np.max(np.abs(stacked - all_refs)) <= 1e-12
+
+    def test_optimization_recovers_locally_rotated_ghz8(self):
+        # the pure path above four qubits: a random su2 on every qubit of ghz(8)
+        rng = np.random.default_rng(8)
+        factors = []
+        for _ in range(8):
+            x = rng.standard_normal(4)
+            factors.append(su2(x / np.linalg.norm(x)))
+        rotated = qf.PureState(8, reduce(np.kron, factors) @ qf.ghz(8).amplitudes)
+        assert qf.ghz_witness(rotated) > -0.5 + 1e-3
+        value = qf.ghz_witness(rotated, optimize_local_unitaries=True, restarts=8, seed=0)
+        assert abs(value + 0.5) <= 1e-9
 
     def test_pure_state_forms_no_projector(self, monkeypatch):
         amps = random_state(3, np.random.default_rng(3), pure=True)
@@ -264,20 +274,19 @@ class TestWitness:
         state = qf.DensityMatrix(3, random_rho(3, np.random.default_rng(6), pure=False))
         value = qf.ghz_witness(state, optimize_local_unitaries=True, restarts=0, seed=0)
         assert value == qf.ghz_witness(state)
-        assert _witness_seesaw(state.matrix[None], qf.ghz(3).amplitudes, 3, [np.random.default_rng(0)], 0).shape == (1, 0)
+        assert _witness_seesaw(state.matrix[None], 3, [np.random.default_rng(0)], 0).shape == (1, 0)
 
     def test_converged_restarts_do_no_more_work(self, monkeypatch):
         # each restart stops on its own: the lock-step eigen-updates number
         # exactly those of the restarts run one at a time, and their values agree
         rho = random_rho(3, np.random.default_rng(9), pure=False)
-        target = qf.ghz(3).amplitudes
         sizes = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
-        values = _witness_seesaw(rho[None], target, 3, [np.random.default_rng(1)], 6)[0]
+        values = _witness_seesaw(rho[None], 3, [np.random.default_rng(1)], 6)[0]
         batched, sizes[:] = list(sizes), []
         rng = np.random.default_rng(1)
-        singles = [_witness_seesaw(rho[None], target, 3, [rng], 1)[0, 0] for _ in range(6)]
+        singles = [_witness_seesaw(rho[None], 3, [rng], 1)[0, 0] for _ in range(6)]
         assert np.max(np.abs(values - singles)) <= 1e-12
         assert batched[0] == 6 and batched == sorted(batched, reverse=True) and batched[-1] < 6
         assert sum(batched) == len(sizes)
@@ -336,6 +345,8 @@ class TestNoiseMachinery:
         assert qf.critical_p(1.2, 4) is None
         with pytest.raises(ValueError):
             qf.critical_p(0.0, 4)
+        with pytest.raises(ValueError, match="finite"):
+            qf.critical_p(float("nan"), 3)
 
     def test_bound_ratios(self):
         alpha, alpha_avg = qf.bound_ratios(qf.ghz(4), 3)

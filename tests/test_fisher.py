@@ -7,7 +7,7 @@ import pytest
 
 import qfisher as qf
 from qfisher import fisher
-from qfisher.core import PAULIS, InvariantError, _on_qubit, _real_if_real
+from qfisher.core import PAULIS, InvariantError, _real_if_real
 
 
 def random_pure(rng, n):
@@ -367,7 +367,7 @@ class TestSupportSketch:
         spectrum match the full eigh's to 1e-12; or, with ``sketch_cols``
         None, it declined and the kernel runs the full eigh itself."""
         rho = _real_if_real(batch)
-        found = fisher._sketched_eigenpairs(rho, fisher.ZERO_CUT)
+        found = fisher._sketched_eigenpairs(rho)
         assert (None if found is None else found[0].shape[1]) == sketch_cols
         if found is None:
             return
@@ -746,8 +746,12 @@ def sequential_local_directions(psi, max_iters=100, restarts=10, seed=None):
     of every restart."""
     n = psi.num_qubits
     rng = np.random.default_rng(seed)
-    half_paulis = 0.5 * np.stack([PAULIS[ax] for ax in "xyz"])
-    paulis_psi = np.stack([_on_qubit(half_paulis, psi.amplitudes, l, n) for l in range(n)])
+
+    def embed(op, l):
+        """``op`` on qubit l as a dense 2^N x 2^N operator, built with kron."""
+        return np.kron(np.kron(np.eye(2**l), op), np.eye(2 ** (n - 1 - l)))
+
+    paulis_psi = np.array([[embed(0.5 * PAULIS[ax], l) @ psi.amplitudes for ax in "xyz"] for l in range(n)])
     means = np.real(np.einsum("x,lix->li", psi.amplitudes.conj(), paulis_psi))
 
     def objective(h_psi):
