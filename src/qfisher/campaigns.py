@@ -367,7 +367,10 @@ def sweep_p(state_name: str, resolution: float = 1e-6) -> list[dict]:
 def analyze(state_spec: str, optimize_witness: bool = False, seed: int = 0) -> dict:
     """Full criterion report for a zoo name or a state JSON file."""
     state = zoo.parse_state_spec(state_spec)
-    report = build_report(state, optimize_witness=optimize_witness, seed=seed)
+    # a pure report factorises nothing larger than 36 x 36; on 2 CPUs a second
+    # BLAS thread stalled the N = 12 Gram by about 0.3 s in 2 of 12 fresh runs
+    with _one_blas_thread() if isinstance(state, PureState) else nullcontext():
+        report = build_report(state, optimize_witness=optimize_witness, seed=seed)
     out = report.to_dict()
     out["state"] = state_spec
     return out

@@ -114,6 +114,8 @@ def main(argv=None) -> int:
         out_dir = os.path.dirname(config.out or "") or "."
         if not os.path.isdir(out_dir):  # found before the campaign runs, not after
             raise FileNotFoundError(f"output directory {out_dir!r} does not exist")
+        if config.out is not None and os.path.isdir(config.out):
+            raise IsADirectoryError(f"output path {config.out!r} is a directory")
         csv_text, payload = run_campaign(config)
         _emit(config, csv_text, payload)
     except InvariantError as exc:

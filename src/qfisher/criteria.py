@@ -339,6 +339,8 @@ def critical_p(ratio: float, num_qubits: int):
     """
     if not 0 < ratio < np.inf:  # NaN fails too
         raise ValueError(f"ratio must be positive and finite, got {ratio}")
+    if num_qubits < 1:
+        raise ValueError("need at least one qubit")
     half = 2.0 ** (num_qubits - 1)
     # positive root of p^2 * half - ratio * (half - 1) * p - ratio = 0
     b = ratio * (half - 1.0)

@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     HERMITICITY_TOL,
     PAULIS,
+    HermitianOperator,
     InvariantError,
     PureState,
     _as_batch,
@@ -256,6 +257,11 @@ def _qfi_batch(states: np.ndarray, apply, num_ops: int) -> np.ndarray:
     return gamma
 
 
+def _generator_matrix(g) -> np.ndarray:
+    """A generator's matrix, checked as ``HermitianOperator`` checks it unless it is one."""
+    return g.matrix if isinstance(g, HermitianOperator) else HermitianOperator(_as_matrix(g)).matrix
+
+
 def qfi(state, generator) -> float:
     """Quantum Fisher information of a pure or mixed state for a Hermitian
     generator, from its support: the eigenvalues above ``ZERO_CUT`` times the
@@ -263,7 +269,7 @@ def qfi(state, generator) -> float:
     seeded sketch of at most d / 8 columns that passes its certificate (8
     columns to spare, at most ``ZERO_CUT`` of the trace missed), else from the
     full eigendecomposition."""
-    g = _as_matrix(generator)
+    g = _generator_matrix(generator)
     batch = _as_batch(state)
     if g.shape != (batch.shape[1],) * 2:
         raise ValueError(f"dimension mismatch: state {batch.shape[1:]}, generator {g.shape}")
@@ -379,7 +385,7 @@ def model_probabilities(state, generator, povm: Povm, thetas) -> np.ndarray:
     """
     if not isinstance(povm, Povm):
         raise TypeError("povm must be a Povm instance")
-    g = _as_matrix(generator)
+    g = _generator_matrix(generator)
     rho = _state_matrix(state)
     if rho.shape != g.shape or povm.dim != g.shape[0]:
         raise ValueError("state, generator and POVM dimensions do not match")
@@ -453,12 +459,6 @@ def _quartic_roots(coeffs: np.ndarray) -> np.ndarray:
     return roots
 
 
-def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Re <u_m|v_m> of every row of two (M, d) complex stacks, as real dot
-    products of their (re, im) views."""
-    return np.einsum("mx,mx->m", u.view(float), v.view(float))
-
-
 def _max_on_sphere(a: np.ndarray, c: np.ndarray, current: np.ndarray) -> np.ndarray:
     """Row-wise argmax over unit n of -(n.a)^2 + 2 n.c (exact, via a quartic)
     for (R, 3) stacks ``a``, ``c`` and ``current``; a (3,) ``a`` is shared by
@@ -524,62 +524,56 @@ def _max_on_sphere(a: np.ndarray, c: np.ndarray, current: np.ndarray) -> np.ndar
 
 
 def _local_directions_batch(
-    amps: np.ndarray, num_qubits: int, seeds, max_iters: int = 100, restarts: int = 10
+    amps: np.ndarray, num_qubits: int, seeds, restarts: int = 10
 ) -> tuple[np.ndarray, np.ndarray]:
     """``optimize_local_directions`` for every member of a (B, d) stack of
     amplitude vectors, member b searching from ``default_rng(seeds[b])``;
     the best values, (B,), and their directions, (B, N, 3).
 
-    The B (restarts + 1) restarts of the whole stack advance in lock step on
-    one (B (restarts + 1), N, 3) array, each restart against the state it
-    belongs to, so a qubit update costs the same number of numpy calls for
-    any B.
+    Gamma_loc of the whole stack is one ``_qfi_batch`` call, and the sum of
+    its 3 x 3 blocks, the spin-QFI matrix, gives restart 0's start. A pure
+    state's block [l, l] is I - 4 a_l a_l.T, a_l = <sigma^(l)> / 2, so qubit
+    l's step maximizes -(n_l.a_l)^2 + 2 n_l.c_l, c_l = sum_{m != l}
+    Gamma_loc[l, m] n_m / 4. All restarts advance in lock step, each on its
+    state's Gamma_loc: a qubit update is the same numpy calls for any B and
+    reads no array of length d.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be at least 0, got {restarts}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     n = num_qubits
     size, per_state = len(amps), restarts + 1
-    # (B, N, 3, d) applications of the half-Paulis; fixed for the whole search
     half_paulis = 0.5 * np.stack([PAULIS[ax] for ax in "xyz"])
-    paulis_psi = np.empty((size, n, 3, amps.shape[1]), dtype=complex)
-    for l in range(n):
-        qubit_l = amps.reshape(size, 2**l, 2, -1)  # the qubits before l, qubit l, the qubits after it
-        paulis_psi[:, l] = np.einsum("iab,xhbk->xihak", half_paulis, qubit_l).reshape(size, 3, -1)
-    means = np.einsum("bx,blix->bli", amps.conj(), paulis_psi).real
+    qubits = (amps.reshape(size, 2**l, 2, -1) for l in range(n))  # the qubits before l, qubit l, those after it
+    means = np.stack([np.einsum("xhak,iab,xhbk->xi", q.conj(), half_paulis, q).real for q in qubits], axis=1)
+
+    def apply(x):  # the sigma_i^(l) x / 2 of a (B, d, r) stack, as (3N, B, d, r)
+        parts = (np.einsum("iab,xhbk->ixhak", half_paulis, x.reshape(size, 2**l, 2, -1)) for l in range(n))
+        return np.concatenate([part.reshape((3,) + x.shape) for part in parts])
+
+    gamma = _qfi_batch(amps, apply, 3 * n).reshape(size, n, 3, n, 3)
+    coupling = (0.25 * gamma * (1.0 - np.eye(n))[:, None, :, None]).reshape(size, n, 3, 3 * n)
+    _, collective_dirs = _top_directions(gamma.sum(axis=(1, 3)))
+    gamma = gamma.reshape(size, 3 * n, 3 * n)
     owner = np.repeat(np.arange(size), per_state)  # the state of each restart
-
-    def objective(h_psi, kets):
-        return 4.0 * (_row_dots(h_psi, h_psi) - _row_dots(kets, h_psi) ** 2)
-
-    _, collective_dirs = _top_directions(_spin_gammas(amps, n))
     dirs = np.empty((size, per_state, n, 3))
     dirs[:, 0] = collective_dirs[:, None]
     for b, seed in enumerate(seeds):
         raw = np.random.default_rng(seed).standard_normal((restarts, n, 3))
         dirs[b, 1:] = raw / np.linalg.norm(raw, axis=2, keepdims=True)
-    h_psi = np.einsum("brli,blix->brx", dirs, paulis_psi).reshape(size * per_state, -1)
     dirs = dirs.reshape(size * per_state, n, 3)
-    value = objective(h_psi, amps[owner])
+    flat = dirs.reshape(len(dirs), -1)
+    value = np.einsum("rx,rxy,ry->r", flat, gamma[owner], flat)
     live = np.arange(len(dirs))  # the restarts still climbing
-    for _ in range(max_iters):
-        d, h = dirs[live], h_psi[live]
-        mine, kets = owner[live], amps[owner[live]]
+    for _ in range(100):
+        d, mine = dirs[live], owner[live]
+        flat = d.reshape(len(d), -1)  # a view, which follows every update of d
+        k, a = coupling[mine], means[mine]
         for l in range(n):
-            # the qubit-l terms of each restart's own state, as real (re, im)
-            # views: gathered per update, or broadcast when there is one state
-            p_l = (paulis_psi[:, l] if size == 1 else paulis_psi[mine, l]).view(float)
-            m_l = means[mine, l]
-            h -= np.einsum("ri,rix->rx", d[:, l], p_l).view(complex)  # every term but qubit l's
-            c = np.einsum("rix,rx->ri", p_l, h.view(float))
-            c -= m_l * _row_dots(kets, h)[:, None]
-            d[:, l] = _max_on_sphere(m_l, c, d[:, l])
-            h += np.einsum("ri,rix->rx", d[:, l], p_l).view(complex)
-        new_value = objective(h, kets)
+            d[:, l] = _max_on_sphere(a[:, l], np.einsum("rix,rx->ri", k[:, l], flat), d[:, l])
+        new_value = np.einsum("rx,rxy,ry->r", flat, gamma[mine], flat)
         done = new_value - value[live] < 1e-10
         value[live] = np.where(done, np.maximum(value[live], new_value), new_value)
-        dirs[live], h_psi[live] = d, h
+        dirs[live] = d
         live = live[~done]
         if live.size == 0:
             break
@@ -588,27 +582,25 @@ def _local_directions_batch(
     return value[picked], dirs[picked]
 
 
-def optimize_local_directions(
-    psi: PureState, max_iters: int = 100, restarts: int = 10, seed=None
-) -> tuple[float, np.ndarray]:
-    """Maximize 4*Var of a one-direction-per-qubit generator over directions.
+def optimize_local_directions(psi: PureState, restarts: int = 10, seed=None) -> tuple[float, np.ndarray]:
+    """Maximize the QFI n.T Gamma_loc n of a one-direction-per-qubit
+    generator (1/2) sum_l n_l . sigma^(l) over the directions n_l, where
+    Gamma_loc is the 3N x 3N QFI matrix of the half-Paulis sigma_i^(l) / 2.
 
-    Coordinate ascent: with every other qubit fixed, the objective restricted
-    to one direction is a sphere-constrained quadratic that is maximized
+    Coordinate ascent: with every other qubit fixed, the form restricted to
+    one direction is a sphere-constrained quadratic that is maximized
     exactly, so the value never decreases. Restart 0 starts from the best
     collective direction, which guarantees the result is at least the
-    collective optimum; ``restarts`` more start from random directions, drawn
-    from ``default_rng(seed)`` as one (restarts, N, 3) normal array (the
-    numbers of that many (N, 3) draws in turn). A restart whose sweep gains
-    less than 1e-10, or that has run ``max_iters`` sweeps, stops and is left
+    collective optimum; ``restarts`` more start from random directions,
+    drawn from ``default_rng(seed)`` as one (restarts, N, 3) normal array
+    (the numbers of that many (N, 3) draws in turn). A restart whose sweep
+    gains less than 1e-10, or that has run 100 sweeps, stops and is left
     out of later sweeps. The first restart with the largest value wins.
 
-    This is the one-state case of ``_local_directions_batch``, which advances
-    the restarts of a whole stack of states in lock step: each qubit update
-    solves the sphere steps of every live restart at once, and ``table2
-    --mode local`` runs the restarts of all states of a chunk together.
+    This is the one-state case of ``_local_directions_batch``, which
+    ``table2 --mode local`` runs on the states of a whole chunk at once.
     """
     if not isinstance(psi, PureState):
         raise TypeError("local-direction optimization needs a pure state")
-    values, dirs = _local_directions_batch(psi.amplitudes[None], psi.num_qubits, [seed], max_iters, restarts)
+    values, dirs = _local_directions_batch(psi.amplitudes[None], psi.num_qubits, [seed], restarts)
     return float(values[0]), dirs[0]

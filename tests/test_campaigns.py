@@ -380,6 +380,13 @@ class TestBlasThreads:
         sweep_p("ghz:3")  # at the cut: the caller's threads, untouched
         assert (calls, count) == ([1, 3, 1, 3], [3])
         assert set(seen) == {3}
+        # a pure state's report runs on one thread, a mixed state's on the caller's
+        reports = []
+        report = campaigns.build_report
+        monkeypatch.setattr(campaigns, "build_report", lambda s, **kw: reports.append(count[0]) or report(s, **kw))
+        analyze("dicke:4:2")
+        analyze("duer:3")
+        assert (calls, count, reports) == ([1, 3, 1, 3, 1, 3], [3], [1, 3])
 
     def test_csv_unchanged_without_the_thread_api(self, monkeypatch):
         with_api = run_campaign(CampaignConfig("table2", samples=2500, seed=0))[0]
@@ -582,15 +589,22 @@ class TestCli:
         assert payload["campaign"] == "table3" and len(payload["rows"]) == 3
 
     def test_unwritable_output_exit_2(self, tmp_path, capsys, monkeypatch):
-        # a write that fails after the run: the output path is a directory
-        assert main(["bounds-curve", "--n", "4", "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        # a missing directory is found before the campaign runs
+        # a write that fails after the run
+        def failing_open(*args, **kwargs):
+            raise OSError("no space left")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("qfisher.cli.open", failing_open, raising=False)
+            assert main(["bounds-curve", "--n", "4", "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "error: no space left\n"
+        # a missing directory, or an output path that is a directory, is found
+        # before the campaign runs
         ran = []
         monkeypatch.setattr("qfisher.cli.run_campaign", lambda config: ran.append(config))
-        for campaign in (["bounds-curve", "--n", "4"], ["table2"]):
-            assert main([*campaign, "--out", str(tmp_path / "missing" / "x.csv")]) == 2
-            assert "does not exist" in capsys.readouterr().err
+        for out, message in ((tmp_path / "missing" / "x.csv", "does not exist"), (tmp_path, "is a directory")):
+            for campaign in (["bounds-curve", "--n", "4"], ["table2"]):
+                assert main([*campaign, "--out", str(out)]) == 2
+                assert message in capsys.readouterr().err
         assert not ran
 
     def test_config_file_merging(self, tmp_path, capsys):

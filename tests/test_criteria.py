@@ -347,6 +347,10 @@ class TestNoiseMachinery:
             qf.critical_p(0.0, 4)
         with pytest.raises(ValueError, match="finite"):
             qf.critical_p(float("nan"), 3)
+        # as white_noise_factor does, which the round trip would reach
+        for n in (0, -2):
+            with pytest.raises(ValueError, match="^need at least one qubit$"):
+                qf.critical_p(1.0, n)
 
     def test_bound_ratios(self):
         alpha, alpha_avg = qf.bound_ratios(qf.ghz(4), 3)

@@ -422,13 +422,18 @@ class TestBatchSamplers:
         assert np.array_equal(batch, reference)
 
     def test_public_samplers_are_batches_of_one(self):
+        # a caller's generator is not dropped, so it must also be left where
+        # the per-sample reference leaves it: the sampler draws nothing ahead
         for i in range(20):
-            psi = qf.random_pure_3qubit(np.random.default_rng([5, i]))
-            assert np.array_equal(psi.amplitudes, _reference_pure(np.random.default_rng([5, i])))
+            rng, ref_rng = np.random.default_rng([5, i]), np.random.default_rng([5, i])
+            psi = qf.random_pure_3qubit(rng)
+            assert np.array_equal(psi.amplitudes, _reference_pure(ref_rng))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
             for mode in X_FORM_MODES:
-                rho = qf.random_ghz_diagonal(np.random.default_rng([5, i]), mode)
-                expected = _reference_ghz_diagonal(np.random.default_rng([5, i]), mode)
-                assert np.array_equal(rho.matrix, expected)
+                rng, ref_rng = np.random.default_rng([5, i]), np.random.default_rng([5, i])
+                rho = qf.random_ghz_diagonal(rng, mode)
+                assert np.array_equal(rho.matrix, _reference_ghz_diagonal(ref_rng, mode))
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_each_sample_validated_once(self, monkeypatch):
         from qfisher import campaigns, core
