@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 2048  # fixed so the sample -> stream map never depends on workers
+MAX_SAMPLES = 2**32  # so each sample index is one 32-bit word of its stream's seed
 # below this matrix dimension a second BLAS thread costs more than it saves:
 # sweep-p on 2 CPUs took 5.2-5.3 s on one thread against 5.4-6.1 s on two at
 # ghz:8 (d = 256), but 31.5-32.5 against 24.4-29.4 s at ghz:9 (d = 512)
@@ -74,8 +75,8 @@ class CampaignConfig:
     theta: float | None = None
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be at least 1")
+        if not 1 <= self.samples <= MAX_SAMPLES:
+            raise ValueError(f"samples must lie in 1..{MAX_SAMPLES}")
         if self.seed < 0:
             raise ValueError("seed must be at least 0")
         if self.workers < 1:
@@ -104,9 +105,70 @@ class DetectionRate:
         return 100.0 * float(np.sqrt(p * (1.0 - p) / self.samples))
 
 
+_MASK32 = 0xFFFFFFFF
+
+
+def _hashmix(const: int, mult: int):
+    # NumPy's SeedSequence hashmix on uint32 arrays; the running multiplier is
+    # a masked Python int, since a NumPy uint32 scalar warns on overflow
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> 16)  # XSHIFT
+
+    return hashmix
+
+
+def _state_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """Row i - start is ``SeedSequence([seed, i]).generate_state(4, np.uint64)``,
+    from NumPy's hash of the entropy words of (seed, i), one uint32 array each."""
+    n = stop - start
+    words = [np.full(n, seed >> s & _MASK32, np.uint32) for s in range(0, max(seed.bit_length(), 1), 32)]
+    words.append(np.arange(start, stop, dtype=np.uint64).astype(np.uint32))
+    words += [np.zeros(n, np.uint32)] * (4 - len(words))
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)  # INIT_A, MULT_A
+    pool = [hashmix(w) for w in words[:4]]
+
+    def mix(dst: int, value: np.ndarray):
+        out = pool[dst] * 0xCA01F9DD - hashmix(value) * 0x4973F715  # MIX_MULT_L, MIX_MULT_R
+        pool[dst] = out ^ (out >> 16)
+
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                mix(dst, pool[src])
+    for w in words[4:]:  # entropy beyond the pool's four words
+        for dst in range(4):
+            mix(dst, w)
+    hashmix = _hashmix(0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B: generate_state
+    state = np.stack([hashmix(pool[j % 4]) for j in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _StateWords:
+    """A seed sequence whose PCG64 state words are already computed."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"only PCG64's 4 uint64 words are precomputed, not {n_words} {np.dtype(dtype)}")
+        return self.words
+
+
 def _streams(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
-    # lazy, so a sampler holds only the generators it is drawing from
-    return (np.random.default_rng([seed, i]) for i in range(start, stop))
+    """``np.random.default_rng([seed, i])`` for i in [start, stop), bit for bit,
+    built lazily (a sampler holds only the generators it draws from)."""
+    if not 0 <= start <= stop <= MAX_SAMPLES:
+        raise ValueError(f"sample indices must lie in 0..{MAX_SAMPLES - 1}, got [{start}, {stop})")
+    # imported here: numpy.random would add about 14 ms to every CLI start
+    from numpy.random import PCG64, Generator, bit_generator
+
+    bit_generator.ISeedSequence.register(_StateWords)
+    return (Generator(PCG64(_StateWords(words))) for words in _state_words(seed, start, stop))
 
 
 @cache

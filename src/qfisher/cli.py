@@ -18,6 +18,17 @@ from .core import InvariantError
 
 FULL_SCALE_SAMPLES = 1_000_000
 DEFAULT_SAMPLES = 10_000  # quick profile; pass --full or --samples for more
+# the flags each campaign reads, besides --seed, --workers, --out and --config,
+# which every campaign takes
+READS = {
+    "table2": {"samples", "full", "mode"},
+    "table3": {"samples", "full", "mode"},
+    "bounds-curve": {"n", "k"},
+    "sweep-p": {"state", "k"},
+    "analyze": {"state", "mode"},
+    "phase-sim": {"state", "m", "trials", "theta"},
+    "bound-entangled-scan": {"samples", "full"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,6 +60,11 @@ def _merge_config(args: argparse.Namespace) -> CampaignConfig:
             file_values = json.load(fh)
         if not isinstance(file_values, dict):
             raise ValueError("config file must hold a JSON object of flag values")
+    given = {flag for flag, value in vars(args).items() if value is not None and value is not False} - {"campaign"}
+    given |= {key for key, value in file_values.items() if value is not None}
+    unread = sorted(given - READS[args.campaign] - {"seed", "workers", "out", "config"})
+    if unread:
+        raise ValueError(f"{args.campaign} does not read {', '.join('--' + flag for flag in unread)}")
 
     def pick(flag: str, default):
         cli_value = getattr(args, flag)

@@ -257,6 +257,11 @@ def _as_matrix(op) -> np.ndarray:
     return np.asarray(op, dtype=complex)
 
 
+def _generator_matrix(g) -> np.ndarray:
+    """An operator's matrix, checked as ``HermitianOperator`` checks it unless it is one."""
+    return g.matrix if isinstance(g, HermitianOperator) else HermitianOperator(_as_matrix(g)).matrix
+
+
 def _state_matrix(state) -> np.ndarray:
     if isinstance(state, PureState):
         return np.outer(state.amplitudes, state.amplitudes.conj())
@@ -410,8 +415,9 @@ def mix_with_identity(state, p: float) -> DensityMatrix:
 
 
 def variance(state, op) -> float:
-    """Variance <op^2> - <op>^2 in the given pure or mixed state."""
-    mat = _as_matrix(op)
+    """Variance <op^2> - <op>^2 in the given pure or mixed state; a raw ``op``
+    is checked as ``HermitianOperator`` checks it."""
+    mat = _generator_matrix(op)
     if isinstance(state, PureState):
         vec = state.amplitudes
         if mat.shape[0] != vec.size:

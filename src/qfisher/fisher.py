@@ -18,11 +18,10 @@ import numpy as np
 from .core import (
     HERMITICITY_TOL,
     PAULIS,
-    HermitianOperator,
     InvariantError,
     PureState,
     _as_batch,
-    _as_matrix,
+    _generator_matrix,
     _pauli_power,
     _popcounts,
     _real_if_real,
@@ -255,11 +254,6 @@ def _qfi_batch(states: np.ndarray, apply, num_ops: int) -> np.ndarray:
     upper = np.triu_indices(num_ops, 1)
     gamma[:, upper[1], upper[0]] = gamma[:, upper[0], upper[1]]  # exactly symmetric
     return gamma
-
-
-def _generator_matrix(g) -> np.ndarray:
-    """A generator's matrix, checked as ``HermitianOperator`` checks it unless it is one."""
-    return g.matrix if isinstance(g, HermitianOperator) else HermitianOperator(_as_matrix(g)).matrix
 
 
 def qfi(state, generator) -> float:

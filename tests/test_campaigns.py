@@ -263,6 +263,42 @@ class TestPhaseSim:
         np.testing.assert_allclose(from_file["estimates"], from_zoo["estimates"], rtol=0, atol=1e-12)
 
 
+class TestStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64, 2**100])
+    def test_streams_are_default_rng_of_seed_and_index(self, seed):
+        # the last seed has more entropy words than the pool holds; the
+        # ranges cross a chunk boundary and end at the largest index
+        for start, stop in ((0, 5), (2040, 2056), (2**32 - 4, 2**32)):
+            streams = list(campaigns._streams(seed, start, stop))
+            assert len(streams) == stop - start
+            for i, rng in zip(range(start, stop), streams):
+                ref = np.random.default_rng([seed, i])
+                assert rng.bit_generator.state == ref.bit_generator.state
+                assert np.array_equal(rng.random(14), ref.random(14))
+
+    def test_indices_from_2_32_refused(self, capsys):
+        with pytest.raises(ValueError, match="sample indices"):
+            campaigns._streams(0, 2**32 - 1, 2**32 + 1)
+        CampaignConfig("table2", samples=2**32)
+        with pytest.raises(ValueError, match="samples must lie in"):
+            CampaignConfig("table2", samples=2**32 + 1)
+        assert main(["table2", "--samples", str(2**32 + 1)]) == 2
+        assert capsys.readouterr().err == f"error: samples must lie in 1..{2**32}\n"
+
+    def test_stand_in_serves_only_the_pcg64_seed_request(self):
+        seed_seq = next(campaigns._streams(3, 7, 8)).bit_generator.seed_seq
+        ref = np.random.SeedSequence([3, 7]).generate_state(4, np.uint64)
+        assert np.array_equal(seed_seq.generate_state(4, np.uint64), ref)
+        for request in ((4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)):
+            with pytest.raises(ValueError, match="only PCG64"):
+                seed_seq.generate_state(*request)
+
+    def test_cli_import_leaves_numpy_random_unloaded(self):
+        # numpy.random is imported when the first streams are built, not at start
+        code = "import sys, qfisher.cli; sys.exit('numpy.random' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
 class TestRunCampaign:
     def test_csv_bytes_identical_across_workers(self):
         cfg1 = CampaignConfig("table2", samples=2000, seed=9, workers=1)
@@ -522,6 +558,49 @@ class TestCli:
         assert main([campaign, "--config", str(config)]) == 2
         assert capsys.readouterr().err.startswith("error: config")
 
+    @pytest.mark.parametrize(
+        "argv, config, unread",
+        [
+            (["table2", "--k", "99"], {}, "--k"),
+            (["table2", "--m", "5"], {}, "--m"),
+            (["table2", "--state", "ghz:4"], {}, "--state"),
+            (["analyze", "--state", "ghz:3", "--samples", "5"], {}, "--samples"),
+            (["analyze", "--state", "ghz:3", "--full"], {}, "--full"),
+            (["bounds-curve", "--n", "4", "--trials", "3", "--theta", "0.5"], {}, "--theta, --trials"),
+            (["sweep-p", "--state", "ghz:3", "--n", "3"], {}, "--n"),
+            (["phase-sim", "--samples", "5"], {}, "--samples"),
+            (["bound-entangled-scan", "--k", "0"], {}, "--k"),
+            (["table2"], {"k": 99}, "--k"),
+            (["analyze"], {"state": "ghz:3", "samples": 5}, "--samples"),
+            (["analyze", "--state", "ghz:3"], {"full": False}, "--full"),
+            (["table3"], {"sampels": 5}, "--sampels"),
+            (["table3"], {"campaign": "table2"}, "--campaign"),
+        ],
+    )
+    def test_unread_flag_exit_2(self, argv, config, unread, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr("qfisher.cli.run_campaign", lambda cfg: ran.append(cfg))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main([*argv, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {argv[0]} does not read {unread}\n"
+        assert not ran
+
+    @pytest.mark.parametrize("campaign", qf.campaigns.CAMPAIGNS)
+    def test_seed_workers_out_and_config_taken_by_every_campaign(self, campaign, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setattr("qfisher.cli.run_campaign", lambda cfg: ran.append(cfg) or ("", {}))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": 2, "workers": 1}))
+        argv = [campaign, "--seed", "3", "--workers", "2", "--out", str(tmp_path / "x.json"), "--config", str(path)]
+        assert main(argv) == 0
+        assert [(cfg.seed, cfg.workers) for cfg in ran] == [(3, 2)]
+
+    def test_benchmark_setup_command_runs(self, capsys):
+        # the benchmark appends --workers 1 and --seed to every invocation
+        assert main(["bounds-curve", "--n", "4", "--workers", "1", "--seed", "0"]) == 0
+        assert capsys.readouterr().out.startswith("k,")
+
     def test_integer_theta_in_config_runs_at_that_phase(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"state": "ghz:2", "theta": 1, "m": 50, "trials": 3}))
@@ -609,7 +688,7 @@ class TestCli:
 
     def test_config_file_merging(self, tmp_path, capsys):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"samples": 250, "seed": 4, "state": "ghz:3"}))
+        config.write_text(json.dumps({"seed": 4, "state": "ghz:3"}))
         out_a = tmp_path / "a.json"
         assert main(["analyze", "--config", str(config), "--out", str(out_a)]) == 0
         assert json.loads(out_a.read_text())["state"] == "ghz:3"

@@ -519,6 +519,16 @@ class TestExpectationVariance:
         first = np.trace(rho.matrix @ jz).real
         assert is_close(qf.variance(rho, jz), second - first**2, 1e-10)
 
+    @pytest.mark.parametrize("entry, message", [((0, 3), "not Hermitian"), ((1, 1), "non-finite")])
+    def test_raw_operator_checked_as_hermitian_operator(self, entry, message):
+        # one entry above the diagonal alone, or a NaN: before the check the
+        # mixed path gave a negative variance (-0.25) or nan
+        g = np.zeros((4, 4))
+        g[entry] = 1.0 if message == "not Hermitian" else np.nan
+        for state in (qf.ghz(2), qf.density_from_pure(qf.ghz(2))):
+            with pytest.raises(InvariantError, match=message):
+                qf.variance(state, g)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             qf.variance(qf.ghz(2), qf.collective_spin(3, "z"))
