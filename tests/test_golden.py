@@ -13,6 +13,8 @@ run the mixed spin-QFI kernel. ``analyze_ghz3.csv``, ``analyze_duer3.csv``
 and ``sweep_p_ghz3.csv`` are the three-qubit paths: the antidiagonal test
 and the GHZ witness of a pure and a mixed report, and the witness and
 antidiagonal thresholds over white-noise mixtures of GHZ(3).
+``sweep_p_ghz7.csv`` (the benchmark's sweep, twelve thresholds on 128 x 128
+mixtures) and ``sweep_p_dicke6_3.csv`` pin the larger sweeps.
 
 A change that moves any byte of these tables fails here. If a change is
 meant to alter them, regenerate the files in their own labelled commit
@@ -49,6 +51,8 @@ CASES = {
     "analyze_ghz3.csv": dict(campaign="analyze", state="ghz:3"),
     "analyze_duer3.csv": dict(campaign="analyze", state="duer:3"),
     "sweep_p_ghz3.csv": dict(campaign="sweep-p", state="ghz:3"),
+    "sweep_p_ghz7.csv": dict(campaign="sweep-p", state="ghz:7"),
+    "sweep_p_dicke6_3.csv": dict(campaign="sweep-p", state="dicke:6:3"),
 }
 
 # phase-sim summary (std, ratio) at the configurations above; the CSV keeps
