@@ -20,9 +20,18 @@ from functools import cache, partial
 import numpy as np
 
 from . import zoo
-from .core import PureState, _check_density_stack, _check_pure_stack, collective_spin, mix_with_identity
+from .core import (
+    InvariantError,
+    PureState,
+    _check_density_stack,
+    _check_num_qubits,
+    _check_pure_stack,
+    collective_spin,
+    mix_with_identity,
+)
 from .criteria import (
-    _detects,
+    _margin,
+    _margins,
     _optimized_witness,
     avg_qfi_bound,
     bound_ratios,
@@ -262,9 +271,9 @@ def _table2_chunk(start: int, stop: int, seed: int, local: bool) -> np.ndarray:
     indices = range(start, stop)
     fq_local, _ = _local_directions_batch(psis, 3, [(seed, i, 1) for i in indices], restarts=4)
     witness_opt = _optimized_witness(psis, 3, [(seed, i, 2) for i in indices], restarts=5)
-    flags["fq_2_local"] = _detects("fq_2", 3, fq_local)
-    flags["fq_3_local"] = _detects("fq_3", 3, fq_local)
-    flags["witness_opt"] = _detects("witness", 3, witness_opt)
+    flags["fq_2_local"] = _margin("fq_2", 3, fq_local) > 0
+    flags["fq_3_local"] = _margin("fq_3", 3, fq_local) > 0
+    flags["witness_opt"] = _margin("witness", 3, witness_opt) > 0
     return _counts(flags, TABLE2_LOCAL_CRITERIA)
 
 
@@ -366,64 +375,117 @@ def bounds_curve(num_qubits: int) -> list[dict]:
     return rows
 
 
-def _bisect_p(detect, tol: float) -> float | None:
-    """Minimal mixing weight at which a monotone detector fires."""
-    if not detect(1.0):
-        return None
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if detect(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+@dataclass
+class _Bracket:
+    """Grid points of one criterion known undetected (lo) and detected (hi),
+    with the margins the search steers by; hi is None while none is known."""
+
+    lo: int = 0
+    f_lo: float = 0.0
+    hi: int | None = None
+    f_hi: float = 0.0
 
 
-def sweep_p(state_name: str, resolution: float = 1e-6) -> list[dict]:
+def _grid_thresholds(margins_at, names, resolution: float) -> dict[str, float | None]:
+    """Smallest detected weight of each named criterion on the grid j / 2^m,
+    for the least m with 2^-m <= ``resolution``, or None where p = 1 is not
+    detected; ``margins_at(p)`` maps each name to a (1,) signed margin, > 0
+    where it detects.
+
+    This is the grid point that bisection from [0, 1] returns when the flags
+    are monotone in p. Each criterion's bracket closes by regula falsi with
+    the Illinois modification (Dowell and Jarratt, BIT 11, 168 (1971)) on
+    its margins, rounded up to the grid, and by a bisection step after two
+    steps that fail to halve it. Every point is decided once, for all names,
+    and updates each bracket that holds it; a flag that contradicts a known
+    end of any bracket raises ``InvariantError``. p = 0 is the maximally
+    mixed state, which is separable, so no criterion may detect it.
+    """
+    m = 0
+    while 2.0**-m > resolution:
+        m += 1
+    top = 2**m
+    brackets = {name: _Bracket() for name in names}
+
+    def decide(j: int):
+        margins = margins_at(j / top)
+        for name, b in brackets.items():
+            f = float(margins[name][0])
+            if f > 0 and j <= b.lo:
+                raise InvariantError(
+                    f"{name} detects p = {j / top} but not p = {b.lo / top}" if j else f"{name} detects I/2^N"
+                )
+            if f <= 0 and b.hi is not None and j >= b.hi:
+                raise InvariantError(f"{name} detects p = {b.hi / top} but not p = {j / top}")
+            if f > 0 and (b.hi is None or j < b.hi):
+                b.hi, b.f_hi = j, f
+            elif f <= 0 and j >= b.lo:
+                b.lo, b.f_lo = j, f
+
+    decide(top)
+    decide(0)
+    for b in brackets.values():
+        stalls, side = 0, None
+        while b.hi is not None and b.hi - b.lo > 1:
+            width = b.hi - b.lo
+            root = b.lo + width * b.f_lo / (b.f_lo - b.f_hi)
+            if stalls >= 2 or not math.isfinite(root):
+                j = (b.lo + b.hi) // 2
+            else:
+                j = min(max(math.ceil(root), b.lo + 1), b.hi - 1)
+            decide(j)
+            moved = "hi" if b.hi == j else "lo"
+            if moved == side:  # Illinois: the end kept twice steers with half its margin
+                if side == "hi":
+                    b.f_lo /= 2
+                else:
+                    b.f_hi /= 2
+            side = moved
+            stalls = 0 if 2 * (b.hi - b.lo) <= width else stalls + 1
+    return {name: None if b.hi is None else b.hi / top for name, b in brackets.items()}
+
+
+def sweep_p(state_name: str, resolution: float = 1e-6, k: int | None = None) -> list[dict]:
     """White-noise robustness thresholds of each criterion for a pure state.
 
-    For every producibility class the minimal admixture weight p at which
-    the QFI criteria detect p|psi><psi| + (1-p)I/2^N is bisected and
-    cross-checked against the closed-form critical weight. Three-qubit
-    states also get the witness and antidiagonal-test thresholds.
+    For every producibility class, or class ``k`` alone, the minimal
+    admixture weight p at which the QFI criteria detect
+    p|psi><psi| + (1-p)I/2^N is searched on the bisection grid of
+    ``resolution`` (``_grid_thresholds``) and cross-checked against the
+    closed-form critical weight. Three-qubit states also get the witness
+    and antidiagonal-test thresholds. Every mixture is built and its
+    criteria decided in full, once per grid point.
     """
+    if not (math.isfinite(resolution) and resolution >= 2.0**-52):
+        # finer grids are not exact doubles, and bisection on them never ends
+        raise ValueError(f"resolution must be finite and at least 2^-52, got {resolution!r}")
     state = zoo.parse_state_spec(state_name)
     if not isinstance(state, PureState):
         raise ValueError(f"the noise sweep needs a pure state, got {state_name!r}")
     n = state.num_qubits
     if n < 2:
         raise ValueError("need at least 2 qubits")
+    if k is not None and not 1 <= k < n:
+        raise ValueError(f"class k must lie in 1..{n - 1}, got {k}")
 
     rows = []  # (criterion, k, closed-form threshold)
-    for k in range(1, n):
-        ratio_max, ratio_avg = bound_ratios(state, k)
-        rows += [("fq", k, critical_p(ratio_max, n)), ("fq_avg", k, critical_p(ratio_avg, n))]
+    for c in range(1, n) if k is None else (k,):
+        ratio_max, ratio_avg = bound_ratios(state, c)
+        rows += [("fq", c, critical_p(ratio_max, n)), ("fq_avg", c, critical_p(ratio_avg, n))]
     if n == 3:
         fidelity = 0.5 - ghz_witness(state)
         closed = (0.5 - 0.125) / (fidelity - 0.125) if fidelity > 0.5 else None
         rows += [("witness", None, closed), ("dme", None, None)]
-    names = [f"{criterion}_{k + 1}" if k else criterion for criterion, k, _ in rows]
-
-    # every bisection starts at p = 1 and 1/2 and many share later steps, so
-    # each mixture is built and decided once, for every name of the sweep
-    flags_at = {}
-
-    def detects(name, p):
-        if p not in flags_at:
-            flags_at[p] = evaluate(mix_with_identity(state, p).matrix[None], n, names)
-        return bool(flags_at[p][name][0])
+    names = [f"{criterion}_{c + 1}" if c else criterion for criterion, c, _ in rows]
 
     with _one_blas_thread() if state.dim < SMALL_DIM else nullcontext():
-        return [
-            {
-                "criterion": criterion,
-                "k": k,
-                "p_threshold": _bisect_p(partial(detects, name), resolution),
-                "p_closed_form": closed,
-            }
-            for (criterion, k, closed), name in zip(rows, names)
-        ]
+        thresholds = _grid_thresholds(
+            lambda p: _margins(mix_with_identity(state, p).matrix[None], n, names), names, resolution
+        )
+    return [
+        {"criterion": criterion, "k": c, "p_threshold": thresholds[name], "p_closed_form": closed}
+        for (criterion, c, closed), name in zip(rows, names)
+    ]
 
 
 def analyze(state_spec: str, optimize_witness: bool = False, seed: int = 0) -> dict:
@@ -555,6 +617,7 @@ def run_campaign(config: CampaignConfig) -> tuple[str, dict | None]:
     if name == "bounds-curve":
         if config.n is None:
             raise ValueError("bounds-curve needs --n")
+        _check_num_qubits(config.n)  # the table is not dense, but the CLI keeps one qubit cap
         rows = bounds_curve(config.n)
         if config.k is not None:
             rows = [row for row in rows if row["k"] == config.k]
@@ -568,9 +631,7 @@ def run_campaign(config: CampaignConfig) -> tuple[str, dict | None]:
             n = zoo.parse_state_spec(config.state).num_qubits
             if not 1 <= config.k < n:
                 raise ValueError(f"--k {config.k} is outside 1..{n - 1}")
-        rows = sweep_p(config.state, 1e-6)
-        if config.k is not None:
-            rows = [row for row in rows if row["k"] in (config.k, None)]
+        rows = sweep_p(config.state, 1e-6, config.k)
         return _dicts_csv(rows), {"campaign": name, "state": config.state, "rows": rows}
     if name == "analyze":
         if not config.state:

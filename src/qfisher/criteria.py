@@ -106,19 +106,20 @@ def _criterion(name: str, num_qubits: int) -> tuple[str, float | None]:
     return ("dme" if name.startswith("dme") else name), None
 
 
-def _detects(name: str, num_qubits: int, values: np.ndarray) -> np.ndarray:
-    """Flags of a criterion decided by one number per state: ``fq_k`` and
-    ``fq_avg_k`` values above their bound, ``witness`` values below zero,
-    each by more than ``STRICT_MARGIN``."""
+def _margin(name: str, num_qubits: int, values: np.ndarray) -> np.ndarray:
+    """Signed margins of a criterion decided by one number per state, > 0
+    exactly where it detects: ``fq_k`` and ``fq_avg_k`` values above their
+    bound, ``witness`` values below zero, each by more than ``STRICT_MARGIN``.
+    Against a finite threshold t, x - t > 0 holds exactly when x > t."""
     quantity, bound = _criterion(name, num_qubits)
     if quantity == "witness":
-        return values < -STRICT_MARGIN
-    return values > bound + STRICT_MARGIN
+        return -STRICT_MARGIN - values
+    return values - (bound + STRICT_MARGIN)
 
 
 def _antidiagonal(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both sides of the four antidiagonal conditions of a 3-qubit stack and
-    their violation flags, each (B, 4).
+    their signed margins, each (B, 4); a margin above 0 is a violation.
 
     For pair j (0-based), lhs = |rho[j, 7-j]| and rhs sums
     sqrt(rho[i, i] rho[7-i, 7-i]) over the other pairs i. For a pure stack
@@ -134,7 +135,7 @@ def _antidiagonal(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
         diag = np.maximum(0.0, np.real(np.diagonal(batch, axis1=1, axis2=2)))
         terms = np.sqrt(diag[:, :4] * diag[:, 7:3:-1])
     rhs = terms[:, _OTHER_PAIRS].sum(axis=2)
-    return lhs, rhs, lhs > rhs + 1e-12  # the test's own margin, on matrix elements
+    return lhs, rhs, lhs - (rhs + 1e-12)  # the test's own margin, on matrix elements
 
 
 def _ghz_fidelity(batch: np.ndarray, num_qubits: int) -> np.ndarray:
@@ -145,6 +146,45 @@ def _ghz_fidelity(batch: np.ndarray, num_qubits: int) -> np.ndarray:
     # GHZ lives on the first and last basis states; no other entry of rho enters
     ends = [0, target.size - 1]
     return np.real(np.einsum("g,bgh,h->b", target[ends].conj(), batch[:, ends][:, :, ends], target[ends]))
+
+
+def _margins(batch, num_qubits: int, names) -> dict[str, np.ndarray]:
+    """Signed margins of the named criteria decided by one number, for every
+    member of a (B, d) or (B, d, d) stack, assumed valid; one (B,) float
+    array per name, > 0 exactly where ``evaluate`` flags the member:
+
+    - ``fq_k`` / ``fq_avg_k``: the value less its bound plus
+      ``STRICT_MARGIN``; ``witness``: -``STRICT_MARGIN`` less the value;
+    - ``dme`` / ``dme_family``: lhs less rhs plus 1e-12, of pair 1 / the
+      largest over the four pairs.
+
+    ``ppt_all_cuts`` is a flag with no margin and raises ``ValueError``.
+    """
+    batch = np.asarray(batch)
+    d = 2**num_qubits
+    if batch.ndim not in (2, 3) or batch.shape[1:] != (d,) * (batch.ndim - 1):
+        raise ValueError(f"expected a (B, {d}) or (B, {d}, {d}) stack, got shape {batch.shape}")
+    quantities = {name: _criterion(name, num_qubits)[0] for name in names}
+    needed = set(quantities.values())
+    if "ppt_all_cuts" in needed:
+        raise ValueError("ppt_all_cuts is decided by a matrix test, not by a margin")
+    values, margins = {}, {}  # values go through _margin, margins are final
+    if needed & {"fq", "fq_avg"}:
+        gammas = fisher._spin_gammas(batch, num_qubits)
+        if "fq" in needed:
+            values["fq"] = np.linalg.eigvalsh(gammas)[:, -1]
+        if "fq_avg" in needed:
+            values["fq_avg"] = np.trace(gammas, axis1=1, axis2=2) / 3.0
+    if "dme" in needed:
+        pairs = _antidiagonal(batch)[2]
+        # fmax skips a NaN pair, as any() of the pairs' flags does
+        margins["dme"], margins["dme_family"] = pairs[:, 0], np.fmax.reduce(pairs, axis=1)
+    if "witness" in needed:
+        values["witness"] = 0.5 - _ghz_fidelity(batch, num_qubits)
+    return {
+        name: margins[name] if name in margins else _margin(name, num_qubits, values[quantity])
+        for name, quantity in quantities.items()
+    }
 
 
 def evaluate(batch, num_qubits: int, names) -> dict[str, np.ndarray]:
@@ -160,35 +200,19 @@ def evaluate(batch, num_qubits: int, names) -> dict[str, np.ndarray]:
     - ``witness``: 1/2 - <GHZ|rho|GHZ> below -``STRICT_MARGIN``;
     - ``ppt_all_cuts``: PPT across every single-qubit cut.
 
-    Each shared quantity (Gamma, antidiagonal terms, fidelity, partial
-    transposes) is computed at most once, and only if a name needs it. Any
-    other name raises ``ValueError``.
+    All but ``ppt_all_cuts`` are their ``_margins`` above 0. Each shared
+    quantity (Gamma, antidiagonal terms, fidelity, partial transposes) is
+    computed at most once, and only if a name needs it. Any other name
+    raises ``ValueError``.
     """
+    names = list(names)
     batch = np.asarray(batch)
-    d = 2**num_qubits
-    if batch.ndim not in (2, 3) or batch.shape[1:] != (d,) * (batch.ndim - 1):
-        raise ValueError(f"expected a (B, {d}) or (B, {d}, {d}) stack, got shape {batch.shape}")
-    quantities = {name: _criterion(name, num_qubits)[0] for name in names}
-    needed = set(quantities.values())
-    values, flags = {}, {}  # values go through _detects, flags are final
-    if needed & {"fq", "fq_avg"}:
-        gammas = fisher._spin_gammas(batch, num_qubits)
-        if "fq" in needed:
-            values["fq"] = np.linalg.eigvalsh(gammas)[:, -1]
-        if "fq_avg" in needed:
-            values["fq_avg"] = np.trace(gammas, axis1=1, axis2=2) / 3.0
-    if "dme" in needed:
-        violated = _antidiagonal(batch)[2]
-        flags["dme"], flags["dme_family"] = violated[:, 0], violated.any(axis=1)
-    if "witness" in needed:
-        values["witness"] = 0.5 - _ghz_fidelity(batch, num_qubits)
-    if "ppt_all_cuts" in needed:
+    margins = _margins(batch, num_qubits, [name for name in names if name != "ppt_all_cuts"])
+    flags = {name: margin > 0 for name, margin in margins.items()}
+    if "ppt_all_cuts" in names:
         rhos = batch[:, :, None] * batch[:, None, :].conj() if batch.ndim == 2 else batch
         flags["ppt_all_cuts"] = np.logical_and.reduce([is_ppt(rhos, [q]) for q in range(num_qubits)])
-    return {
-        name: flags[name] if name in flags else _detects(name, num_qubits, values[quantity])
-        for name, quantity in quantities.items()
-    }
+    return {name: flags[name] for name in names}
 
 
 @dataclass(frozen=True)
@@ -214,8 +238,8 @@ def dme_condition(state, pair: int = 1) -> DmeResult:
 
 def dme_family(state) -> tuple[DmeResult, ...]:
     """All four antidiagonal-pair conditions; any violation is a detection."""
-    lhs, rhs, violated = (x[0] for x in _antidiagonal(_as_batch(state)))
-    return tuple(DmeResult(j + 1, bool(violated[j]), float(lhs[j]), float(rhs[j])) for j in range(4))
+    lhs, rhs, margin = (x[0] for x in _antidiagonal(_as_batch(state)))
+    return tuple(DmeResult(j + 1, bool(margin[j] > 0), float(lhs[j]), float(rhs[j])) for j in range(4))
 
 
 def _witness_seesaw(states: np.ndarray, num_qubits: int, seeds, restarts: int) -> np.ndarray:

@@ -4,7 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +24,23 @@ from qfisher.campaigns import (
 )
 from qfisher.cli import main
 from qfisher.core import mix_with_identity
-from qfisher.criteria import _detects, evaluate
+from qfisher.criteria import _margin, _margins, evaluate
 from qfisher.zoo import parse_state_spec, plus_state
+
+
+def bisect_p(detect, tol: float) -> float | None:
+    """Reference sweep: the least mixing weight at which a monotone detector
+    fires, bisected from [0, 1] until the bracket is at most ``tol``."""
+    if not detect(1.0):
+        return None
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if detect(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 class TestTable2:
@@ -94,8 +109,8 @@ class TestTable2:
                 ("fq_3", fq_local, fq_ref),
                 ("witness", witness_opt, witness_ref),
             ):
-                flags.append(_detects(name, 3, ref))
-                assert np.array_equal(_detects(name, 3, values), flags[-1])
+                flags.append(_margin(name, 3, ref) > 0)
+                assert np.array_equal(_margin(name, 3, values) > 0, flags[-1])
             assert counts[-3:].tolist() == [int(f.sum()) for f in flags]
 
 
@@ -184,23 +199,104 @@ class TestSweep:
         wit = next(r for r in rows if r["criterion"] == "witness")
         assert abs(wit["p_threshold"] - wit["p_closed_form"]) <= 2e-6
 
-    @pytest.mark.parametrize("spec", ["ghz:3", "ghz:4", "dicke:4:2"])
+    @pytest.mark.parametrize(
+        "spec", ["ghz:2", "ghz:3", "ghz:4", "ghz:5", "ghz:7", "dicke:4:2", "dicke:5:2", "psi_s4:+", "psi_s4:-", "plus:3"]
+    )
     def test_one_mixture_per_weight_and_per_name_thresholds(self, spec, monkeypatch):
-        # each bisection on its own, one evaluate call per step and name
+        # the thresholds of a bisection on each name alone
         state = parse_state_spec(spec)
         n = state.num_qubits
-
-        def alone(name, p):
-            return bool(evaluate(mix_with_identity(state, p).matrix[None], n, (name,))[name][0])
-
         weights = []
         mix = campaigns.mix_with_identity
         monkeypatch.setattr(campaigns, "mix_with_identity", lambda s, p: weights.append(p) or mix(s, p))
         rows = sweep_p(spec)
         assert len(weights) == len(set(weights))
+        names = [f"{row['criterion']}_{row['k'] + 1}" if row["k"] else row["criterion"] for row in rows]
+        flags_at = cache(lambda p: evaluate(mix(state, p).matrix[None], n, names))
+        with campaigns._one_blas_thread():
+            for row, name in zip(rows, names):
+                assert row["p_threshold"] == bisect_p(lambda p: bool(flags_at(p)[name][0]), 1e-6)
+        if spec == "plus:3":
+            assert all(row["p_threshold"] is None for row in rows)
+
+    @pytest.mark.parametrize("spec, most", [("ghz:7", 50), ("ghz:5", 40), ("dicke:6:3", 30)])
+    def test_few_mixtures_and_no_closed_form_in_the_search(self, spec, most, monkeypatch):
+        weights, closed_at = [], []
+        mix, closed = campaigns.mix_with_identity, campaigns.critical_p
+        monkeypatch.setattr(campaigns, "mix_with_identity", lambda s, p: weights.append(p) or mix(s, p))
+        monkeypatch.setattr(campaigns, "critical_p", lambda *a: closed_at.append(len(weights)) or closed(*a))
+        sweep_p(spec)
+        assert len(weights) == len(set(weights)) <= most
+        assert weights[:2] == [1.0, 0.0]
+        assert closed_at and set(closed_at) == {0}  # every closed form before the first mixture
+
+    def test_one_class_searches_only_its_names(self, monkeypatch):
+        full = sweep_p("ghz:7")
+        weights = []
+        mix = campaigns.mix_with_identity
+        monkeypatch.setattr(campaigns, "mix_with_identity", lambda s, p: weights.append(p) or mix(s, p))
+        for k in range(1, 7):
+            weights.clear()
+            assert sweep_p("ghz:7", k=k) == [row for row in full if row["k"] == k]
+            assert len(weights) <= 12
+        weights.clear()
+        three = sweep_p("ghz:3", k=2)
+        assert three == [row for row in sweep_p("ghz:3") if row["k"] in (2, None)]
+        with pytest.raises(ValueError, match="class k must lie in 1..6, got 7"):
+            sweep_p("ghz:7", k=7)
+
+    @pytest.mark.parametrize("resolution", [0.0, -1e-6, 2.0**-53, float("nan"), float("inf"), -float("inf")])
+    def test_resolution_must_be_finite_and_a_double_grid(self, resolution, monkeypatch):
+        monkeypatch.setattr(campaigns, "mix_with_identity", None)  # refused before any mixture
+        with pytest.raises(ValueError, match="resolution must be finite and at least 2\\^-52"):
+            sweep_p("ghz:2", resolution)
+
+    @pytest.mark.parametrize("resolution", [2.0**-52, 0.3, 1.0, 7.0])
+    def test_any_admitted_resolution_matches_bisection(self, resolution):
+        state = parse_state_spec("ghz:2")
+        rows = sweep_p("ghz:2", resolution)
         for row in rows:
-            name = f"{row['criterion']}_{row['k'] + 1}" if row["k"] else row["criterion"]
-            assert row["p_threshold"] == campaigns._bisect_p(partial(alone, name), 1e-6)
+            name = f"{row['criterion']}_{row['k'] + 1}"
+            detect = lambda p: bool(evaluate(mix_with_identity(state, p).matrix[None], 2, (name,))[name][0])
+            assert row["p_threshold"] == bisect_p(detect, resolution)
+
+    @pytest.mark.parametrize(
+        "island, sign",
+        # "a" is detected from 0.8 and on an island below it, or from 0.3 and
+        # not on an island above it; the search for "b" lands on the island
+        [((0.3, 0.35), 1.0), ((0.7, 0.75), -1.0)],
+    )
+    def test_non_monotone_margins_raise(self, island, sign):
+        lo, hi = island
+        edge = 0.8 if sign > 0 else 0.3
+
+        def stub(p):
+            a = sign if lo <= p <= hi else p - edge
+            return {"a": np.array([a]), "b": np.array([p - (lo + hi) / 2 + 0.005 * sign])}
+
+        with pytest.raises(qf.InvariantError, match=r"^a detects p = 0\.3\d* but not p = 0\.7\d*$"):
+            campaigns._grid_thresholds(stub, ["a", "b"], 1e-6)
+
+    def test_detecting_the_maximally_mixed_state_raises(self, monkeypatch, capsys):
+        monkeypatch.setattr(campaigns, "_margins", lambda batch, n, names: {name: np.array([1.0]) for name in names})
+        with pytest.raises(qf.InvariantError, match="^fq_2 detects I/2\\^N$"):
+            sweep_p("ghz:3")
+        assert main(["sweep-p", "--state", "ghz:3"]) == 3
+        assert capsys.readouterr().err == "invariant violation: fq_2 detects I/2^N\n"
+
+    def test_monotone_stub_thresholds_on_the_grid(self):
+        # a step, a margin stuck at one sign's end and one never detected
+        margins = {
+            "step": lambda p: 1.0 if p >= 0.3 else -1.0,
+            "flat": lambda p: p**8 - 0.6**8,
+            "none": lambda p: -1.0,
+        }
+        thresholds = campaigns._grid_thresholds(
+            lambda p: {name: np.array([f(p)]) for name, f in margins.items()}, list(margins), 1e-6
+        )
+        for name, f in margins.items():
+            assert thresholds[name] == bisect_p(lambda p: f(p) > 0, 1e-6)
+        assert thresholds["none"] is None
 
     def test_needs_pure_state(self):
         with pytest.raises(ValueError):
@@ -631,6 +727,14 @@ class TestCli:
         path.write_text(json.dumps({"n": 2, "kind": "mixed", "re": [0.25] * 15, "im": [0.0] * 15}))
         assert main(["analyze", "--state", str(path)]) == 3
         assert "mixed record has 15 entries, expected 16" in capsys.readouterr().err
+
+    def test_bounds_curve_beyond_the_cap_exit_2(self, capsys, monkeypatch):
+        # the table holds no dense object, but --n shares the qubit cap
+        assert main(["bounds-curve", "--n", "13"]) == 2
+        assert "13 qubits exceeds the dense-storage cap of 12" in capsys.readouterr().err
+        monkeypatch.setattr(qf.core, "_MAX_QUBITS", 13)
+        assert main(["bounds-curve", "--n", "13"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 14
 
     def test_class_filter(self, capsys):
         assert main(["bounds-curve", "--n", "8", "--k", "3"]) == 0

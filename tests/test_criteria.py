@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import qfisher as qf
-from qfisher import core, criteria, fisher, zoo
+from qfisher import campaigns, core, criteria, fisher, zoo
 from qfisher.core import PAULI_X, PAULI_Y, PAULI_Z, InvariantError
-from qfisher.criteria import STRICT_MARGIN, _antidiagonal, _ghz_fidelity, _witness_seesaw, evaluate
+from qfisher.criteria import STRICT_MARGIN, _antidiagonal, _ghz_fidelity, _margins, _witness_seesaw, evaluate
 
 
 def brute_force_bound(n, k):
@@ -545,6 +545,38 @@ class TestEvaluate:
             before = batch.tobytes()
             evaluate(batch, 3, names)
             assert batch.tobytes() == before
+
+    @pytest.mark.parametrize("mode", ["pure", "dme_violating", "full_family", "bound_entangled"])
+    def test_margins_above_zero_are_the_flags(self, mode):
+        # one seeded campaign chunk, against evaluate and against each
+        # criterion's comparison of its value with its threshold
+        streams = campaigns._streams(3, 0, campaigns.CHUNK_SIZE)
+        if mode == "pure":
+            batch = zoo._random_pure_batch(streams)
+        else:
+            batch = zoo._random_ghz_diagonal_batch(streams, mode)
+        names = THREE_QUBIT_NAMES[:-1]
+        margins, flags = _margins(batch, 3, names), evaluate(batch, 3, THREE_QUBIT_NAMES)
+        gammas = fisher._spin_gammas(batch, 3)
+        values = {"fq": np.linalg.eigvalsh(gammas)[:, -1], "fq_avg": np.trace(gammas, axis1=1, axis2=2) / 3.0}
+        lhs, rhs, _ = _antidiagonal(batch)
+        compared = {
+            "dme": lhs[:, 0] > rhs[:, 0] + 1e-12,
+            "dme_family": (lhs > rhs + 1e-12).any(axis=1),
+            "witness": 0.5 - _ghz_fidelity(batch, 3) < -STRICT_MARGIN,
+        }
+        for k in (2, 3):
+            compared[f"fq_{k}"] = values["fq"] > qf.qfi_bound(3, k - 1) + STRICT_MARGIN
+            compared[f"fq_avg_{k}"] = values["fq_avg"] > qf.avg_qfi_bound(3, k - 1) + STRICT_MARGIN
+        assert list(margins) == list(names)
+        for name in names:
+            assert margins[name].dtype == float and margins[name].shape == (len(batch),)
+            assert np.array_equal(margins[name] > 0, flags[name]), name
+            assert np.array_equal(compared[name], flags[name]), name
+
+    def test_ppt_has_no_margin(self):
+        with pytest.raises(ValueError, match="ppt_all_cuts"):
+            _margins(stack([qf.ghz(3)]), 3, ("fq_2", "ppt_all_cuts"))
 
     def test_spin_qfi_computed_once_and_only_when_needed(self, monkeypatch):
         calls = []
