@@ -61,8 +61,8 @@ __all__ = [
 CHUNK_SIZE = 2048  # fixed so the sample -> stream map never depends on workers
 MAX_SAMPLES = 2**32  # so each sample index is one 32-bit word of its stream's seed
 # below this matrix dimension a second BLAS thread costs more than it saves:
-# sweep-p on 2 CPUs took 5.2-5.3 s on one thread against 5.4-6.1 s on two at
-# ghz:8 (d = 256), but 31.5-32.5 against 24.4-29.4 s at ghz:9 (d = 512)
+# sweep-p on 2 CPUs took 0.94-0.99 s on one thread against 0.91-2.1 s on two
+# at ghz:8 (d = 256), but 4.8-5.1 against 4.4 s at ghz:9 (d = 512)
 SMALL_DIM = 512
 
 

@@ -211,11 +211,12 @@ class TestSweep:
         monkeypatch.setattr(campaigns, "mix_with_identity", lambda s, p: weights.append(p) or mix(s, p))
         rows = sweep_p(spec)
         assert len(weights) == len(set(weights))
-        names = [f"{row['criterion']}_{row['k'] + 1}" if row["k"] else row["criterion"] for row in rows]
-        flags_at = cache(lambda p: evaluate(mix(state, p).matrix[None], n, names))
+        mixture = cache(lambda p: mix(state, p).matrix[None])
         with campaigns._one_blas_thread():
-            for row, name in zip(rows, names):
-                assert row["p_threshold"] == bisect_p(lambda p: bool(flags_at(p)[name][0]), 1e-6)
+            for row in rows:
+                name = f"{row['criterion']}_{row['k'] + 1}" if row["k"] else row["criterion"]
+                alone = lambda p: bool(evaluate(mixture(p), n, (name,))[name][0])
+                assert row["p_threshold"] == bisect_p(alone, 1e-6)
         if spec == "plus:3":
             assert all(row["p_threshold"] is None for row in rows)
 
@@ -239,9 +240,7 @@ class TestSweep:
             weights.clear()
             assert sweep_p("ghz:7", k=k) == [row for row in full if row["k"] == k]
             assert len(weights) <= 12
-        weights.clear()
-        three = sweep_p("ghz:3", k=2)
-        assert three == [row for row in sweep_p("ghz:3") if row["k"] in (2, None)]
+        assert sweep_p("ghz:3", k=2) == [row for row in sweep_p("ghz:3") if row["k"] in (2, None)]
         with pytest.raises(ValueError, match="class k must lie in 1..6, got 7"):
             sweep_p("ghz:7", k=7)
 
@@ -284,19 +283,20 @@ class TestSweep:
         assert main(["sweep-p", "--state", "ghz:3"]) == 3
         assert capsys.readouterr().err == "invariant violation: fq_2 detects I/2^N\n"
 
-    def test_monotone_stub_thresholds_on_the_grid(self):
-        # a step, a margin stuck at one sign's end and one never detected
-        margins = {
-            "step": lambda p: 1.0 if p >= 0.3 else -1.0,
-            "flat": lambda p: p**8 - 0.6**8,
-            "none": lambda p: -1.0,
-        }
-        thresholds = campaigns._grid_thresholds(
-            lambda p: {name: np.array([f(p)]) for name, f in margins.items()}, list(margins), 1e-6
-        )
-        for name, f in margins.items():
-            assert thresholds[name] == bisect_p(lambda p: f(p) > 0, 1e-6)
-        assert thresholds["none"] is None
+    @pytest.mark.parametrize(
+        "margin, most",
+        [
+            (lambda p: 1.0 if p >= 0.3 else -1.0, 25),  # a step: regula falsi gives bisection steps
+            (lambda p: np.expm1(12 * (p - 0.3)), 15),  # convex: 21 points without the Illinois halving
+            (lambda p: p**8 - 0.6**8, 22),
+            (lambda p: -1.0, 2),  # never detected
+        ],
+    )
+    def test_monotone_stub_thresholds_on_the_grid(self, margin, most):
+        points = []
+        found = campaigns._grid_thresholds(lambda p: points.append(p) or {"a": np.array([margin(p)])}, ["a"], 1e-6)
+        assert found["a"] == bisect_p(lambda p: margin(p) > 0, 1e-6)
+        assert len(points) == len(set(points)) <= most
 
     def test_needs_pure_state(self):
         with pytest.raises(ValueError):
