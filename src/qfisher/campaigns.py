@@ -296,8 +296,9 @@ def run_table2(
     seed. The restarts of every state of a chunk run in lock step, so each
     optimiser is one call per chunk and numpy's fixed cost per call is paid
     once per chunk, not once per state; a pure state's witness form is built
-    from overlaps, with no d x d projector. The search still costs tens of
-    sweeps per state, so this mode is meant for reduced sample counts.
+    from overlaps, with no d x d projector. A direction step is a few Newton
+    steps on a secular equation, and the seesaw's batched 4 x 4 ``eigh``
+    costs the most; this mode is meant for reduced sample counts.
     """
     if mode not in ("collective", "local"):
         raise ValueError(f"table2 mode must be 'collective' or 'local', got {mode!r}")
@@ -598,7 +599,7 @@ def _dicts_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_campaign(config: CampaignConfig) -> tuple[str, dict | None]:
+def run_campaign(config: CampaignConfig) -> tuple[str, dict]:
     """Execute a campaign; returns (csv_text, json_payload)."""
     name = config.campaign
     # table2 and table3 check their own modes; of the rest only analyze has one

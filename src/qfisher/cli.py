@@ -104,9 +104,9 @@ def _merge_config(args: argparse.Namespace) -> CampaignConfig:
     )
 
 
-def _emit(config: CampaignConfig, csv_text: str, payload) -> None:
+def _emit(config: CampaignConfig, csv_text: str, payload: dict) -> None:
     if config.out is None:
-        if config.campaign in ("analyze", "phase-sim") and payload is not None:
+        if config.campaign in ("analyze", "phase-sim"):
             print(json.dumps(payload, indent=2))
         else:
             sys.stdout.write(csv_text)
@@ -117,7 +117,7 @@ def _emit(config: CampaignConfig, csv_text: str, payload) -> None:
     else:
         with open(config.out, "w") as fh:
             fh.write(csv_text)
-    if config.campaign == "phase-sim" and payload is not None and not config.out.endswith(".json"):
+    if config.campaign == "phase-sim" and not config.out.endswith(".json"):
         # estimates go to the CSV; the summary is still reported on stdout
         print(json.dumps(payload, indent=2))
 

@@ -9,7 +9,6 @@ the Bloch sphere (trace / 3).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -418,53 +417,20 @@ def classical_fisher(state, generator, povm: Povm, theta: float, dtheta: float =
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _sphere_probes() -> np.ndarray:
-    """The interval ends and 21 interior probes, scored beside the quartic's
-    roots; built on first use, since a first ``np.linspace`` call costs a
-    process about 0.1 MB of resident memory."""
-    probes = np.concatenate([[-1.0, 1.0], np.linspace(-0.999, 0.999, 21)])
-    probes.setflags(write=False)
-    return probes
-
-
-def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Complex roots of (R, k + 1) polynomials with nonzero leading
-    coefficients, (R, k): the eigenvalues of the companion matrices that
-    ``np.roots`` builds, found by one batched ``eigvals``."""
-    k = coeffs.shape[1] - 1
-    companion = np.zeros((len(coeffs), k, k))
-    companion[:, 1:, :-1] = np.eye(k - 1)
-    companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
-    return np.linalg.eigvals(companion)
-
-
-def _quartic_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Complex roots of (R, 5) quartics with nonzero leading coefficients,
-    (R, 4), in ``np.roots``' order: the roots of each polynomial stripped of
-    its trailing zero coefficients, then one 0 per stripped coefficient."""
-    if coeffs[:, 4].all():  # the usual case: nothing to strip
-        return _companion_roots(coeffs)
-    degree = 4 - np.argmax(coeffs[:, ::-1] != 0, axis=1)
-    roots = np.zeros((len(coeffs), 4), dtype=complex)
-    for k in set(degree.tolist()) - {0}:
-        rows = degree == k
-        roots[rows, :k] = _companion_roots(coeffs[rows, : k + 1])
-    return roots
-
-
 def _max_on_sphere(a: np.ndarray, c: np.ndarray, current: np.ndarray) -> np.ndarray:
-    """Row-wise argmax over unit n of -(n.a)^2 + 2 n.c (exact, via a quartic)
-    for (R, 3) stacks ``a``, ``c`` and ``current``; a (3,) ``a`` is shared by
-    every row.
+    """Row-wise argmax over unit n of -(n.a)^2 + 2 n.c (exact, via a secular
+    equation) for (R, 3) stacks ``a``, ``c`` and ``current``; a (3,) ``a`` is
+    shared by every row.
 
     A row with a = 0 goes along c, or keeps its current direction if c = 0
     too. Otherwise n = t a_hat + s p_hat, where p_hat is the unit part of c
-    across a (any direction across a when c is parallel to a, and then t is
-    the clipped vertex of the parabola in t). In general the stationary t
-    solve a quartic, whose instances share one companion eigenproblem; the
-    best of its real roots in [-1, 1], the ends and 21 interior probes wins,
-    ties going to the first candidate.
+    across a. When c is parallel to a, p_hat is any direction across a and t
+    is the clipped vertex of the parabola in t. In general this is a
+    trust-region subproblem with matrix -a a.T (More and Sorensen, SIAM J.
+    Sci. Stat. Comput. 4, 553 (1983)): n = (mu I + a a.T)^-1 c for the unique
+    mu > 0 with c_par^2 / (|a|^2 + mu)^2 + c_perp^2 / mu^2 = 1. Newton's
+    method on the concave 1/|n(mu)| - 1 climbs to that root from mu = c_perp,
+    left of it, until no row's step moves mu.
     """
     a = np.broadcast_to(a, c.shape)
     na = np.linalg.norm(a, axis=-1)
@@ -482,38 +448,37 @@ def _max_on_sphere(a: np.ndarray, c: np.ndarray, current: np.ndarray) -> np.ndar
     a_hat = a / na[:, None]
     c_par = np.einsum("ri,ri->r", c, a_hat)
     c_perp_vec = c - c_par[:, None] * a_hat
+    # once more: where c_perp << |c| the first pass leaves a part along a_hat
+    c_perp_vec -= np.einsum("ri,ri->r", c_perp_vec, a_hat)[:, None] * a_hat
     cp = np.linalg.norm(c_perp_vec, axis=-1)
     parallel = cp < 1e-14
     any_parallel = bool(parallel.any())
     if any_parallel:
         # across a: the basis vector a_hat leans on least, minus its part
-        # along a; these rows take t from the parabola, not from the quartic
+        # along a; these rows take t from the parabola, not from mu
         along = a_hat[parallel]
         probe = np.eye(3)[np.argmin(np.abs(along), axis=-1)]
         probe -= np.einsum("ri,ri->r", probe, along)[:, None] * along
         c_perp_vec[parallel], cp[parallel] = probe, np.linalg.norm(probe, axis=-1)
     beta = na**2
 
-    # stationary points satisfy (c_par - beta t)^2 (1 - t^2) = cp^2 t^2
-    coeffs = np.empty((len(c), 5))
-    coeffs[:, 0] = -(beta**2)
-    coeffs[:, 1] = 2.0 * beta * c_par
-    coeffs[:, 2] = beta**2 - c_par**2 - cp**2
-    coeffs[:, 3] = -coeffs[:, 1]
-    coeffs[:, 4] = c_par**2
-    roots = _quartic_roots(coeffs)
-    probes = _sphere_probes()
-    cand = np.empty((len(c), 4 + probes.size))
-    cand[:, :4] = roots.real
-    cand[:, 4:] = probes
-    g = -beta[:, None] * cand * cand + 2.0 * c_par[:, None] * cand
-    g += 2.0 * cp[:, None] * np.sqrt(np.maximum(0.0, 1.0 - cand * cand))
-    g[:, :4][(np.abs(roots.imag) >= 1e-9) | (np.abs(roots.real) > 1.0)] = -np.inf
-    t = cand[np.arange(len(c)), np.argmax(g, axis=1)]  # ties go to the first candidate
+    mu = cp.copy()  # |n(c_perp)| >= 1, so the root lies to the right
+    for _ in range(100):
+        t, s = c_par / (beta + mu), cp / mu  # n(mu) along a_hat and p_hat
+        q = t * t + s * s
+        # a step that rounding turns to the left is not taken
+        moved = mu + np.maximum(0.0, (np.sqrt(q) - 1.0) * q / (t * t / (beta + mu) + s * s / mu))
+        if np.array_equal(moved, mu):
+            break
+        mu = moved
+    else:
+        raise InvariantError("the sphere step's secular equation took over 100 Newton passes")
+    norm = np.sqrt(q)
+    t, s = t / norm, s / norm
     if any_parallel:
         t[parallel] = np.clip(c_par[parallel] / beta[parallel], -1.0, 1.0)
-    s = np.sqrt(np.maximum(0.0, 1.0 - t * t)) / cp
-    out[rows] = t[:, None] * a_hat + s[:, None] * c_perp_vec
+        s[parallel] = np.sqrt(np.maximum(0.0, 1.0 - t[parallel] ** 2))
+    out[rows] = t[:, None] * a_hat + (s / cp)[:, None] * c_perp_vec
     return out
 
 

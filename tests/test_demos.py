@@ -1,7 +1,8 @@
 """Smoke test of the demos: each one runs to the end in-process.
 
 Demo 03 is left out. It runs the detection campaigns at 20k samples (a few
-seconds), and the campaign goldens already pin those campaigns.
+seconds), and the campaign goldens already pin those campaigns; CI runs it
+once, as a step of its own.
 """
 
 import runpy

@@ -886,8 +886,8 @@ class TestLocalDirectionOptimization:
             (np.zeros(3), np.zeros((3, 3))),
             # c parallel to a, on both sides, past the parabola's vertex, and c = 0
             (a, np.array([0.5 * a, -7.0 * a, 1e-3 * a, 0.0 * a, 3.0 * a])),
-            # c_par = 0 exactly: the quartic's two lowest coefficients vanish,
-            # which np.roots strips and a 4x4 companion would not
+            # c_par = 0 exactly: mu = c_perp is the root at once, and the
+            # oracle's np.roots strips the quartic's two vanishing coefficients
             (np.array([0.0, 0.0, 2.0]), np.array([[1.0, 0.5, 0.0], [3.0, 4.0, 0.0], [0.3, 0.0, 0.0], [0.0, 2.0, 0.0]])),
             # the same next to rows with nothing to strip
             (np.array([0.0, 0.0, 2.0]), np.array([[1.0, 0.5, 0.0], [1.0, 0.5, 0.25], [0.0, 5.0, 0.0], [0.0, 5.0, -1.0]])),
@@ -904,18 +904,38 @@ class TestLocalDirectionOptimization:
             current = rng.standard_normal(c.shape)
             current /= np.linalg.norm(current, axis=1, keepdims=True)
             got = fisher._max_on_sphere(a_vec, c, current)
+            assert np.max(np.abs(np.linalg.norm(got, axis=1) - 1.0)) <= 1e-14
             a_rows = np.broadcast_to(a_vec, c.shape)
             for row, want in enumerate(scalar_max_on_sphere(a_rows[i], c[i], current[i]) for i in range(len(c))):
                 assert np.max(np.abs(got[row] - want)) <= 1e-12
 
-    def test_quartic_roots_strip_trailing_zeros_like_np_roots(self):
-        coeffs = np.array(
-            [[-4.0, 1.0, 2.0, -1.0, 0.5], [-4.0, 0.0, 3.0, 0.0, 0.0], [-1.0, 2.0, 0.0, 0.0, 0.0], [-2.0, 0.0, 0.0, 0.0, 0.0]]
-        )
-        roots = fisher._quartic_roots(coeffs)
-        for row, want in zip(roots, coeffs):
-            want = np.roots(want)
-            assert np.max(np.abs(row - want)) <= 1e-12
+        # seeded rows: |a| and |c| over nine decades, and c nearly parallel to
+        # a on both sides of the parabola's vertex (|c_par| below and above
+        # |a|^2), where c - c_par a_hat loses digits; the oracle's direction
+        # is not exact there, so the step is held to the oracle's objective
+        def unit(x):
+            return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+        size = 400
+        a = unit(rng.standard_normal((size, 3))) * 10.0 ** rng.uniform(-6, 3, (size, 1))
+        c = unit(rng.standard_normal((size, 3))) * 10.0 ** rng.uniform(-6, 3, (size, 1))
+        a_hat = unit(a[size // 2 :])
+        across = unit(np.cross(a_hat, rng.standard_normal(a_hat.shape)))
+        c_par = np.linalg.norm(a[size // 2 :], axis=1) ** 2 * rng.choice([-3.0, -0.7, 0.2, 0.95, 1.05, 4.0], size // 2)
+        ratio = 10.0 ** rng.uniform(-13, -5, size // 2)
+        c[size // 2 :] = c_par[:, None] * a_hat + (np.abs(c_par) * ratio)[:, None] * across
+        current = unit(rng.standard_normal((size, 3)))
+        got = fisher._max_on_sphere(a, c, current)
+        assert np.max(np.abs(np.linalg.norm(got, axis=1) - 1.0)) <= 1e-14
+
+        def objective(n, a, c):
+            return -np.dot(n, a) ** 2 + 2.0 * np.dot(n, c)
+
+        for i in range(size):
+            want = scalar_max_on_sphere(a[i], c[i], current[i])
+            want = want / np.linalg.norm(want)  # the oracle's t can be 1 + 7e-11
+            scale = max(1.0, np.dot(a[i], a[i]), np.linalg.norm(c[i]))
+            assert objective(got[i], a[i], c[i]) >= objective(want, a[i], c[i]) - 1e-12 * scale
 
     def test_converged_restarts_do_no_more_work(self, monkeypatch):
         # each restart stops on its own: the lock-step sphere steps number
@@ -933,12 +953,12 @@ class TestLocalDirectionOptimization:
         assert sum(sizes) == len(scalar_calls)
 
     def test_stack_sweeps_as_long_as_its_slowest_state(self, monkeypatch):
-        # the restarts of a stack advance together: its batched root solves
+        # the restarts of a stack advance together: its batched sphere steps
         # number those of its slowest state run alone, not the sum over states
         psis = [random_pure(np.random.default_rng([13, i]), 3) for i in range(6)]
         calls = []
-        eigvals = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(len(a)) or eigvals(a))
+        step = fisher._max_on_sphere
+        monkeypatch.setattr(fisher, "_max_on_sphere", lambda a, c, cur: calls.append(len(c)) or step(a, c, cur))
         alone = []
         for i, psi in enumerate(psis):
             calls.clear()
