@@ -12,7 +12,6 @@ import ctypes
 import math
 import os
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cache, partial
@@ -156,16 +155,25 @@ def _state_words(seed: int, start: int, stop: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-class _StateWords:
-    """A seed sequence whose PCG64 state words are already computed."""
+@cache
+def _stream_classes():
+    """``Generator``, ``PCG64`` and a seed sequence whose PCG64 state words
+    are already computed. Built on first use, with ``numpy.random``, which
+    would add about 14 ms to every CLI start; the seed class subclasses
+    ``ISeedSequence``, as ``register`` would invalidate the ABC caches on
+    every call."""
+    from numpy.random import PCG64, Generator, bit_generator
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    class _StateWords(bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
 
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"only PCG64's 4 uint64 words are precomputed, not {n_words} {np.dtype(dtype)}")
-        return self.words
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"only PCG64's 4 uint64 words are precomputed, not {n_words} {np.dtype(dtype)}")
+            return self.words
+
+    return Generator, PCG64, _StateWords
 
 
 def _streams(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
@@ -173,11 +181,8 @@ def _streams(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
     built lazily (a sampler holds only the generators it draws from)."""
     if not 0 <= start <= stop <= MAX_SAMPLES:
         raise ValueError(f"sample indices must lie in 0..{MAX_SAMPLES - 1}, got [{start}, {stop})")
-    # imported here: numpy.random would add about 14 ms to every CLI start
-    from numpy.random import PCG64, Generator, bit_generator
-
-    bit_generator.ISeedSequence.register(_StateWords)
-    return (Generator(PCG64(_StateWords(words))) for words in _state_words(seed, start, stop))
+    generator, pcg64, state_words = _stream_classes()
+    return (generator(pcg64(state_words(words))) for words in _state_words(seed, start, stop))
 
 
 @cache
@@ -240,6 +245,9 @@ def _map_chunks(chunk_fn, samples: int, workers: int) -> np.ndarray:
         if workers <= 1:
             parts = [chunk_fn(a, b) for a, b in ranges]
         else:
+            # imported here: the pool and multiprocessing would add 16-19 ms to every CLI start
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread_worker) as pool:
                 parts = list(pool.map(_apply_range, [(chunk_fn, a, b) for a, b in ranges]))
     return np.sum(parts, axis=0)

@@ -119,6 +119,40 @@ def _real_if_real(x: np.ndarray) -> np.ndarray:
     return x if x.imag.any() else x.real
 
 
+def _eigh(mats: np.ndarray, vectors: bool = True):
+    """``np.linalg.eigh`` (or, without ``vectors``, ``eigvalsh``) of a
+    (..., d, d) stack, in closed form for a real X-form stack.
+
+    A real stack whose only nonzero off-diagonal entries sit at (j, d-1-j)
+    is d / 2 blocks [[p, c], [c, q]] on the basis pairs (j, d-1-j), with c
+    read from the lower triangle as LAPACK reads it. Each block has
+    eigenvalues (p+q)/2 -+ hypot((p-q)/2, c) and is diagonalised by the
+    rotation through theta = atan2(2c, p-q) / 2; the eigenvalues are sorted
+    ascending. Any other stack, complex ones included, goes to LAPACK.
+    """
+    d = mats.shape[-1]
+    diag = np.diagonal(mats, axis1=-2, axis2=-1)
+    anti = np.diagonal(mats[..., ::-1, :], axis1=-2, axis2=-1)  # anti[..., j] = mats[..., d-1-j, j]
+    if np.iscomplexobj(mats) or d % 2 or np.count_nonzero(mats) != np.count_nonzero(diag) + np.count_nonzero(anti):
+        return np.linalg.eigh(mats) if vectors else np.linalg.eigvalsh(mats)
+    h = d // 2
+    p, q, c = diag[..., :h], diag[..., : h - 1 : -1], anti[..., :h]
+    mid, radius = (p + q) / 2, np.hypot((p - q) / 2, c)
+    # slot j holds the lower eigenvalue of block j and slot d-1-j its upper one
+    evals = np.concatenate((mid - radius, (mid + radius)[..., ::-1]), axis=-1)
+    order = np.argsort(evals, axis=-1, kind="stable")
+    evals = np.take_along_axis(evals, order, axis=-1)
+    if not vectors:
+        return evals
+    theta = np.arctan2(2 * c, p - q) / 2
+    cos, sin = np.cos(theta), np.sin(theta)
+    j = np.arange(d)
+    vecs = np.zeros(mats.shape)
+    vecs[..., j, j] = np.concatenate((-sin, sin[..., ::-1]), axis=-1)
+    vecs[..., j[::-1], j] = np.concatenate((cos, cos[..., ::-1]), axis=-1)
+    return evals, np.take_along_axis(vecs, order[..., None, :], axis=-1)
+
+
 def _check_pure_stack(amps: np.ndarray) -> None:
     """Check that every amplitude vector of a (..., d) stack has unit norm
     (a NaN or infinite amplitude fails)."""
@@ -131,10 +165,11 @@ def _check_density_stack(mats: np.ndarray) -> np.ndarray:
     every matrix has finite entries, is Hermitian, has unit trace and is
     positive semidefinite.
 
-    A matrix passes the PSD test when the Cholesky factorisation of
-    rho + PSD_TOL * I succeeds, which needs its smallest eigenvalue above
-    -PSD_TOL up to rounding. Only when some factorisation fails does one
-    batched ``eigvalsh`` decide and report the smallest eigenvalue.
+    A matrix passes the PSD test (``_check_psd``) when the Cholesky
+    factorisation of rho + PSD_TOL * I succeeds, which needs its smallest
+    eigenvalue above -PSD_TOL up to rounding. Only when some factorisation
+    fails does one batched ``eigvalsh`` decide and report the smallest
+    eigenvalue.
 
     A float stack, or a complex one with no imaginary part, is checked in
     real arithmetic: its Hermitian part is built as a float array,
@@ -167,20 +202,29 @@ def _check_density_stack(mats: np.ndarray) -> np.ndarray:
     herm /= 2
     tr = np.real(np.trace(herm, axis1=-2, axis2=-1))
     _raise_first(~(np.abs(tr - 1.0) <= TRACE_TOL), "trace is {!r}, expected 1", tr)
-    # shift the diagonal in place for the factorisation and restore it exactly
-    diag = herm.reshape(herm.shape[:-2] + (-1,))[..., :: herm.shape[-1] + 1]
-    saved = diag.copy()
-    diag += PSD_TOL
+    _check_psd(herm, f"smallest eigenvalue {{!r}} below -{PSD_TOL}")
+    return herm.astype(complex) if real else herm
+
+
+def _check_psd(herm: np.ndarray, message: str) -> None:
+    """Raise ``InvariantError`` with ``message`` (formatted with the smallest
+    eigenvalue) unless every matrix of a Hermitian (..., d, d) stack is PSD
+    within ``PSD_TOL``: the Cholesky factorisation of herm + PSD_TOL * I
+    succeeds, or, where some factorisation fails, one batched ``eigvalsh``
+    finds no eigenvalue below -PSD_TOL. The diagonal is shifted in place and
+    restored exactly, so ``herm`` must be writable and no copy is made."""
+    diag = np.arange(herm.shape[-1])
+    saved = herm[..., diag, diag]
+    herm[..., diag, diag] += PSD_TOL
     try:
         np.linalg.cholesky(herm)
         factored = True
     except np.linalg.LinAlgError:
         factored = False
-    diag[...] = saved
+    herm[..., diag, diag] = saved
     if not factored:
         lo = np.linalg.eigvalsh(herm)[..., 0]
-        _raise_first(lo < -PSD_TOL, f"smallest eigenvalue {{!r}} below -{PSD_TOL}", lo)
-    return herm.astype(complex) if real else herm
+        _raise_first(lo < -PSD_TOL, message, lo)
 
 
 @dataclass(frozen=True)
@@ -399,8 +443,10 @@ def partial_transpose(rho, subset) -> np.ndarray:
 
 def is_ppt(rho, subset, tol: float = 1e-9) -> bool | np.ndarray:
     """True iff the partial transpose over the subset has no eigenvalue below
-    -tol; a (..., d, d) stack gives a bool array of its leading shape."""
-    ppt = np.linalg.eigvalsh(_real_if_real(partial_transpose(rho, subset)))[..., 0] >= -tol
+    -tol; a (..., d, d) stack gives a bool array of its leading shape. The
+    partial transpose of an X-form matrix is X-form, so a real X-form stack
+    is decided in closed form (``_eigh``)."""
+    ppt = _eigh(_real_if_real(partial_transpose(rho, subset)), vectors=False)[..., 0] >= -tol
     return bool(ppt) if ppt.ndim == 0 else ppt
 
 

@@ -20,6 +20,8 @@ from .core import (
     InvariantError,
     PureState,
     _as_batch,
+    _check_psd,
+    _eigh,
     _generator_matrix,
     _pauli_power,
     _popcounts,
@@ -229,7 +231,7 @@ def _qfi_batch(states: np.ndarray, apply, num_ops: int) -> np.ndarray:
             # eigenvectors, LAPACK's copy of one matrix and its complex and
             # real workspace (a real stack needs about half of this)
             _check_budget(16 * d * d * (b + 3), "the eigendecomposition")
-            evals, vecs = np.linalg.eigh(rho)
+            evals, vecs = _eigh(rho)
         kept = evals > ZERO_CUT * np.sum(evals, axis=-1, keepdims=True)
         first = evals.shape[1] - int(kept.sum(axis=-1).max())  # eigenvalues ascend, so S is a suffix
         lam = np.where(kept, evals, 0.0)[:, first:]
@@ -312,7 +314,7 @@ class Povm:
     elements: tuple
 
     def __post_init__(self):
-        elems = tuple(np.asarray(e, dtype=complex) for e in self.elements)
+        elems = tuple(np.array(e, dtype=complex) for e in self.elements)  # own copies, frozen below
         if not elems:
             raise InvariantError("POVM needs at least one element")
         d = elems[0].shape[0]
@@ -324,17 +326,13 @@ class Povm:
             with np.errstate(invalid="ignore"):  # a NaN or inf entry fails the sum below
                 if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
                     raise InvariantError("POVM element is not Hermitian within 1e-10")
-            if np.linalg.eigvalsh(h)[0] < -1e-9:
-                raise InvariantError("POVM element is not positive semidefinite")
+            _check_psd(h, "POVM element is not positive semidefinite")
             total += e
         if not np.max(np.abs(total - np.eye(d))) <= 1e-9:  # NaN fails too
             raise InvariantError("POVM elements do not sum to the identity")
-        frozen = []
         for e in elems:
-            e = e.copy()
             e.setflags(write=False)
-            frozen.append(e)
-        object.__setattr__(self, "elements", tuple(frozen))
+        object.__setattr__(self, "elements", elems)
 
     @property
     def dim(self) -> int:

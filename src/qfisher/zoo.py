@@ -266,32 +266,36 @@ def _antidiagonal_violating(rngs, full: bool) -> np.ndarray:
     row k from the k-th generator of the iterable ``rngs``.
 
     The rejection rounds run in lock step: each round draws 64 candidates
-    from every stream without a hit, tests them all at once, and the
-    streams that hit keep their first hit and drop out. Streams are taken in
-    blocks of ``_BLOCK``, which bounds the working set and the number of
-    generators alive at once.
+    from every stream without a hit, as one ``random`` call of 512 numbers
+    (the 256 weights, then the 256 u's of the coherences), tests them all at
+    once, and the streams that hit keep their first hit and drop out. Streams
+    are taken in blocks of ``_BLOCK``, which bounds the working set and the
+    number of generators alive at once.
     """
     rngs = iter(rngs)
     kept = []
     while block := list(itertools.islice(rngs, _BLOCK)):
         out = np.empty((len(block), 8))
+        draws = np.empty((len(block), 2, 64, 4))
         active = np.arange(len(block))
         for _ in range(REJECTION_BUDGET // 64 + 1):
             if not active.size:
                 break
-            lam = np.empty((active.size, 64, 4))
-            u = np.empty((active.size, 64, 4))
-            for k, i in enumerate(active):
-                lam[k] = block[i].random((64, 4))
-                u[k] = block[i].random((64, 4))
-            mus = (2.0 * u - 1.0) * lam
-            totals = lam.sum(axis=-1)[..., None]
-            rhs = totals - lam  # sum of the other three pair weights
-            viol = np.abs(mus) > rhs + 1e-12 * (2.0 * totals)
-            hits = viol.any(axis=-1) if full else viol[..., 0]
+            for k, i in enumerate(active.tolist()):
+                block[i].random(out=draws[k])
+            lam, u = draws[: active.size, 0], draws[: active.size, 1]
+            # added left to right, as lam.sum(axis=-1) adds four terms
+            totals = lam[..., 0] + lam[..., 1] + lam[..., 2] + lam[..., 3]
+            if full:
+                rhs = totals[..., None] - lam  # sum of the other three pair weights
+                viol = np.abs((2.0 * u - 1.0) * lam) > rhs + 1e-12 * (2.0 * totals[..., None])
+                hits = viol.any(axis=-1)
+            else:
+                hits = np.abs((2.0 * u[..., 0] - 1.0) * lam[..., 0]) > totals - lam[..., 0] + 1e-12 * (2.0 * totals)
             found = hits.any(axis=1)
             first = hits.argmax(axis=1)[found]
-            out[active[found]] = np.concatenate((lam, mus), axis=-1)[found, first]
+            lam, u = lam[found, first], u[found, first]
+            out[active[found]] = np.concatenate((lam, (2.0 * u - 1.0) * lam), axis=-1)
             active = active[~found]
         if active.size:
             raise RuntimeError(f"rejection budget of {REJECTION_BUDGET} draws exhausted")
@@ -299,14 +303,27 @@ def _antidiagonal_violating(rngs, full: bool) -> np.ndarray:
     return np.concatenate(kept)
 
 
-def _ppt_family_draw(rng: np.random.Generator) -> np.ndarray:
-    """Block weights (l2, l3, l4) uniform on (0.1, 10), off the
-    near-separable boundary |l2*l3 - l4| < 1e-3."""
-    for _ in range(REJECTION_BUDGET):
-        l = 0.1 + 9.9 * rng.random(3)
-        if abs(l[0] * l[1] - l[2]) >= 1e-3:
-            return l
-    raise RuntimeError(f"rejection budget of {REJECTION_BUDGET} draws exhausted")
+def _ppt_family_draws(rngs) -> np.ndarray:
+    """(B, 3) block weights (l2, l3, l4) uniform on (0.1, 10), off the
+    near-separable boundary |l2*l3 - l4| < 1e-3, row k from the k-th
+    generator of the iterable ``rngs``: one ``random(3)`` per stream and
+    attempt, where only the streams whose last draw was rejected draw again."""
+    rngs = iter(rngs)
+    kept = []
+    while block := list(itertools.islice(rngs, _BLOCK)):
+        out = np.empty((len(block), 3))
+        active = np.arange(len(block))
+        for _ in range(REJECTION_BUDGET):
+            for i in active.tolist():
+                block[i].random(out=out[i])
+            l = out[active] = 0.1 + 9.9 * out[active]
+            active = active[np.abs(l[:, 0] * l[:, 1] - l[:, 2]) < 1e-3]
+            if not active.size:
+                break
+        else:
+            raise RuntimeError(f"rejection budget of {REJECTION_BUDGET} draws exhausted")
+        kept.append(out)
+    return np.concatenate(kept)
 
 
 def _random_ghz_diagonal_batch(rngs, mode: str) -> np.ndarray:
@@ -318,8 +335,7 @@ def _random_ghz_diagonal_batch(rngs, mode: str) -> np.ndarray:
         lam = np.concatenate((kept[:, :4], kept[:, 3::-1]), axis=1)
         mus = kept[:, 4:]
     elif mode == "bound_entangled":
-        blocks = np.fromiter(map(_ppt_family_draw, rngs), dtype=np.dtype((float, 3)))
-        lam, mus = _bound_entangled_weights(blocks)
+        lam, mus = _bound_entangled_weights(_ppt_family_draws(rngs))
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
     _check_x_form(lam, mus)

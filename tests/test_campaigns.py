@@ -3,6 +3,7 @@ import multiprocessing
 import subprocess
 import sys
 import tracemalloc
+import concurrent.futures
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache, partial
 from pathlib import Path
@@ -394,12 +395,24 @@ class TestStreams:
         code = "import sys, qfisher.cli; sys.exit('numpy.random' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
+    def test_cli_import_leaves_multiprocessing_unloaded(self):
+        # the process pool is imported only where a run asks for two or more
+        # workers: neither the import nor a --workers 1 run loads it
+        code = (
+            "import sys, qfisher.cli; loaded = 'multiprocessing' in sys.modules; "
+            "qfisher.cli.main(['table3', '--samples', '10']); "
+            "sys.exit(2 * loaded + ('multiprocessing' in sys.modules))"
+        )
+        assert subprocess.run([sys.executable, "-c", code], stdout=subprocess.DEVNULL).returncode == 0
+
 
 class TestRunCampaign:
     def test_csv_bytes_identical_across_workers(self):
-        cfg1 = CampaignConfig("table2", samples=2000, seed=9, workers=1)
-        cfg2 = CampaignConfig("table2", samples=2000, seed=9, workers=2)
-        assert run_campaign(cfg1)[0] == run_campaign(cfg2)[0]
+        # 2500 samples are two chunks, so two workers really split them
+        for name in ("table2", "table3", "bound-entangled-scan"):
+            cfg1 = CampaignConfig(name, samples=2500, seed=9, workers=1)
+            cfg2 = CampaignConfig(name, samples=2500, seed=9, workers=2)
+            assert run_campaign(cfg1)[0] == run_campaign(cfg2)[0]
 
     def test_unknown_campaign(self):
         with pytest.raises(ValueError):
@@ -434,7 +447,7 @@ class _RecordingPool:
 class TestWorkerCap:
     @pytest.fixture
     def pool(self, monkeypatch):
-        monkeypatch.setattr(campaigns, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(campaigns.os, "cpu_count", lambda: 4)
         _RecordingPool.requested = []
         return _RecordingPool
@@ -549,7 +562,7 @@ class TestBlasThreads:
         # the pool's initializer sets it
         monkeypatch.setattr(campaigns, "CHUNK_SIZE", 10)
         context = multiprocessing.get_context(method)
-        monkeypatch.setattr(campaigns, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=context))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=context))
         threads, chunks = campaigns._map_chunks(_chunk_blas_threads, 20, 2)
         assert chunks == 2
         assert threads == (0 if campaigns._blas_thread_api() is None else 2)

@@ -14,6 +14,7 @@ from qfisher.core import (
     InvariantError,
     _check_density_stack,
     _check_pure_stack,
+    _eigh,
 )
 
 
@@ -473,6 +474,67 @@ class TestPartialTranspose:
             qf.partial_transpose(rho, [0, 1])
         with pytest.raises(ValueError):
             qf.partial_transpose(rho, [5])
+
+
+def x_form_stack(seed, b=64, d=8):
+    """A seeded (b, d, d) real X-form stack with PSD blocks, signed
+    coherences, and the edge cases up front: member 0 all zero, member 1
+    degenerate blocks (c = 0, p = q), member 2 one zero block (rank
+    deficient), member 3 negative coherences only."""
+    rng = np.random.default_rng(seed)
+    j, half = np.arange(d), np.arange(d // 2)
+    mats = np.zeros((b, d, d))
+    mats[:, j, j] = rng.random((b, d))
+    bound = np.sqrt(mats[:, half, half] * mats[:, d - 1 - half, d - 1 - half])
+    mats[:, half, d - 1 - half] = mats[:, d - 1 - half, half] = rng.uniform(-1.0, 1.0, bound.shape) * bound
+    mats[0] = 0.0
+    mats[1] = np.diag(np.full(d, 0.25))
+    mats[2][[1, 1, d - 2, d - 2], [1, d - 2, 1, d - 2]] = 0.0
+    mats[3, half, d - 1 - half] = mats[3, d - 1 - half, half] = -np.abs(mats[3, half, d - 1 - half])
+    return mats
+
+
+class TestXFormEigenpairs:
+    """Real X-form stacks are diagonalised block by block in closed form."""
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_eigenpairs_match_lapack(self, d, linalg_dtypes):
+        stacks = [x_form_stack(d, d=d)]
+        if d >= 8:
+            stacks.append(qf.duer_state(d.bit_length() - 1).matrix.real[None])  # rank deficient
+        for mats in stacks:
+            ref = np.linalg.eigvalsh(mats)
+            seen = linalg_dtypes("eigh", "eigvalsh")
+            evals, vecs = _eigh(mats)
+            assert np.array_equal(_eigh(mats, vectors=False), evals)
+            assert seen == {"eigh": [], "eigvalsh": []}
+            assert np.all(np.diff(evals, axis=-1) >= 0)
+            assert np.max(np.abs(evals - ref)) <= 1e-14
+            assert np.max(np.abs(mats @ vecs - vecs * evals[:, None, :])) <= 1e-14
+            assert np.max(np.abs((vecs * evals[:, None, :]) @ vecs.swapaxes(1, 2) - mats)) <= 1e-14
+            assert np.max(np.abs(vecs.swapaxes(1, 2) @ vecs - np.eye(d))) <= 1e-14
+
+    def test_other_stacks_go_to_lapack(self, linalg_dtypes):
+        mats = x_form_stack(3)
+        mats[5, 0, 1] = mats[5, 1, 0] = 1e-3  # one coherence off the antidiagonal
+        seen = linalg_dtypes("eigh", "eigvalsh")
+        _eigh(mats)
+        _eigh(mats.astype(complex), vectors=False)  # complex X-forms keep LAPACK
+        assert seen == {"eigh": [np.float64], "eigvalsh": [np.complex128]}
+
+    def test_is_ppt_matches_eigvalsh_on_sampled_stacks(self):
+        from qfisher import zoo
+
+        rhos = zoo._random_ghz_diagonal_batch([np.random.default_rng([8, i]) for i in range(256)], "dme_violating")
+        # white noise at weights from 0 to 1, so the stack holds PPT and NPT members
+        weights = np.linspace(0.0, 1.0, len(rhos))[:, None, None]
+        rhos = weights * rhos + (1 - weights) * np.eye(8) / 8
+        seen = set()
+        for subset in ([0], [1], [2], [0, 2]):
+            reference = np.linalg.eigvalsh(qf.partial_transpose(rhos, subset))[:, 0] >= -1e-9
+            assert np.array_equal(qf.is_ppt(rhos, subset), reference)
+            seen.update(reference.tolist())
+        assert seen == {True, False}
 
 
 class TestMixWithIdentity:

@@ -342,11 +342,26 @@ class TestRealArithmetic:
                 TestSpinKernelsAgainstDense.assert_close(gamma, dense_gamma(rho, jays))
 
     def test_lapack_sees_the_real_part(self, linalg_dtypes):
+        # real states that are not X-form: their coherences leave the antidiagonal
         rng = np.random.default_rng(13)
         seen = linalg_dtypes("eigh", "cholesky")
-        for rho in (qf.duer_state(6), random_real_mixed(rng, 3, 4), qf.mix_with_identity(qf.ghz(4), 0.5)):
+        noisy_dicke = qf.mix_with_identity(qf.dicke(4, 2), 0.5)
+        for rho in (random_real_mixed(rng, 3, 4), random_real_mixed(rng, 4, 16), noisy_dicke):
             qf.qfi_matrix(rho)
         assert seen == {"eigh": [np.float64] * 3, "cholesky": [np.float64] * 3}
+
+    def test_x_form_stacks_make_no_lapack_call(self, linalg_dtypes):
+        # X-form stacks and their partial transposes are diagonalised in closed
+        # form; the tests above check their Gamma against complex LAPACK
+        from qfisher import zoo
+
+        rhos = [qf.duer_state(6).matrix[None], qf.mix_with_identity(qf.ghz(4), 0.5).matrix[None]]
+        rhos.append(zoo._random_ghz_diagonal_batch([np.random.default_rng([4, i]) for i in range(64)], "dme_violating"))
+        seen = linalg_dtypes("eigh", "eigvalsh")
+        for rho in rhos:
+            fisher._spin_gammas(rho, rho.shape[-1].bit_length() - 1)
+            qf.is_ppt(rho, [0])
+        assert seen == {"eigh": [], "eigvalsh": []}
 
     def test_complex_states_stay_complex(self, linalg_dtypes):
         rng = np.random.default_rng(14)
@@ -356,10 +371,11 @@ class TestRealArithmetic:
         assert seen == {"eigh": [np.complex128] * 2, "cholesky": [np.complex128] * 2}
 
     def test_povm_effects(self, linalg_dtypes):
-        seen = linalg_dtypes("eigvalsh")
+        # a PSD effect passes the Cholesky test, and no eigvalsh decides it
+        seen = linalg_dtypes("cholesky", "eigvalsh")
         qf.parity_povm(3, "x")
         qf.parity_povm(3, "y")
-        assert seen["eigvalsh"] == [np.float64] * 2 + [np.complex128] * 2
+        assert seen == {"cholesky": [np.float64] * 2 + [np.complex128] * 2, "eigvalsh": []}
 
 
 @pytest.fixture(scope="module")

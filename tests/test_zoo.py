@@ -435,6 +435,19 @@ class TestBatchSamplers:
                 assert np.array_equal(rho.matrix, _reference_ghz_diagonal(ref_rng, mode))
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    def test_ppt_family_redraws_only_rejected_rows(self):
+        # the first draws of streams 5818 and 10279 of seed 5 fall within 1e-3
+        # of the boundary l2 * l3 = l4, so those two streams alone draw again
+        indices = (5817, 5818, 10279, 10280)
+        for i in indices[1:3]:
+            l = 0.1 + 9.9 * np.random.default_rng([5, i]).random(3)
+            assert abs(l[0] * l[1] - l[2]) < 1e-3
+        rngs = [np.random.default_rng([5, i]) for i in indices]
+        refs = [np.random.default_rng([5, i]) for i in indices]
+        batch = zoo._random_ghz_diagonal_batch(rngs, "bound_entangled")
+        assert np.array_equal(batch, [_reference_ghz_diagonal(rng, "bound_entangled") for rng in refs])
+        assert [rng.bit_generator.state for rng in rngs] == [rng.bit_generator.state for rng in refs]
+
     def test_each_sample_validated_once(self, monkeypatch):
         from qfisher import campaigns, core
 
