@@ -1,9 +1,9 @@
+import concurrent.futures
 import json
 import multiprocessing
 import subprocess
 import sys
 import tracemalloc
-import concurrent.futures
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache, partial
 from pathlib import Path

@@ -502,9 +502,9 @@ class TestXFormEigenpairs:
         stacks = [x_form_stack(d, d=d)]
         if d >= 8:
             stacks.append(qf.duer_state(d.bit_length() - 1).matrix.real[None])  # rank deficient
-        for mats in stacks:
-            ref = np.linalg.eigvalsh(mats)
-            seen = linalg_dtypes("eigh", "eigvalsh")
+        refs = [np.linalg.eigvalsh(mats) for mats in stacks]
+        seen = linalg_dtypes("eigh", "eigvalsh")
+        for mats, ref in zip(stacks, refs):
             evals, vecs = _eigh(mats)
             assert np.array_equal(_eigh(mats, vectors=False), evals)
             assert seen == {"eigh": [], "eigvalsh": []}
