@@ -146,11 +146,15 @@ def _eigh(mats: np.ndarray, vectors: bool = True):
         return evals
     theta = np.arctan2(2 * c, p - q) / 2
     cos, sin = np.cos(theta), np.sin(theta)
-    j = np.arange(d)
+    col = np.empty_like(order)  # the sorted column of each slot
+    np.put_along_axis(col, order, np.arange(d), axis=-1)
+    # slot j's vector is nonzero on rows j and d-1-j, so row j holds an entry
+    # of slot j at column col[j] and one of slot d-1-j (cos, as in slot j's
+    # block) at column col[d-1-j]
     vecs = np.zeros(mats.shape)
-    vecs[..., j, j] = np.concatenate((-sin, sin[..., ::-1]), axis=-1)
-    vecs[..., j[::-1], j] = np.concatenate((cos, cos[..., ::-1]), axis=-1)
-    return evals, np.take_along_axis(vecs, order[..., None, :], axis=-1)
+    entries = (np.concatenate((-sin, sin[..., ::-1]), axis=-1), np.concatenate((cos, cos[..., ::-1]), axis=-1))
+    np.put_along_axis(vecs, np.stack((col, col[..., ::-1]), axis=-1), np.stack(entries, axis=-1), axis=-1)
+    return evals, vecs
 
 
 def _check_pure_stack(amps: np.ndarray) -> None:

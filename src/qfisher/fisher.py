@@ -46,18 +46,12 @@ __all__ = [
 
 ZERO_CUT = 1e-12
 PROB_FLOOR = 1e-12
-# Largest estimated working set, in bytes, of one support sketch (tried from
-# d = _SKETCH_MIN_DIM up), one full eigendecomposition (below that, or where
-# the sketch fails its certificate) or one mixed-state QFI kernel call; each
-# is checked only where it runs, and above it the call raises ValueError (CLI
-# exit 2) instead of swapping. A full-rank state at the 12-qubit cap falls
-# back to the eigendecomposition, 1.1 GB, and the kernel needs 1.3 GB.
+# Largest estimated working set, in bytes, of one eigendecomposition, one
+# mixed-state QFI kernel call or one x-basis POVM; each is checked only where
+# it runs, and above it the call raises ValueError (CLI exit 2) instead of
+# swapping. A full-rank state at the 12-qubit cap needs 1.1 GB for its
+# eigendecomposition and 1.3 GB for the kernel.
 MAX_DENSE_BYTES = 2 * 2**30
-# The support sketch's smallest dimension, its spare columns and the fixed
-# seed of its Gaussian test matrix (never a caller's or campaign stream)
-_SKETCH_MIN_DIM = 256
-_SKETCH_SPARE = 8
-_SKETCH_SEED = 0
 
 
 def _apply_spins(x: np.ndarray, num_qubits: int, axis: int = -1) -> np.ndarray:
@@ -146,53 +140,6 @@ def _real_gram(x: np.ndarray) -> np.ndarray:
     return flat @ flat.swapaxes(-1, -2)
 
 
-def _sketched_eigenpairs(rho: np.ndarray):
-    """Ascending eigenvalues (B, k) and eigenvectors (B, d, k) of a (B, d, d)
-    stack compressed to the range of a randomized sketch, or None when the
-    sketch cannot certify that range as the support of every member.
-
-    The range finder of Halko, Martinsson and Tropp (SIAM Review 53, 217
-    (2011)): Y = rho Omega for a Gaussian d x k Omega from fixed seeds,
-    Q = qr(Y), and the eigenpairs (lam, V) of Q^dag rho Q, returned as
-    (lam, Q V). The sketch is certified when every member has at most
-    k - _SKETCH_SPARE eigenvalues above ``ZERO_CUT`` times its trace, and the
-    trace it misses, tr rho - tr Q^dag rho Q, is at most ``ZERO_CUT`` times
-    the trace. Otherwise Omega gains as many columns as it has (32 at first,
-    d / 8 at most); the new columns of Y are orthogonalised against Q, so each
-    column costs one product with rho. With D the compression of rho to the
-    complement of Q, rank rho >= (tr D)^2 / ||D||_F^2 and ||D||_F^2 <=
-    tr rho^2 - ||Q^dag rho Q||_F^2; the sketch gives up as soon as this bound
-    leaves a member no spare columns within d / 8: ``smolin_state`` makes no
-    sketch, and a white-noise mixture of a pure state one of 32 columns.
-    """
-    b, d, _ = rho.shape
-    cap = d // 8
-    trace = np.trace(rho, axis1=1, axis2=2).real
-    flat = rho.reshape(b, -1).view(float)
-    purity = np.einsum("bx,bx->b", flat, flat)  # tr rho^2, with no temporary
-    # Q, rho Q, their extended copies, the new columns of Y and their cast Omega
-    _check_budget(16 * b * d * 4 * cap, "the support sketch")
-    q = rq = np.zeros((b, d, 0), dtype=rho.dtype)
-    evals = np.zeros((b, 0))
-    while True:
-        k = q.shape[2]
-        kept = evals > ZERO_CUT * evals.sum(axis=1, keepdims=True)  # the kernel's cut
-        deficit = trace - evals.sum(axis=1)
-        if kept.sum(axis=1).max() <= k - _SKETCH_SPARE and np.all(deficit <= ZERO_CUT * trace):
-            return evals, q @ vecs
-        rest = purity - np.einsum("bk,bk->b", evals, evals)
-        step = max(k, 32)
-        if k + step > cap or np.any((rest > 0) & (deficit**2 > (cap - _SKETCH_SPARE) * rest)):
-            return None
-        # built here, so a state that never gets this far never loads numpy.random
-        y = rho @ np.random.default_rng([_SKETCH_SEED, k]).standard_normal((d, step))
-        for _ in range(2):  # twice: QR's filler columns for a rank-deficient block may lean into Q
-            y = np.linalg.qr(y - q @ (q.conj().swapaxes(1, 2) @ y))[0]
-        q = np.concatenate((q, y), axis=2)
-        rq = np.concatenate((rq, rho @ y), axis=2)
-        evals, vecs = np.linalg.eigh(q.conj().swapaxes(1, 2) @ rq)
-
-
 def _qfi_batch(states: np.ndarray, apply, num_ops: int) -> np.ndarray:
     """QFI matrices Gamma_ij of a (B, d) stack of amplitude vectors or a
     (B, d, d) stack of density matrices for ``num_ops`` generators G_i, shape
@@ -203,20 +150,16 @@ def _qfi_batch(states: np.ndarray, apply, num_ops: int) -> np.ndarray:
     support: W = psi and lam = 1, with no eigendecomposition. For a mixed
     stack, S holds the eigenvectors whose eigenvalue is above ``ZERO_CUT``
     times the trace in some member of the batch, and a member's other
-    eigenvalues count as 0. From d = _SKETCH_MIN_DIM (256) up, the
-    eigenpairs come from a seeded randomized sketch of at most d / 8 columns
-    (``_sketched_eigenpairs``), accepted only under its certificate:
-    _SKETCH_SPARE columns to spare at or below the cut, and a missed trace of
-    at most ``ZERO_CUT`` times the trace. Below that dimension, and for every
-    stack the sketch cannot certify, they come from the full d x d
+    eigenvalues count as 0. The eigenpairs come from ``core._eigh``: in closed
+    form for a real X-form stack, else from LAPACK's full d x d
     eigendecomposition. The pair weight (lam_a - lam_b)^2 / (lam_a + lam_b)
     equals lam_a + lam_b - 4 lam_a lam_b / (lam_a + lam_b), so with
     m_i = W^dag G_i W the pair sum 2 sum_ab w_ab Re (G_i)_ab (G_j)_ba becomes
     Gamma_ij = 4 Re <G_i W|G_j W> - 8 sum_ab Re(m_i,ab conj(m_j,ab)) / (lam_a + lam_b),
     which for a pure state is 4 Re Cov(G_i, G_j). G acts on the d x r block W
     alone, and no d x d pair table is built. A mixed stack with no imaginary
-    part is sketched or diagonalised in real arithmetic, so W is real and
-    each m_i is one real product with the (re, im) view of G_i W.
+    part is diagonalised in real arithmetic, so W is real and each m_i is
+    one real product with the (re, im) view of G_i W.
     """
     pure = states.ndim == 2
     if pure:
@@ -225,13 +168,10 @@ def _qfi_batch(states: np.ndarray, apply, num_ops: int) -> np.ndarray:
     else:
         b, d, _ = states.shape
         rho = _real_if_real(states)
-        if d >= _SKETCH_MIN_DIM and (found := _sketched_eigenpairs(rho)) is not None:
-            evals, vecs = found
-        else:
-            # eigenvectors, LAPACK's copy of one matrix and its complex and
-            # real workspace (a real stack needs about half of this)
-            _check_budget(16 * d * d * (b + 3), "the eigendecomposition")
-            evals, vecs = _eigh(rho)
+        # eigenvectors, LAPACK's copy of one matrix and its complex and real
+        # workspace (a real stack needs about half of this)
+        _check_budget(16 * d * d * (b + 3), "the eigendecomposition")
+        evals, vecs = _eigh(rho)
         kept = evals > ZERO_CUT * np.sum(evals, axis=-1, keepdims=True)
         first = evals.shape[1] - int(kept.sum(axis=-1).max())  # eigenvalues ascend, so S is a suffix
         lam = np.where(kept, evals, 0.0)[:, first:]
@@ -259,11 +199,8 @@ def _qfi_batch(states: np.ndarray, apply, num_ops: int) -> np.ndarray:
 
 def qfi(state, generator) -> float:
     """Quantum Fisher information of a pure or mixed state for a Hermitian
-    generator, from its support: the eigenvalues above ``ZERO_CUT`` times the
-    trace of a mixed state (``_qfi_batch``). From d = 256 they come from a
-    seeded sketch of at most d / 8 columns that passes its certificate (8
-    columns to spare, at most ``ZERO_CUT`` of the trace missed), else from the
-    full eigendecomposition."""
+    generator, from its support: the eigenpairs of a mixed state whose
+    eigenvalues lie above ``ZERO_CUT`` times its trace (``_qfi_batch``)."""
     g = _generator_matrix(generator)
     batch = _as_batch(state)
     if g.shape != (batch.shape[1],) * 2:

@@ -7,7 +7,7 @@ import pytest
 
 import qfisher as qf
 from qfisher import fisher
-from qfisher.core import PAULIS, InvariantError, _real_if_real
+from qfisher.core import PAULIS, InvariantError
 
 
 def random_pure(rng, n):
@@ -144,6 +144,18 @@ class TestQfiMatrix:
             v1, _ = qf.qfi_max(rotated)
             assert abs(v0 - v1) <= 1e-8
 
+    def test_deterministic_and_leaves_generators_alone(self):
+        rho = qf.duer_state(9)
+        global_before = np.random.get_state(legacy=False)
+        caller = np.random.default_rng(3)
+        caller_before = caller.bit_generator.state
+        first = qf.qfi_matrix(rho).matrix
+        assert np.array_equal(qf.qfi_matrix(rho).matrix, first)
+        global_after = np.random.get_state(legacy=False)
+        assert np.array_equal(global_after["state"]["key"], global_before["state"]["key"])
+        assert global_after["state"]["pos"] == global_before["state"]["pos"]
+        assert caller.bit_generator.state == caller_before
+
     def test_white_noise_scaling_entrywise(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
@@ -203,6 +215,11 @@ def covariance_gammas(psis, num_qubits):
     return 4.0 * (s - e[:, :, None] * e[:, None, :])
 
 
+@pytest.fixture(scope="module")
+def nine_qubit_spins():
+    return dense_collective_spins(9)
+
+
 class TestSpinKernelsAgainstDense:
     """The bit-flip kernels against dense J's built in the test itself."""
 
@@ -253,6 +270,24 @@ class TestSpinKernelsAgainstDense:
                 qf.qfi_matrix(rho).matrix, dense_gamma(rho.matrix, dense_collective_spins(rho.num_qubits))
             )
 
+    @pytest.mark.parametrize("rank", (24, 25, 32, 33, 56, 57))
+    def test_sparse_low_rank(self, rank, nine_qubit_spins):
+        # sparse and low-rank: a diagonal state, which is X-form, and a
+        # mixture of (|i> + |j>) / sqrt 2 on disjoint pairs, which is not; the
+        # ranks straddle 24, 32 and 56, where a range finder of 32 or 64
+        # columns with 8 to spare would have to grow
+        rng = np.random.default_rng(400 + rank)
+        d = 2**9
+        weights = rng.uniform(0.1, 1.0, rank)
+        weights /= weights.sum()
+        diagonal = np.zeros(d)
+        diagonal[rng.choice(d, rank, replace=False)] = weights
+        vecs = np.zeros((rank, d))
+        np.put_along_axis(vecs, rng.permutation(d)[: 2 * rank].reshape(rank, 2), np.sqrt(0.5), axis=1)
+        for rho in (np.diag(diagonal), (vecs.T * weights) @ vecs):
+            rho = qf.DensityMatrix(9, rho)
+            self.assert_close(qf.qfi_matrix(rho).matrix, dense_gamma(rho.matrix, nine_qubit_spins))
+
     def test_batch_of_mixed_ranks(self):
         # the batch keeps the union of the members' supports; a member's
         # dropped eigenvalues must weigh nothing
@@ -289,7 +324,7 @@ class TestSpinKernelsAgainstDense:
             tracemalloc.stop()
         n = 10
         expected = n * np.diag([(3 * n - 1) / (3 * n + 3), (3 * n - 1) / (3 * n + 3), n / (n + 1)])
-        assert np.max(np.abs(gamma - expected)) <= 1e-9
+        assert np.max(np.abs(gamma - expected)) <= 1e-12
         assert peak <= 48 * 2**20
         assert built <= 50 * 2**20
 
@@ -355,7 +390,7 @@ class TestRealArithmetic:
         # form; the tests above check their Gamma against complex LAPACK
         from qfisher import zoo
 
-        rhos = [qf.duer_state(6).matrix[None], qf.mix_with_identity(qf.ghz(4), 0.5).matrix[None]]
+        rhos = [qf.duer_state(n).matrix[None] for n in (6, 10)] + [qf.mix_with_identity(qf.ghz(4), 0.5).matrix[None]]
         rhos.append(zoo._random_ghz_diagonal_batch([np.random.default_rng([4, i]) for i in range(64)], "dme_violating"))
         seen = linalg_dtypes("eigh", "eigvalsh")
         for rho in rhos:
@@ -376,97 +411,6 @@ class TestRealArithmetic:
         qf.parity_povm(3, "x")
         qf.parity_povm(3, "y")
         assert seen == {"cholesky": [np.float64] * 2 + [np.complex128] * 2, "eigvalsh": []}
-
-
-@pytest.fixture(scope="module")
-def duer_ten():
-    return qf.duer_state(10)
-
-
-def state_with_spectrum(rng, n, spectrum, complex_=False):
-    """A (1, d, d) stack with the given eigenvalues on random orthonormal vectors."""
-    shape = (2**n, len(spectrum))
-    a = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_ else 0)
-    v = np.linalg.qr(a)[0]
-    return ((v * np.asarray(spectrum, dtype=float)) @ v.conj().T).astype(complex)[None]
-
-
-class TestSupportSketch:
-    """From d = 256 the mixed kernel takes its support from a seeded sketch;
-    the reference is the same kernel on the full ``eigh``, its fallback."""
-
-    @staticmethod
-    def check(batch, n, sketch_cols):
-        """The sketch took ``sketch_cols`` columns, and Gamma and the kept
-        spectrum match the full eigh's to 1e-12; or, with ``sketch_cols``
-        None, it declined and the kernel runs the full eigh itself."""
-        rho = _real_if_real(batch)
-        found = fisher._sketched_eigenpairs(rho)
-        assert (None if found is None else found[0].shape[1]) == sketch_cols
-        if found is None:
-            return
-        full = np.linalg.eigh(rho)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fisher, "_sketched_eigenpairs", lambda *args: full)
-            ref = fisher._spin_gammas(batch, n)
-        TestSpinKernelsAgainstDense.assert_close(fisher._spin_gammas(batch, n), ref)
-        kept = [lam[lam > fisher.ZERO_CUT * lam.sum()] for lam in (found[0][0], full[0][0])]
-        assert kept[0].shape == kept[1].shape
-        assert np.max(np.abs(kept[0] - kept[1])) <= 1e-12 * kept[1][-1]
-
-    def test_zoo_states(self, duer_ten):
-        # the Dür states have rank 2N + 1; smolin:p has rank 2^(2p) / 4 and
-        # the white-noise mixtures full rank, over the d / 8 columns the sketch may use
-        cases = [(qf.duer_state(n), 32) for n in (8, 9)] + [(duer_ten, 32)]
-        cases += [(qf.smolin_state(p), None) for p in (4, 5)]
-        cases += [(qf.mix_with_identity(qf.ghz(8), p), None if p < 1 else 32) for p in (0.0, 0.5, 0.99, 1.0)]
-        for rho, cols in cases:
-            self.check(rho.matrix[None], rho.num_qubits, cols)
-
-    def test_random_states_of_every_rank(self):
-        # d = 256 sketches once with 32 columns, so 24 = 32 - 8 spare is the
-        # largest rank it takes; d = 512 may extend the sketch to 64 columns
-        rng = np.random.default_rng(21)
-        for complex_ in (False, True):
-            for rank, cols in ((1, 32), (2, 32), (9, 32), (24, 32), (25, None), (100, None), (256, None)):
-                self.check(state_with_spectrum(rng, 8, rng.uniform(0.1, 1.0, rank), complex_), 8, cols)
-        for rank, cols in ((25, 64), (56, 64), (57, None)):
-            self.check(state_with_spectrum(rng, 9, rng.uniform(0.1, 1.0, rank)), 9, cols)
-
-    def test_spectra_straddling_the_cut(self):
-        rng = np.random.default_rng(22)
-        cut = fisher.ZERO_CUT
-        for complex_ in (False, True):
-            # eigenvalues just above and below the cut: kept and dropped alike
-            self.check(state_with_spectrum(rng, 8, [0.2] * 5 + [3 * cut] * 3 + [cut / 3] * 3, complex_), 8, 32)
-            # a tail below the cut that misses less than the cut's share of the trace
-            self.check(state_with_spectrum(rng, 8, [0.1] * 10 + [cut / 1000] * 100, complex_), 8, 32)
-            # one that misses more: the certificate sends it to the full eigh
-            self.check(state_with_spectrum(rng, 8, [0.05] * 20 + [cut / 2] * 100, complex_), 8, None)
-
-    def test_deterministic_and_leaves_generators_alone(self):
-        rho = qf.duer_state(9)
-        global_before = np.random.get_state(legacy=False)
-        caller = np.random.default_rng(3)
-        caller_before = caller.bit_generator.state
-        first = qf.qfi_matrix(rho).matrix
-        assert np.array_equal(qf.qfi_matrix(rho).matrix, first)
-        global_after = np.random.get_state(legacy=False)
-        assert np.array_equal(global_after["state"]["key"], global_before["state"]["key"])
-        assert global_after["state"]["pos"] == global_before["state"]["pos"]
-        assert caller.bit_generator.state == caller_before
-
-    def test_ten_qubit_duer_makes_no_dense_eigh(self, duer_ten, monkeypatch):
-        shapes = []
-
-        def eigh(a, *args, _eigh=np.linalg.eigh, **kwargs):
-            shapes.append(a.shape[-1])
-            return _eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
-        gamma = qf.qfi_matrix(duer_ten).matrix
-        assert shapes == [32]
-        assert abs(gamma[2, 2] - 10 * 10 / 11) <= 1e-12
 
 
 class TestMemoryBudget:
@@ -514,22 +458,6 @@ class TestMemoryBudget:
 
         assert main(["phase-sim", "--state", "plus:9"]) == 2
         assert "the x-basis POVM needs about 4096 MB" in capsys.readouterr().err
-
-    def test_sketch_and_full_eigh_have_their_own_estimates(self, monkeypatch):
-        # at d = 256 the sketch's 16 * d * 4 * (d / 8) bytes sit far below
-        # the full eigh's 16 * d * d * 4: a low-rank state passes a budget
-        # between them, and a full-rank one is still refused before its eigh
-        rng = np.random.default_rng(10)
-        low, full = qf.duer_state(8), random_real_mixed(rng, 8, 256)
-        monkeypatch.setattr(fisher, "MAX_DENSE_BYTES", 16 * 256 * 256 * 4 - 1)
-        ref = qf.duer_state(8)
-        assert np.array_equal(qf.qfi_matrix(low).matrix, qf.qfi_matrix(ref).matrix)
-        monkeypatch.setattr(np.linalg, "eigh", self._fail)
-        with pytest.raises(ValueError, match=r"^the eigendecomposition needs about .* fisher.MAX_DENSE_BYTES$"):
-            qf.qfi_matrix(full)
-        monkeypatch.setattr(fisher, "MAX_DENSE_BYTES", 16 * 256 * 4 * 32 - 1)
-        with pytest.raises(ValueError, match=r"^the support sketch needs about .* fisher.MAX_DENSE_BYTES$"):
-            qf.qfi_matrix(low)
 
 
 class TestQfiSummaries:
