@@ -390,7 +390,7 @@ class TestRealArithmetic:
         # form; the tests above check their Gamma against complex LAPACK
         from qfisher import zoo
 
-        rhos = [qf.duer_state(n).matrix[None] for n in (6, 10)] + [qf.mix_with_identity(qf.ghz(4), 0.5).matrix[None]]
+        rhos = [qf.duer_state(6).matrix[None], qf.mix_with_identity(qf.ghz(4), 0.5).matrix[None]]
         rhos.append(zoo._random_ghz_diagonal_batch([np.random.default_rng([4, i]) for i in range(64)], "dme_violating"))
         seen = linalg_dtypes("eigh", "eigvalsh")
         for rho in rhos:
@@ -411,6 +411,23 @@ class TestRealArithmetic:
         qf.parity_povm(3, "x")
         qf.parity_povm(3, "y")
         assert seen == {"cholesky": [np.float64] * 2 + [np.complex128] * 2, "eigvalsh": []}
+
+
+class TestSupportSketch:
+    """The support of a large low-rank state, found without diagonalising
+    the dense d x d matrix."""
+
+    def test_ten_qubit_duer_makes_no_dense_eigh(self, monkeypatch):
+        shapes = []
+
+        def eigh(a, *args, _eigh=np.linalg.eigh, **kwargs):
+            shapes.append(a.shape[-1])
+            return _eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        gamma = qf.qfi_matrix(qf.duer_state(10)).matrix
+        assert shapes == []
+        assert abs(gamma[2, 2] - 10 * 10 / 11) <= 1e-12
 
 
 class TestMemoryBudget:
