@@ -119,42 +119,30 @@ def _real_if_real(x: np.ndarray) -> np.ndarray:
     return x if x.imag.any() else x.real
 
 
-def _eigh(mats: np.ndarray, vectors: bool = True):
-    """``np.linalg.eigh`` (or, without ``vectors``, ``eigvalsh``) of a
-    (..., d, d) stack, in closed form for a real X-form stack.
-
-    A real stack whose only nonzero off-diagonal entries sit at (j, d-1-j)
-    is d / 2 blocks [[p, c], [c, q]] on the basis pairs (j, d-1-j), with c
-    read from the lower triangle as LAPACK reads it. Each block has
-    eigenvalues (p+q)/2 -+ hypot((p-q)/2, c) and is diagonalised by the
-    rotation through theta = atan2(2c, p-q) / 2; the eigenvalues are sorted
-    ascending. Any other stack, complex ones included, goes to LAPACK.
-    """
+def _x_blocks(mats: np.ndarray):
+    """The blocks (p, q, c), each (..., d/2), of a real X-form (..., d, d)
+    stack, or None for any other stack, complex ones included: a real stack
+    whose only nonzero off-diagonal entries sit at (j, d-1-j) is d/2 blocks
+    [[p_j, c_j], [c_j, q_j]] on the basis pairs (j, d-1-j), with c read from
+    the lower triangle as LAPACK reads it."""
     d = mats.shape[-1]
     diag = np.diagonal(mats, axis1=-2, axis2=-1)
     anti = np.diagonal(mats[..., ::-1, :], axis1=-2, axis2=-1)  # anti[..., j] = mats[..., d-1-j, j]
     if np.iscomplexobj(mats) or d % 2 or np.count_nonzero(mats) != np.count_nonzero(diag) + np.count_nonzero(anti):
-        return np.linalg.eigh(mats) if vectors else np.linalg.eigvalsh(mats)
+        return None
     h = d // 2
-    p, q, c = diag[..., :h], diag[..., : h - 1 : -1], anti[..., :h]
+    return diag[..., :h], diag[..., : h - 1 : -1], anti[..., :h]
+
+
+def _block_eigvals(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper eigenvalues of the blocks [[p, c], [c, q]]."""
     mid, radius = (p + q) / 2, np.hypot((p - q) / 2, c)
-    # slot j holds the lower eigenvalue of block j and slot d-1-j its upper one
-    evals = np.concatenate((mid - radius, (mid + radius)[..., ::-1]), axis=-1)
-    order = np.argsort(evals, axis=-1, kind="stable")
-    evals = np.take_along_axis(evals, order, axis=-1)
-    if not vectors:
-        return evals
-    theta = np.arctan2(2 * c, p - q) / 2
-    cos, sin = np.cos(theta), np.sin(theta)
-    col = np.empty_like(order)  # the sorted column of each slot
-    np.put_along_axis(col, order, np.arange(d), axis=-1)
-    # slot j's vector is nonzero on rows j and d-1-j, so row j holds an entry
-    # of slot j at column col[j] and one of slot d-1-j (cos, as in slot j's
-    # block) at column col[d-1-j]
-    vecs = np.zeros(mats.shape)
-    entries = (np.concatenate((-sin, sin[..., ::-1]), axis=-1), np.concatenate((cos, cos[..., ::-1]), axis=-1))
-    np.put_along_axis(vecs, np.stack((col, col[..., ::-1]), axis=-1), np.stack(entries, axis=-1), axis=-1)
-    return evals, vecs
+    return mid - radius, mid + radius
+
+
+def _smallest_eigvals(mats: np.ndarray, blocks) -> np.ndarray:
+    """Smallest eigenvalue of each matrix of a stack, from its ``_x_blocks`` or, if None, by LAPACK."""
+    return np.linalg.eigvalsh(mats)[..., 0] if blocks is None else _block_eigvals(*blocks)[0].min(axis=-1)
 
 
 def _check_pure_stack(amps: np.ndarray) -> None:
@@ -167,21 +155,14 @@ def _check_pure_stack(amps: np.ndarray) -> None:
 def _check_density_stack(mats: np.ndarray) -> np.ndarray:
     """Hermitian part of a (..., d, d) stack, as complex, after checking that
     every matrix has finite entries, is Hermitian, has unit trace and is
-    positive semidefinite.
-
-    A matrix passes the PSD test (``_check_psd``) when the Cholesky
-    factorisation of rho + PSD_TOL * I succeeds, which needs its smallest
-    eigenvalue above -PSD_TOL up to rounding. Only when some factorisation
-    fails does one batched ``eigvalsh`` decide and report the smallest
-    eigenvalue.
+    positive semidefinite (``_check_psd``).
 
     A float stack, or a complex one with no imaginary part, is checked in
-    real arithmetic: its Hermitian part is built as a float array,
-    factorised (and, if needed, diagonalised) by real LAPACK and converted
-    to complex once, at the end.
-    Otherwise the real and imaginary parts are combined through views, so no
-    conjugate copy is made. Besides its result, the check holds at most one
-    d x d temporary and the two buffers of the factorisation.
+    real arithmetic: its Hermitian part is built as a float array, tested,
+    and converted to complex once, at the end. Otherwise the real and
+    imaginary parts are combined through views, so no conjugate copy is
+    made. Besides its result, the check holds at most one d x d temporary
+    and, for a stack that is not X-form, the two buffers of the factorisation.
     """
     re = mats.real
     re_t = re.swapaxes(-1, -2)
@@ -189,21 +170,22 @@ def _check_density_stack(mats: np.ndarray) -> np.ndarray:
     im = mats.imag if np.iscomplexobj(mats) else None
     real = im is None or not im.any()
     with np.errstate(invalid="ignore"):  # inf - inf is reported below
-        asym = re - re_t
+        if real:
+            herm = re + re_t
+        else:
+            herm = np.empty(mats.shape, dtype=complex)
+            np.add(re, re_t, out=herm.real)
+            np.subtract(im, im.swapaxes(-1, -2), out=herm.imag)
+        herm /= 2
+        # rho - herm is (rho - rho^dag) / 2, read with no second strided transpose
+        asym = re - herm.real
         if real:
             np.abs(asym, out=asym)
         else:
-            np.hypot(asym, im + im.swapaxes(-1, -2), out=asym)  # |rho - rho^dag|
-    asym = asym.max(axis=(-2, -1))  # NaN or inf where an entry is
+            np.hypot(asym, im - herm.imag, out=asym)
+    asym = 2 * asym.max(axis=(-2, -1))  # NaN or inf where an entry is
     _raise_first(~np.isfinite(asym), "density matrix has a non-finite entry")
     _raise_first(asym > HERMITICITY_TOL, "density matrix is not Hermitian within 1e-10")
-    if real:
-        herm = re + re_t
-    else:
-        herm = np.empty(mats.shape, dtype=complex)
-        np.add(re, re_t, out=herm.real)
-        np.subtract(im, im.swapaxes(-1, -2), out=herm.imag)
-    herm /= 2
     tr = np.real(np.trace(herm, axis1=-2, axis2=-1))
     _raise_first(~(np.abs(tr - 1.0) <= TRACE_TOL), "trace is {!r}, expected 1", tr)
     _check_psd(herm, f"smallest eigenvalue {{!r}} below -{PSD_TOL}")
@@ -213,22 +195,26 @@ def _check_density_stack(mats: np.ndarray) -> np.ndarray:
 def _check_psd(herm: np.ndarray, message: str) -> None:
     """Raise ``InvariantError`` with ``message`` (formatted with the smallest
     eigenvalue) unless every matrix of a Hermitian (..., d, d) stack is PSD
-    within ``PSD_TOL``: the Cholesky factorisation of herm + PSD_TOL * I
-    succeeds, or, where some factorisation fails, one batched ``eigvalsh``
-    finds no eigenvalue below -PSD_TOL. The diagonal is shifted in place and
-    restored exactly, so ``herm`` must be writable and no copy is made."""
-    diag = np.arange(herm.shape[-1])
-    saved = herm[..., diag, diag]
-    herm[..., diag, diag] += PSD_TOL
-    try:
-        np.linalg.cholesky(herm)
-        factored = True
-    except np.linalg.LinAlgError:
-        factored = False
-    herm[..., diag, diag] = saved
-    if not factored:
-        lo = np.linalg.eigvalsh(herm)[..., 0]
-        _raise_first(lo < -PSD_TOL, message, lo)
+    within ``PSD_TOL``. A real X-form stack is decided by its blocks'
+    closed-form eigenvalues, with no LAPACK call. Any other stack passes when
+    the Cholesky factorisation of herm + PSD_TOL * I succeeds, or where it
+    fails, when one batched ``eigvalsh`` finds no eigenvalue below -PSD_TOL.
+    The diagonal is shifted in place and restored exactly, so ``herm`` must
+    be writable and no copy is made."""
+    blocks = _x_blocks(herm)
+    if blocks is None:
+        diag = np.arange(herm.shape[-1])
+        saved = herm[..., diag, diag]
+        herm[..., diag, diag] += PSD_TOL
+        try:
+            np.linalg.cholesky(herm)
+            return
+        except np.linalg.LinAlgError:
+            pass
+        finally:
+            herm[..., diag, diag] = saved
+    lo = _smallest_eigvals(herm, blocks)
+    _raise_first(lo < -PSD_TOL, message, lo)
 
 
 @dataclass(frozen=True)
@@ -449,8 +435,9 @@ def is_ppt(rho, subset, tol: float = 1e-9) -> bool | np.ndarray:
     """True iff the partial transpose over the subset has no eigenvalue below
     -tol; a (..., d, d) stack gives a bool array of its leading shape. The
     partial transpose of an X-form matrix is X-form, so a real X-form stack
-    is decided in closed form (``_eigh``)."""
-    ppt = _eigh(_real_if_real(partial_transpose(rho, subset)), vectors=False)[..., 0] >= -tol
+    is decided by its blocks' closed-form eigenvalues (``_x_blocks``)."""
+    pt = _real_if_real(partial_transpose(rho, subset))
+    ppt = _smallest_eigvals(pt, _x_blocks(pt)) >= -tol
     return bool(ppt) if ppt.ndim == 0 else ppt
 
 
@@ -460,8 +447,11 @@ def mix_with_identity(state, p: float) -> DensityMatrix:
         raise ValueError(f"mixing weight must lie in [0, 1], got {p}")
     if not isinstance(state, (PureState, DensityMatrix)):
         raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
-    d = state.dim
-    return DensityMatrix(state.num_qubits, p * _state_matrix(state) + (1.0 - p) * np.eye(d) / d)
+    amps = _real_if_real(state.amplitudes) if isinstance(state, PureState) else None
+    mat = state.matrix.copy() if amps is None else np.outer(amps, amps.conj())  # real for a real state
+    mat *= p
+    mat[np.diag_indices(state.dim)] += (1.0 - p) / state.dim  # in place: no identity is built
+    return DensityMatrix(state.num_qubits, mat)
 
 
 def variance(state, op) -> float:

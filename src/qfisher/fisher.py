@@ -20,13 +20,14 @@ from .core import (
     InvariantError,
     PureState,
     _as_batch,
+    _block_eigvals,
     _check_psd,
-    _eigh,
     _generator_matrix,
     _pauli_power,
     _popcounts,
     _real_if_real,
     _state_matrix,
+    _x_blocks,
 )
 
 __all__ = [
@@ -150,9 +151,9 @@ def _qfi_batch(states: np.ndarray, apply, num_ops: int) -> np.ndarray:
     support: W = psi and lam = 1, with no eigendecomposition. For a mixed
     stack, S holds the eigenvectors whose eigenvalue is above ``ZERO_CUT``
     times the trace in some member of the batch, and a member's other
-    eigenvalues count as 0. The eigenpairs come from ``core._eigh``: in closed
-    form for a real X-form stack, else from LAPACK's full d x d
-    eigendecomposition. The pair weight (lam_a - lam_b)^2 / (lam_a + lam_b)
+    eigenvalues count as 0. The eigenpairs come from LAPACK's full d x d
+    eigendecomposition (``_spin_gammas`` reads real X-form stacks from their
+    blocks). The pair weight (lam_a - lam_b)^2 / (lam_a + lam_b)
     equals lam_a + lam_b - 4 lam_a lam_b / (lam_a + lam_b), so with
     m_i = W^dag G_i W the pair sum 2 sum_ab w_ab Re (G_i)_ab (G_j)_ba becomes
     Gamma_ij = 4 Re <G_i W|G_j W> - 8 sum_ab Re(m_i,ab conj(m_j,ab)) / (lam_a + lam_b),
@@ -171,7 +172,7 @@ def _qfi_batch(states: np.ndarray, apply, num_ops: int) -> np.ndarray:
         # eigenvectors, LAPACK's copy of one matrix and its complex and real
         # workspace (a real stack needs about half of this)
         _check_budget(16 * d * d * (b + 3), "the eigendecomposition")
-        evals, vecs = _eigh(rho)
+        evals, vecs = np.linalg.eigh(rho)
         kept = evals > ZERO_CUT * np.sum(evals, axis=-1, keepdims=True)
         first = evals.shape[1] - int(kept.sum(axis=-1).max())  # eigenvalues ascend, so S is a suffix
         lam = np.where(kept, evals, 0.0)[:, first:]
@@ -208,9 +209,48 @@ def qfi(state, generator) -> float:
     return float(_qfi_batch(batch, lambda v: (g @ v)[None], 1)[0, 0, 0])
 
 
+def _pair_weight(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a - b)^2 / (a + b), and 0 where a + b is."""
+    return np.divide((a - b) ** 2, a + b, out=np.zeros(np.broadcast(a, b).shape), where=a + b > 0)
+
+
 def _spin_gammas(batch: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Spin-QFI matrices of a (B, d) pure or (B, d, d) mixed stack, (B, 3, 3)."""
-    return _qfi_batch(batch, lambda v: _apply_spins(v, num_qubits, axis=-2), 3)
+    """Spin-QFI matrices of a (B, d) pure or (B, d, d) mixed stack, (B, 3, 3).
+
+    A real X-form stack of N >= 3 qubits is read from its (B, d/2) blocks
+    (``core._x_blocks``) in O(B N d), others go to ``_qfi_batch``. Block j has
+    eigenvalues lam_-+ (cut as in ``_qfi_batch``), eigenvectors rotated by
+    theta_j = atan2(2c, p-q) / 2, and J_z = m_j sigma_z, m_j = N/2 - popcount j.
+    Flipping qubit l >= 1 maps block j onto j xor 2^(N-1-l), and qubit 0 onto
+    j xor (d/2 - 1) in swapped order (s_l = -1, else 1); from N = 3 no two
+    flips join the same blocks. With w(a, b) = (a - b)^2 / (a + b), L (U) the
+    sum of w over like (unlike) eigenvalue pairs of j and its partner j', and
+    C, S = cos, sin 2theta: Gamma_xx,yy = 1/4 sum_(l, j) [L + U + (L - U)
+    (s_l C_j C_j' +- S_j S_j')], Gamma_zz = 4 sum_j m_j^2 S_j^2 w(lam_+, lam_-),
+    and the rest is exactly 0 (real J_x and imaginary J_y elements).
+    """
+    blocks = _x_blocks(_real_if_real(batch)) if batch.ndim == 3 and num_qubits >= 3 else None
+    if blocks is None:
+        return _qfi_batch(batch, lambda v: _apply_spins(v, num_qubits, axis=-2), 3)
+    p, q, c = blocks
+    h = p.shape[-1]
+    lam = np.stack(_block_eigvals(p, q, c))  # (2, B, d/2): lower, upper
+    lam[lam <= ZERO_CUT * lam.sum(axis=(0, 2), keepdims=True)] = 0.0
+    two_theta = np.arctan2(2 * c, p - q)
+    cos, sin = np.cos(two_theta), np.sin(two_theta)
+    masks = np.array([h - 1] + [1 << (num_qubits - 1 - l) for l in range(1, num_qubits)])
+    partner = np.arange(h) ^ masks[:, None]  # (N, d/2): block j' of each (l, j)
+    w = _pair_weight(lam[:, None, :, partner], lam[None, :, :, None])  # (2, 2, B, N, d/2)
+    like, unlike = w[0, 0] + w[1, 1], w[0, 1] + w[1, 0]
+    u = np.where(masks == h - 1, -1.0, 1.0)[:, None] * cos[:, partner] * cos[:, None]  # s_l C_j C_j', l = 0 alone swaps
+    v = sin[:, partner] * sin[:, None]
+    both, diff = (like + unlike).sum(axis=(1, 2)), like - unlike
+    m = (num_qubits - 2 * _popcounts(h)) / 2
+    gamma = np.zeros((len(p), 3, 3))
+    gamma[:, 0, 0] = (both + (diff * (u + v)).sum(axis=(1, 2))) / 4
+    gamma[:, 1, 1] = (both + (diff * (u - v)).sum(axis=(1, 2))) / 4
+    gamma[:, 2, 2] = 4 * np.sum(m**2 * sin**2 * _pair_weight(lam[1], lam[0]), axis=-1)
+    return gamma
 
 
 def qfi_matrix(state) -> SpinQfiMatrix:

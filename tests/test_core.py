@@ -14,7 +14,9 @@ from qfisher.core import (
     InvariantError,
     _check_density_stack,
     _check_pure_stack,
-    _eigh,
+    _block_eigvals,
+    _smallest_eigvals,
+    _x_blocks,
 )
 
 
@@ -280,6 +282,55 @@ class TestPsdBoundary:
         with pytest.raises(InvariantError, match=r"^smallest eigenvalue -1\.\d+e-09 below -1e-09$"):
             qf.DensityMatrix(4, outside)
 
+    @staticmethod
+    def _x_form_with_smallest(lo, d=16, seed=0):
+        """A real X-form matrix of unit trace whose smallest eigenvalue, lo,
+        is the lower one of block 0; every block is turned through a random
+        angle, so the coherences carry both signs."""
+        rng = np.random.default_rng(seed)
+        lower, upper = rng.random((2, d // 2))
+        lower[0] = lo
+        rest = lower[1:].sum() + upper.sum()
+        lower[1:] *= (1.0 - lo) / rest
+        upper *= (1.0 - lo) / rest
+        theta = rng.uniform(-np.pi, np.pi, d // 2)
+        cos, sin = np.cos(theta), np.sin(theta)
+        j = np.arange(d // 2)
+        mat = np.zeros((d, d))
+        mat[j, j] = upper * cos**2 + lower * sin**2
+        mat[d - 1 - j, d - 1 - j] = upper * sin**2 + lower * cos**2
+        mat[j, d - 1 - j] = mat[d - 1 - j, j] = (upper - lower) * sin * cos
+        return mat
+
+    def test_x_form_blocks_decide_as_eigvalsh(self, linalg_dtypes):
+        # the blocks' closed-form lower eigenvalues decide, with no LAPACK call,
+        # as eigvalsh does on either side of -PSD_TOL and at the sampler's edge
+        # case (lambda_0 = lambda_7 = 1e-5, mu_0^2 just above their product)
+        from qfisher import zoo
+
+        lam = np.array([1e-5, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25, 1e-5])
+        mus = np.array([np.sqrt(1e-10 + 0.999e-12), 0.0, 0.0, 0.0])
+        edge = zoo._x_form_matrices(lam[None], mus[None])[0].real
+        cases = [self._x_form_with_smallest(f * PSD_TOL, seed=s) for f in (-0.9, -1.1) for s in range(4)]
+        cases.append(edge)
+        refs = [np.linalg.eigvalsh(mat)[0] for mat in cases]
+        seen = linalg_dtypes("cholesky", "eigvalsh")
+        for mat, ref in zip(cases, refs):
+            assert _x_blocks(mat) is not None
+            assert abs(_smallest_eigvals(mat, _x_blocks(mat)) - ref) <= 1e-15
+            if ref < -PSD_TOL:
+                with pytest.raises(InvariantError, match=r"^smallest eigenvalue -\d\.\d+e-0[89] below -1e-09$"):
+                    qf.DensityMatrix(4 if len(mat) == 16 else 3, mat)
+            else:
+                qf.DensityMatrix(4, mat)
+        assert sum(ref < -PSD_TOL for ref in refs) == 5
+        rhos = np.stack(cases[:4])
+        assert np.array_equal(_check_density_stack(rhos), rhos)
+        rhos[2] = cases[5]
+        with pytest.raises(InvariantError, match=r"^sample 2: smallest eigenvalue -1\.\d+e-09 below -1e-09$"):
+            _check_density_stack(rhos)
+        assert seen == {"cholesky": [], "eigvalsh": []}
+
     def test_stack(self):
         rhos = np.stack([self._with_smallest(-0.9 * PSD_TOL, seed=s) for s in range(5)])
         assert np.array_equal(_check_density_stack(rhos), (rhos + rhos.conj().swapaxes(-1, -2)) / 2)
@@ -495,7 +546,23 @@ def x_form_stack(seed, b=64, d=8):
 
 
 class TestXFormEigenpairs:
-    """Real X-form stacks are diagonalised block by block in closed form."""
+    """Real X-form stacks are read as 2 x 2 blocks with closed-form eigenpairs."""
+
+    @staticmethod
+    def block_eigenpairs(mats):
+        """Eigenvalues and eigenvectors of a stack built from its blocks: slot
+        j holds block j's lower eigenvalue with vector (-sin, cos) on rows
+        (j, d-1-j), slot d-1-j its upper one with (cos, sin), for the
+        rotation through theta = atan2(2c, p-q) / 2."""
+        p, q, c = _x_blocks(mats)
+        lower, upper = _block_eigvals(p, q, c)
+        theta = np.arctan2(2 * c, p - q) / 2
+        d = mats.shape[-1]
+        j = np.arange(d // 2)
+        vecs = np.zeros(mats.shape)
+        vecs[:, j, j], vecs[:, d - 1 - j, j] = -np.sin(theta), np.cos(theta)
+        vecs[:, j, d - 1 - j], vecs[:, d - 1 - j, d - 1 - j] = np.cos(theta), np.sin(theta)
+        return np.concatenate((lower, upper[:, ::-1]), axis=-1), vecs
 
     @pytest.mark.parametrize("d", [2, 8, 64])
     def test_eigenpairs_match_lapack(self, d, linalg_dtypes):
@@ -505,11 +572,10 @@ class TestXFormEigenpairs:
         refs = [np.linalg.eigvalsh(mats) for mats in stacks]
         seen = linalg_dtypes("eigh", "eigvalsh")
         for mats, ref in zip(stacks, refs):
-            evals, vecs = _eigh(mats)
-            assert np.array_equal(_eigh(mats, vectors=False), evals)
+            evals, vecs = self.block_eigenpairs(mats)
+            assert np.array_equal(_smallest_eigvals(mats, _x_blocks(mats)), evals.min(axis=-1))
             assert seen == {"eigh": [], "eigvalsh": []}
-            assert np.all(np.diff(evals, axis=-1) >= 0)
-            assert np.max(np.abs(evals - ref)) <= 1e-14
+            assert np.max(np.abs(np.sort(evals, axis=-1) - ref)) <= 1e-14
             assert np.max(np.abs(mats @ vecs - vecs * evals[:, None, :])) <= 1e-14
             assert np.max(np.abs((vecs * evals[:, None, :]) @ vecs.swapaxes(1, 2) - mats)) <= 1e-14
             assert np.max(np.abs(vecs.swapaxes(1, 2) @ vecs - np.eye(d))) <= 1e-14
@@ -517,10 +583,14 @@ class TestXFormEigenpairs:
     def test_other_stacks_go_to_lapack(self, linalg_dtypes):
         mats = x_form_stack(3)
         mats[5, 0, 1] = mats[5, 1, 0] = 1e-3  # one coherence off the antidiagonal
+        as_complex = x_form_stack(3).astype(complex)  # complex X-forms keep LAPACK
+        as_complex[:, 7, 0] += 1e-3j
+        as_complex[:, 0, 7] -= 1e-3j
+        assert _x_blocks(mats) is None and _x_blocks(as_complex) is None
         seen = linalg_dtypes("eigh", "eigvalsh")
-        _eigh(mats)
-        _eigh(mats.astype(complex), vectors=False)  # complex X-forms keep LAPACK
-        assert seen == {"eigh": [np.float64], "eigvalsh": [np.complex128]}
+        qf.is_ppt(mats, [1])
+        qf.is_ppt(as_complex, [1])
+        assert seen == {"eigh": [], "eigvalsh": [np.float64, np.complex128]}
 
     def test_is_ppt_matches_eigvalsh_on_sampled_stacks(self):
         from qfisher import zoo

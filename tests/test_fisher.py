@@ -7,7 +7,7 @@ import pytest
 
 import qfisher as qf
 from qfisher import fisher
-from qfisher.core import PAULIS, InvariantError
+from qfisher.core import PAULIS, InvariantError, _check_density_stack
 
 
 def random_pure(rng, n):
@@ -386,17 +386,19 @@ class TestRealArithmetic:
         assert seen == {"eigh": [np.float64] * 3, "cholesky": [np.float64] * 3}
 
     def test_x_form_stacks_make_no_lapack_call(self, linalg_dtypes):
-        # X-form stacks and their partial transposes are diagonalised in closed
-        # form; the tests above check their Gamma against complex LAPACK
+        # X-form stacks and their partial transposes are validated, read by the
+        # spin-QFI kernel and PPT-tested block by block; the tests above check
+        # their Gamma against complex LAPACK
         from qfisher import zoo
 
+        seen = linalg_dtypes("eigh", "eigvalsh", "cholesky")
         rhos = [qf.duer_state(6).matrix[None], qf.mix_with_identity(qf.ghz(4), 0.5).matrix[None]]
         rhos.append(zoo._random_ghz_diagonal_batch([np.random.default_rng([4, i]) for i in range(64)], "dme_violating"))
-        seen = linalg_dtypes("eigh", "eigvalsh")
         for rho in rhos:
+            _check_density_stack(rho)
             fisher._spin_gammas(rho, rho.shape[-1].bit_length() - 1)
             qf.is_ppt(rho, [0])
-        assert seen == {"eigh": [], "eigvalsh": []}
+        assert seen == {"eigh": [], "eigvalsh": [], "cholesky": []}
 
     def test_complex_states_stay_complex(self, linalg_dtypes):
         rng = np.random.default_rng(14)
@@ -406,16 +408,84 @@ class TestRealArithmetic:
         assert seen == {"eigh": [np.complex128] * 2, "cholesky": [np.complex128] * 2}
 
     def test_povm_effects(self, linalg_dtypes):
-        # a PSD effect passes the Cholesky test, and no eigvalsh decides it
+        # the x-parity effects (I +- X^N) / 2 are real X-form and decided by
+        # their blocks; the complex y-parity effects pass the Cholesky test,
+        # and no eigvalsh decides them
         seen = linalg_dtypes("cholesky", "eigvalsh")
         qf.parity_povm(3, "x")
         qf.parity_povm(3, "y")
-        assert seen == {"cholesky": [np.float64] * 2 + [np.complex128] * 2, "eigvalsh": []}
+        assert seen == {"cholesky": [np.complex128] * 2, "eigvalsh": []}
 
 
-class TestSupportSketch:
-    """The support of a large low-rank state, found without diagonalising
-    the dense d x d matrix."""
+def x_form_states(seed, n, b):
+    """A seeded (b, d, d) stack of real X-form density matrices, validated,
+    each block [[p, c], [c, q]] built from two eigenvalues and a rotation
+    through a random angle, so the coherences carry both signs. Member 0 has
+    degenerate blocks (p = q, c = 0), member 1 zero blocks as in
+    ``duer_state``, member 2 negative coherences only, member 3 rank d/2,
+    member 4 rank one, and member 5 an eigenvalue of -4e-10, inside the PSD
+    tolerance, which both kernels cut to 0. From N = 8 every member keeps
+    block 0 and 11 others at most, so the general kernel's support stays
+    small."""
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    h = d // 2
+    lower, upper = np.sort(rng.random((2, b, h)), axis=0)
+    theta = rng.uniform(-np.pi, np.pi, (b, h))
+    lower[0], theta[0] = upper[0], 0.0
+    lower[1, ::3] = upper[1, ::3] = 0.0
+    theta[2] = -np.abs(theta[2]) % (np.pi / 2) - np.pi / 2  # sin 2theta < 0
+    lower[3] = 0.0
+    lower[4], upper[4, 1:] = 0.0, 0.0
+    if n >= 8:
+        for m in range(b):
+            drop = rng.permutation(np.arange(1, h))[11:]
+            lower[m, drop] = upper[m, drop] = 0.0
+    scale = lower.sum(axis=1) + upper.sum(axis=1)
+    lower, upper = lower / scale[:, None], upper / scale[:, None]
+    upper[5, 0] += lower[5, 0] + 4e-10  # the trace stays 1
+    lower[5, 0] = -4e-10
+    cos, sin = np.cos(theta), np.sin(theta)
+    j = np.arange(h)
+    mats = np.zeros((b, d, d))
+    mats[:, j, j] = upper * cos**2 + lower * sin**2
+    mats[:, d - 1 - j, d - 1 - j] = upper * sin**2 + lower * cos**2
+    mats[:, j, d - 1 - j] = mats[:, d - 1 - j, j] = (upper - lower) * sin * cos
+    return _check_density_stack(mats)
+
+
+def general_spin_gammas(batch, n):
+    """The general kernel, forced: ``_qfi_batch`` with the bit-flip spins."""
+    return fisher._qfi_batch(batch, lambda v: fisher._apply_spins(v, n, axis=-2), 3)
+
+
+class TestXFormBlockPath:
+    """A real X-form mixed stack of N >= 3 qubits is read block by block: no
+    eigendecomposition and no d x d product, with the general kernel's
+    Gamma to 1e-12 relative."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_general_kernel(self, n):
+        rhos = x_form_states(500 + n, n, 8 if n < 8 else 6)
+        ref = general_spin_gammas(rhos, n)
+        gammas = fisher._spin_gammas(rhos, n)
+        for gamma, want in zip(gammas, ref):
+            TestSpinKernelsAgainstDense.assert_close(gamma, want)
+        if n >= 3:  # the block path, whose off-diagonal entries vanish exactly
+            assert not gammas[:, [0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1]].any()
+        # a member's Gamma does not depend on the batch it is read in
+        for gamma, rho in zip(gammas, rhos):
+            assert np.array_equal(fisher._spin_gammas(rho[None], n)[0], gamma)
+
+    def test_mixed_rank_batches(self):
+        # one batch of ranks 1 to d: the sampled members, and white-noise
+        # mixtures of GHZ and Dür states down to the maximally mixed state
+        n = 5
+        named = [qf.mix_with_identity(qf.ghz(n), p).matrix for p in (0.0, 0.05, 0.7, 1.0)]
+        named += [qf.mix_with_identity(qf.duer_state(n), p).matrix for p in (0.3, 1.0)]
+        batch = np.concatenate((x_form_states(7, n, 8), np.stack(named)))
+        for gamma, want in zip(fisher._spin_gammas(batch, n), general_spin_gammas(batch, n)):
+            TestSpinKernelsAgainstDense.assert_close(gamma, want)
 
     def test_ten_qubit_duer_makes_no_dense_eigh(self, monkeypatch):
         shapes = []
@@ -454,11 +524,14 @@ class TestMemoryBudget:
         with pytest.raises(ValueError, match=r"^the mixed QFI kernel needs about .* fisher.MAX_DENSE_BYTES$"):
             qf.qfi_matrix(rho)
 
-    def test_cli_exits_2(self, monkeypatch, capsys):
+    def test_cli_exits_2(self, monkeypatch, capsys, tmp_path):
+        # a real mixed state that is not X-form, so it reaches the dense kernel
         from qfisher.cli import main
 
+        path = tmp_path / "noisy_dicke.json"
+        qf.save_state(qf.mix_with_identity(qf.dicke(6, 3), 0.5), path)
         monkeypatch.setattr(fisher, "MAX_DENSE_BYTES", 2**10)
-        assert main(["analyze", "--state", "duer:6"]) == 2
+        assert main(["analyze", "--state", str(path)]) == 2
         assert "budget of fisher.MAX_DENSE_BYTES" in capsys.readouterr().err
 
     def test_x_basis_povm_checked_before_it_allocates(self, monkeypatch):
