@@ -14,7 +14,9 @@ and ``sweep_p_ghz3.csv`` are the three-qubit paths: the antidiagonal test
 and the GHZ witness of a pure and a mixed report, and the witness and
 antidiagonal thresholds over white-noise mixtures of GHZ(3).
 ``sweep_p_ghz7.csv`` (the benchmark's sweep, twelve thresholds on 128 x 128
-mixtures) and ``sweep_p_dicke6_3.csv`` pin the larger sweeps.
+mixtures) and ``sweep_p_dicke6_3.csv`` pin the larger sweeps. The JSON
+report of ``ghz:3`` and of ``dicke:4:2 --mode witness-opt`` is pinned too:
+its key order, and the list fields its CSV leaves out, to 1e-12.
 
 A change that moves any byte of these tables fails here. If a change is
 meant to alter them, regenerate the files in their own labelled commit
@@ -23,6 +25,7 @@ with::
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -62,6 +65,30 @@ PHASE_SIM_SUMMARY = {
     "phase_sim_plus4.csv": (0.01781481834977703, 1.1267080417491524),
 }
 
+# analyze's JSON keys in order, and the list fields of two reports
+REPORT_KEYS = [
+    "num_qubits", "qfi_max", "qfi_max_direction", "qfi_avg", "qfi_matrix", "depth_qfi", "depth_qfi_avg",
+    "entangled", "genuine_multipartite", "qfi_local_opt", "witness_value", "witness_optimized",
+    "dme_any_violated", "dme", "state",
+]
+ANALYZE_LISTS = {
+    "analyze_ghz3.csv": {
+        "qfi_max_direction": [0.0, 0.0, 1.0],
+        "qfi_matrix": [[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 9.0]],
+        "dme": [
+            {"pair": 1, "violated": True, "lhs": 0.5, "rhs": 0.0},
+            {"pair": 2, "violated": False, "lhs": 0.0, "rhs": 0.5},
+            {"pair": 3, "violated": False, "lhs": 0.0, "rhs": 0.5},
+            {"pair": 4, "violated": False, "lhs": 0.0, "rhs": 0.5},
+        ],
+    },
+    "analyze_dicke4_2_witness.csv": {
+        "qfi_max_direction": [1.0, 0.0, 0.0],
+        "qfi_matrix": [[12.0, 0.0, 0.0], [0.0, 12.0, 0.0], [0.0, 0.0, 0.0]],
+        "dme": None,
+    },
+}
+
 
 def _run(case: str) -> tuple[str, dict]:
     return run_campaign(CampaignConfig(**CASES[case]))
@@ -82,6 +109,25 @@ def test_phase_sim_summary_matches_golden(case):
     _, summary = _run(case)
     assert summary["std"] == pytest.approx(std, rel=1e-12, abs=0)
     assert summary["ratio"] == pytest.approx(ratio, rel=1e-12, abs=0)
+
+
+def _close(got, expected) -> bool:
+    """The same JSON structure, with every number within 1e-12 of the pinned one."""
+    if isinstance(expected, dict):
+        return isinstance(got, dict) and list(got) == list(expected) and all(_close(got[k], v) for k, v in expected.items())
+    if isinstance(expected, list):
+        return isinstance(got, list) and len(got) == len(expected) and all(map(_close, got, expected))
+    if isinstance(expected, bool) or expected is None:
+        return got is expected
+    return type(got) is type(expected) and abs(got - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("case", sorted(ANALYZE_LISTS))
+def test_analyze_json_matches_golden(case):
+    payload = json.loads(json.dumps(_run(case)[1]))
+    assert list(payload) == REPORT_KEYS
+    for field, expected in ANALYZE_LISTS[case].items():
+        assert _close(payload[field], expected), (field, payload[field])
 
 
 if __name__ == "__main__":
