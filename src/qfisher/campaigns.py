@@ -59,10 +59,25 @@ __all__ = [
 
 CHUNK_SIZE = 2048  # fixed so the sample -> stream map never depends on workers
 MAX_SAMPLES = 2**32  # so each sample index is one 32-bit word of its stream's seed
-# below this matrix dimension a second BLAS thread costs more than it saves:
-# sweep-p on 2 CPUs took 0.94-0.99 s on one thread against 0.91-2.1 s on two
-# at ghz:8 (d = 256), but 4.8-5.1 against 4.4 s at ghz:9 (d = 512)
+# below this matrix dimension a second BLAS thread saves no wall time worth
+# its CPU; X-form sweeps make no LAPACK call, so the cut decides the others.
+# On 2 CPUs sweep-p dicke:8:4 (d = 256) took 0.36-0.40 s on one thread
+# against 0.33-0.39 s on two, at 0.45-0.51 against 0.70-0.81 s of CPU;
+# dicke:9:4 (d = 512) took 1.74-1.81 s against a median of 1.58 s on two,
+# and dicke:10:5 12.5-13.0 against 9.1-9.6 s
 SMALL_DIM = 512
+
+# every campaign, and the flags it reads besides seed, workers, out and
+# config, which every campaign takes
+CAMPAIGNS = {
+    "table2": ("samples", "full", "mode"),
+    "table3": ("samples", "full", "mode"),
+    "bounds-curve": ("n", "k"),
+    "sweep-p": ("state", "k"),
+    "analyze": ("state", "mode"),
+    "phase-sim": ("state", "m", "trials", "theta"),
+    "bound-entangled-scan": ("samples", "full"),
+}
 
 
 @dataclass(frozen=True)
@@ -610,10 +625,11 @@ def _dicts_csv(rows: list[dict]) -> str:
 def run_campaign(config: CampaignConfig) -> tuple[str, dict]:
     """Execute a campaign; returns (csv_text, json_payload)."""
     name = config.campaign
-    # table2 and table3 check their own modes; of the rest only analyze has one
-    if config.mode is not None and name not in ("table2", "table3"):
-        if (name, config.mode) != ("analyze", "witness-opt"):
-            raise ValueError(f"{name} defines no mode {config.mode!r}")
+    if name not in CAMPAIGNS:
+        raise ValueError(f"unknown campaign {name!r}")
+    # table2 and table3 check their own modes; analyze has one
+    if config.mode is not None and ("mode" not in CAMPAIGNS[name] or name == "analyze" and config.mode != "witness-opt"):
+        raise ValueError(f"{name} defines no mode {config.mode!r}")
     if name == "table2":
         rows = run_table2(config.samples, config.seed, config.workers, config.mode or "collective")
         return _rates_csv(rows), _rates_json(rows, config)
@@ -646,24 +662,10 @@ def run_campaign(config: CampaignConfig) -> tuple[str, dict]:
         if not config.state:
             raise ValueError("analyze needs --state")
         payload = analyze(config.state, optimize_witness=(config.mode == "witness-opt"), seed=config.seed)
-        rows = [{"field": k, "value": v} for k, v in payload.items() if not isinstance(v, (list, dict))]
+        rows = [{"field": k, "value": v} for k, v in payload.items() if not isinstance(v, tuple)]
         return _dicts_csv(rows), payload
-    if name == "phase-sim":
-        payload = run_phase_sim(
-            config.state or "ghz:4", config.m, config.trials, config.theta, config.seed
-        )
-        rows = [{"trial": i, "estimate": est} for i, est in enumerate(payload["estimates"])]
-        summary = {k: v for k, v in payload.items() if k != "estimates"}
-        return _dicts_csv(rows), summary
-    raise ValueError(f"unknown campaign {name!r}")
-
-
-CAMPAIGNS = (
-    "table2",
-    "table3",
-    "bounds-curve",
-    "sweep-p",
-    "analyze",
-    "phase-sim",
-    "bound-entangled-scan",
-)
+    # phase-sim
+    payload = run_phase_sim(config.state or "ghz:4", config.m, config.trials, config.theta, config.seed)
+    rows = [{"trial": i, "estimate": est} for i, est in enumerate(payload["estimates"])]
+    summary = {k: v for k, v in payload.items() if k != "estimates"}
+    return _dicts_csv(rows), summary

@@ -1,8 +1,8 @@
 """Command-line entry point: ``qfisher <campaign> [options]``.
 
-Campaigns: table2, table3, bounds-curve, sweep-p, analyze, phase-sim,
-bound-entangled-scan. A JSON config file can mirror any flag; explicit
-flags win. Exit codes: 0 success, 2 invalid input, 3 invariant violation.
+Campaigns: the keys of ``campaigns.CAMPAIGNS``. A JSON config file can
+mirror any flag; explicit flags win. Exit codes: 0 success, 2 invalid
+input, 3 invariant violation.
 """
 
 from __future__ import annotations
@@ -18,17 +18,6 @@ from .core import InvariantError
 
 FULL_SCALE_SAMPLES = 1_000_000
 DEFAULT_SAMPLES = 10_000  # quick profile; pass --full or --samples for more
-# the flags each campaign reads, besides --seed, --workers, --out and --config,
-# which every campaign takes
-READS = {
-    "table2": {"samples", "full", "mode"},
-    "table3": {"samples", "full", "mode"},
-    "bounds-curve": {"n", "k"},
-    "sweep-p": {"state", "k"},
-    "analyze": {"state", "mode"},
-    "phase-sim": {"state", "m", "trials", "theta"},
-    "bound-entangled-scan": {"samples", "full"},
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", type=int, default=None, help="qubit count (bounds-curve)")
     parser.add_argument("--k", type=int, default=None, help="producibility class filter")
     parser.add_argument("--samples", type=int, default=None, help="Monte-Carlo sample count")
-    parser.add_argument("--full", action="store_true", help=f"use {FULL_SCALE_SAMPLES} samples")
+    parser.add_argument("--full", action="store_const", const=True, help=f"use {FULL_SCALE_SAMPLES} samples")
     parser.add_argument("--seed", type=int, default=None, help="campaign seed (default 0)")
     parser.add_argument("--workers", type=int, default=None, help="parallel workers (default 1)")
     parser.add_argument("--mode", default=None, help="campaign mode flag")
@@ -60,9 +49,9 @@ def _merge_config(args: argparse.Namespace) -> CampaignConfig:
             file_values = json.load(fh)
         if not isinstance(file_values, dict):
             raise ValueError("config file must hold a JSON object of flag values")
-    given = {flag for flag, value in vars(args).items() if value is not None and value is not False} - {"campaign"}
+    given = {flag for flag, value in vars(args).items() if value is not None} - {"campaign"}
     given |= {key for key, value in file_values.items() if value is not None}
-    unread = sorted(given - READS[args.campaign] - {"seed", "workers", "out", "config"})
+    unread = sorted(given.difference(CAMPAIGNS[args.campaign], ("seed", "workers", "out", "config")))
     if unread:
         raise ValueError(f"{args.campaign} does not read {', '.join('--' + flag for flag in unread)}")
 
@@ -75,22 +64,16 @@ def _merge_config(args: argparse.Namespace) -> CampaignConfig:
         return default
 
     def typed(flag: str, kind: type, default=None):
-        # argparse types the flags; a config file can hold any JSON value
+        # argparse types the flags; a config file can hold any JSON value, and a bool is no number
         value = pick(flag, default)
-        if value is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+        if value is not None and (not isinstance(value, kind) or isinstance(value, bool) and kind is not bool):
             raise ValueError(f"config {flag} must be of type {kind.__name__}, got {value!r}")
         return value
 
-    full = file_values.get("full")
-    if full is not None and not isinstance(full, bool):
-        raise ValueError(f"config full must be of type bool, got {full!r}")
-    samples = typed("samples", int)
-    if samples is None:
-        samples = FULL_SCALE_SAMPLES if args.full or full else DEFAULT_SAMPLES
     theta = typed("theta", numbers.Real)
     return CampaignConfig(
         campaign=args.campaign,
-        samples=samples,
+        samples=typed("samples", int, FULL_SCALE_SAMPLES if typed("full", bool) else DEFAULT_SAMPLES),
         seed=typed("seed", int, 0),
         workers=typed("workers", int, 1),
         out=typed("out", str),

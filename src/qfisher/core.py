@@ -68,12 +68,16 @@ class InvariantError(ValueError):
     """A physical invariant (normalization, hermiticity, positivity) is broken."""
 
 
+def _positive_int(n, what: str) -> int:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"{what} must be a positive integer, got {n!r}")
+    return int(n)
+
+
 def set_max_qubits(n: int) -> None:
     """Raise or lower the dense-storage qubit cap (default 12)."""
     global _MAX_QUBITS
-    if n < 1:
-        raise ValueError("qubit cap must be at least 1")
-    _MAX_QUBITS = int(n)
+    _MAX_QUBITS = _positive_int(n, "qubit cap")
 
 
 def get_max_qubits() -> int:
@@ -82,20 +86,12 @@ def get_max_qubits() -> int:
 
 def _check_num_qubits(n: int) -> int:
     """The dimension 2**n, once n is a positive integer (not a bool) within the cap."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"number of qubits must be a positive integer, got {n!r}")
-    if n > _MAX_QUBITS:
+    if _positive_int(n, "number of qubits") > _MAX_QUBITS:
         raise ValueError(
             f"{n} qubits exceeds the dense-storage cap of {_MAX_QUBITS}; "
             "raise it with set_max_qubits() if you really want this"
         )
     return 2**n
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 def _raise_first(bad: np.ndarray, message: str, *values: np.ndarray) -> None:
@@ -152,18 +148,19 @@ def _check_pure_stack(amps: np.ndarray) -> None:
     _raise_first(~(np.abs(norm_sq - 1.0) <= NORM_TOL), "state not normalized: sum |a|^2 = {!r}", norm_sq)
 
 
-def _check_density_stack(mats: np.ndarray) -> np.ndarray:
-    """Hermitian part of a (..., d, d) stack, as complex, after checking that
-    every matrix has finite entries, is Hermitian, has unit trace and is
-    positive semidefinite (``_check_psd``).
+def _hermitian_part(mats: np.ndarray, noun: str) -> np.ndarray:
+    """Exact Hermitian part (M + M^dag) / 2 of a (..., d, d) stack, after
+    checking that every matrix has finite entries and is Hermitian within
+    ``HERMITICITY_TOL``; the messages name a matrix by ``noun``.
 
-    A float stack, or a complex one with no imaginary part, is checked in
-    real arithmetic: its Hermitian part is built as a float array, tested,
-    and converted to complex once, at the end. Otherwise the real and
-    imaginary parts are combined through views, so no conjugate copy is
-    made. Besides its result, the check holds at most one d x d temporary
-    and, for a stack that is not X-form, the two buffers of the factorisation.
+    An integer or float stack, or a complex one with no imaginary part, is
+    checked in real arithmetic and its Hermitian part is a float array.
+    Otherwise the real and imaginary parts are combined through views, so no
+    conjugate copy is made. Besides its result, the check holds at most one
+    d x d temporary.
     """
+    mats = np.asarray(mats)
+    mats = mats.astype(complex if np.iscomplexobj(mats) else float, copy=False)
     re = mats.real
     re_t = re.swapaxes(-1, -2)
     # a float stack has no imaginary part to read; its .imag would be a new zero array
@@ -177,19 +174,31 @@ def _check_density_stack(mats: np.ndarray) -> np.ndarray:
             np.add(re, re_t, out=herm.real)
             np.subtract(im, im.swapaxes(-1, -2), out=herm.imag)
         herm /= 2
-        # rho - herm is (rho - rho^dag) / 2, read with no second strided transpose
+        # M - herm is (M - M^dag) / 2, read with no second strided transpose
         asym = re - herm.real
         if real:
             np.abs(asym, out=asym)
         else:
             np.hypot(asym, im - herm.imag, out=asym)
     asym = 2 * asym.max(axis=(-2, -1))  # NaN or inf where an entry is
-    _raise_first(~np.isfinite(asym), "density matrix has a non-finite entry")
-    _raise_first(asym > HERMITICITY_TOL, "density matrix is not Hermitian within 1e-10")
+    _raise_first(~np.isfinite(asym), f"{noun} has a non-finite entry")
+    _raise_first(asym > HERMITICITY_TOL, f"{noun} is not Hermitian within 1e-10")
+    return herm
+
+
+def _check_density_stack(mats: np.ndarray) -> np.ndarray:
+    """Hermitian part (``_hermitian_part``) of a (..., d, d) stack, as
+    complex, after checking that every matrix has unit trace and is positive
+    semidefinite (``_check_psd``). A real stack is tested in real arithmetic
+    and converted to complex once, at the end; besides its result, the check
+    holds at most one d x d temporary and, for a stack that is not X-form,
+    the two buffers of the factorisation.
+    """
+    herm = _hermitian_part(mats, "density matrix")
     tr = np.real(np.trace(herm, axis1=-2, axis2=-1))
     _raise_first(~(np.abs(tr - 1.0) <= TRACE_TOL), "trace is {!r}, expected 1", tr)
     _check_psd(herm, f"smallest eigenvalue {{!r}} below -{PSD_TOL}")
-    return herm.astype(complex) if real else herm
+    return herm.astype(complex, copy=False)
 
 
 def _check_psd(herm: np.ndarray, message: str) -> None:
@@ -226,11 +235,12 @@ class PureState:
 
     def __post_init__(self):
         d = _check_num_qubits(self.num_qubits)
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = np.array(np.reshape(self.amplitudes, -1), dtype=complex)  # own copy, frozen below
         if amps.size != d:
             raise InvariantError(f"amplitude vector has length {amps.size}, expected {d}")
         _check_pure_stack(amps)
-        object.__setattr__(self, "amplitudes", _frozen(amps))
+        amps.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amps)
 
     @property
     def dim(self) -> int:
@@ -246,9 +256,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         d = _check_num_qubits(self.num_qubits)
-        mat = np.asarray(self.matrix)
-        # a real matrix is checked as it is, with no complex copy made first
-        mat = mat.astype(complex if np.iscomplexobj(mat) else float, copy=False)
+        mat = np.asarray(self.matrix)  # a real matrix is checked as it is, with no complex copy made first
         if mat.shape != (d, d):
             raise InvariantError(f"matrix has shape {mat.shape}, expected {(d, d)}")
         herm = _check_density_stack(mat)  # a new complex array, so freezing it needs no copy
@@ -267,16 +275,12 @@ class HermitianOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.asarray(self.matrix)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvariantError(f"operator must be square, got shape {mat.shape}")
-        with np.errstate(invalid="ignore"):  # inf - inf is reported below
-            asym = np.max(np.abs(mat - mat.conj().T))  # NaN or inf where an entry is
-        if not np.isfinite(asym):
-            raise InvariantError("operator has a non-finite entry")
-        if asym > HERMITICITY_TOL:
-            raise InvariantError("operator is not Hermitian within 1e-10")
-        object.__setattr__(self, "matrix", _frozen(mat))
+        herm = _hermitian_part(mat, "operator").astype(complex, copy=False)  # a new array: frozen with no copy
+        herm.setflags(write=False)
+        object.__setattr__(self, "matrix", herm)
 
     @property
     def dim(self) -> int:
@@ -315,11 +319,8 @@ def _as_batch(state) -> np.ndarray:
 
 def make_pure(num_qubits: int, amplitudes) -> PureState:
     """Build a pure state from (possibly unnormalized) amplitudes."""
+    _check_num_qubits(num_qubits)  # before anything reads 2**num_qubits; PureState checks the length
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    if amps.size != 2**num_qubits:
-        raise InvariantError(
-            f"amplitude vector has length {amps.size}, expected {2**num_qubits}"
-        )
     norm = float(np.linalg.norm(amps))
     if norm <= 0.0:
         raise InvariantError("cannot normalize the zero vector")
@@ -358,7 +359,7 @@ def unit_direction(direction) -> np.ndarray:
     n = np.asarray(direction, dtype=float).reshape(-1)
     if n.shape != (3,):
         raise ValueError(f"direction must have 3 components, got {n.shape}")
-    if abs(np.dot(n, n) - 1.0) > DIRECTION_TOL:
+    if not abs(np.dot(n, n) - 1.0) <= DIRECTION_TOL:  # NaN fails too
         raise InvariantError(f"direction is not a unit vector: {n}")
     return n
 

@@ -403,28 +403,14 @@ class CriterionReport:
     entangled: bool
     genuine_multipartite: bool
     qfi_local_opt: float | None = None
-    dme: tuple | None = None
-    dme_any_violated: bool | None = None
     witness_value: float | None = None
     witness_optimized: float | None = None
+    dme_any_violated: bool | None = None
+    dme: tuple | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "num_qubits": self.num_qubits,
-            "qfi_max": self.qfi_max,
-            "qfi_max_direction": list(self.qfi_max_direction),
-            "qfi_avg": self.qfi_avg,
-            "qfi_matrix": [list(row) for row in self.qfi_matrix],
-            "depth_qfi": self.depth_qfi,
-            "depth_qfi_avg": self.depth_qfi_avg,
-            "entangled": self.entangled,
-            "genuine_multipartite": self.genuine_multipartite,
-            "qfi_local_opt": self.qfi_local_opt,
-            "witness_value": self.witness_value,
-            "witness_optimized": self.witness_optimized,
-            "dme_any_violated": self.dme_any_violated,
-            "dme": None if self.dme is None else [asdict(r) for r in self.dme],
-        }
+        """The fields in declaration order, the order of the JSON report."""
+        return asdict(self)
 
 
 def build_report(state, optimize_witness: bool = False, seed=0) -> CriterionReport:

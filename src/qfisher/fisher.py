@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    HERMITICITY_TOL,
     PAULIS,
     InvariantError,
     PureState,
@@ -23,6 +22,7 @@ from .core import (
     _block_eigvals,
     _check_psd,
     _generator_matrix,
+    _hermitian_part,
     _pauli_power,
     _popcounts,
     _real_if_real,
@@ -291,25 +291,22 @@ class Povm:
     elements: tuple
 
     def __post_init__(self):
-        elems = tuple(np.array(e, dtype=complex) for e in self.elements)  # own copies, frozen below
-        if not elems:
+        given = tuple(self.elements)
+        if not given:
             raise InvariantError("POVM needs at least one element")
-        d = elems[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for e in elems:
-            if e.shape != (d, d):
+        shape = (np.shape(given[0])[0],) * 2
+        elems, total = [], np.zeros(shape, dtype=complex)
+        for e in given:
+            if np.shape(e) != shape:
                 raise InvariantError("POVM elements must share one square shape")
-            h = _real_if_real(e)
-            with np.errstate(invalid="ignore"):  # a NaN or inf entry fails the sum below
-                if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
-                    raise InvariantError("POVM element is not Hermitian within 1e-10")
+            h = _hermitian_part(e, "POVM element")
             _check_psd(h, "POVM element is not positive semidefinite")
-            total += e
-        if not np.max(np.abs(total - np.eye(d))) <= 1e-9:  # NaN fails too
+            total += h
+            elems.append(h.astype(complex, copy=False))  # a new array: frozen with no copy
+            elems[-1].setflags(write=False)
+        if not np.max(np.abs(total - np.eye(shape[0]))) <= 1e-9:
             raise InvariantError("POVM elements do not sum to the identity")
-        for e in elems:
-            e.setflags(write=False)
-        object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "elements", tuple(elems))
 
     @property
     def dim(self) -> int:
@@ -378,6 +375,8 @@ def classical_fisher(state, generator, povm: Povm, theta: float, dtheta: float =
     Outcomes with probability below 1e-12 are dropped; never exceeds the QFI
     (up to discretization error of the derivative).
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     if not 0.0 < dtheta < np.inf:
         raise ValueError(f"dtheta must be positive and finite, got {dtheta!r}")
     probs = model_probabilities(state, generator, povm, [theta, theta + dtheta, theta - dtheta])

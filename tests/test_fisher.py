@@ -672,6 +672,12 @@ class TestClassicalFisher:
         with pytest.raises(ValueError, match="dtheta must be positive and finite"):
             qf.classical_fisher(*args, dtheta=dtheta)
 
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_phase_must_be_finite(self, theta):
+        args = (qf.ghz(2), qf.collective_spin(2, "z"), qf.parity_povm(2, "x"))
+        with pytest.raises(ValueError, match=r"^theta must be finite"):
+            qf.classical_fisher(*args, theta)
+
     def test_never_exceeds_qfi(self):
         rng = np.random.default_rng(6)
         for _ in range(25):
