@@ -270,7 +270,7 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Hermitian matrix, typically a phase-shift generator."""
+    """Hermitian matrix, typically a phase-shift generator; holds the exact Hermitian part of its input."""
 
     matrix: np.ndarray
 

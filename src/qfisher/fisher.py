@@ -286,7 +286,8 @@ def qfi_avg_montecarlo(state, num_directions: int, seed=None) -> float:
 
 @dataclass(frozen=True)
 class Povm:
-    """Positive operator valued measurement: PSD elements summing to identity."""
+    """Positive operator valued measurement: PSD elements summing to identity,
+    each held as the exact Hermitian part of its input."""
 
     elements: tuple
 
