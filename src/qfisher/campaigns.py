@@ -625,10 +625,8 @@ def _dicts_csv(rows: list[dict]) -> str:
 def run_campaign(config: CampaignConfig) -> tuple[str, dict]:
     """Execute a campaign; returns (csv_text, json_payload)."""
     name = config.campaign
-    if name not in CAMPAIGNS:
-        raise ValueError(f"unknown campaign {name!r}")
-    # table2 and table3 check their own modes; analyze has one
-    if config.mode is not None and ("mode" not in CAMPAIGNS[name] or name == "analyze" and config.mode != "witness-opt"):
+    # table2, table3 and analyze, which read a mode, check their own
+    if config.mode is not None and "mode" not in CAMPAIGNS.get(name, ()):
         raise ValueError(f"{name} defines no mode {config.mode!r}")
     if name == "table2":
         rows = run_table2(config.samples, config.seed, config.workers, config.mode or "collective")
@@ -659,13 +657,18 @@ def run_campaign(config: CampaignConfig) -> tuple[str, dict]:
         rows = sweep_p(config.state, 1e-6, config.k)
         return _dicts_csv(rows), {"campaign": name, "state": config.state, "rows": rows}
     if name == "analyze":
+        if config.mode not in (None, "witness-opt"):
+            raise ValueError(f"{name} defines no mode {config.mode!r}")
         if not config.state:
             raise ValueError("analyze needs --state")
         payload = analyze(config.state, optimize_witness=(config.mode == "witness-opt"), seed=config.seed)
         rows = [{"field": k, "value": v} for k, v in payload.items() if not isinstance(v, tuple)]
         return _dicts_csv(rows), payload
-    # phase-sim
-    payload = run_phase_sim(config.state or "ghz:4", config.m, config.trials, config.theta, config.seed)
-    rows = [{"trial": i, "estimate": est} for i, est in enumerate(payload["estimates"])]
-    summary = {k: v for k, v in payload.items() if k != "estimates"}
-    return _dicts_csv(rows), summary
+    if name == "phase-sim":
+        payload = run_phase_sim(
+            config.state or "ghz:4", config.m, config.trials, config.theta, config.seed
+        )
+        rows = [{"trial": i, "estimate": est} for i, est in enumerate(payload["estimates"])]
+        summary = {k: v for k, v in payload.items() if k != "estimates"}
+        return _dicts_csv(rows), summary
+    raise ValueError(f"unknown campaign {name!r}")

@@ -55,17 +55,13 @@ def _merge_config(args: argparse.Namespace) -> CampaignConfig:
     if unread:
         raise ValueError(f"{args.campaign} does not read {', '.join('--' + flag for flag in unread)}")
 
-    def pick(flag: str, default):
-        cli_value = getattr(args, flag)
-        if cli_value is not None:
-            return cli_value
-        if flag in file_values and file_values[flag] is not None:
-            return file_values[flag]
-        return default
-
     def typed(flag: str, kind: type, default=None):
         # argparse types the flags; a config file can hold any JSON value, and a bool is no number
-        value = pick(flag, default)
+        value = getattr(args, flag)
+        if value is None:
+            value = file_values.get(flag)
+        if value is None:
+            value = default
         if value is not None and (not isinstance(value, kind) or isinstance(value, bool) and kind is not bool):
             raise ValueError(f"config {flag} must be of type {kind.__name__}, got {value!r}")
         return value
@@ -94,11 +90,10 @@ def _emit(config: CampaignConfig, csv_text: str, payload: dict) -> None:
         else:
             sys.stdout.write(csv_text)
         return
-    if config.out.endswith(".json"):
-        with open(config.out, "w") as fh:
+    with open(config.out, "w") as fh:
+        if config.out.endswith(".json"):
             json.dump(payload, fh, indent=2)
-    else:
-        with open(config.out, "w") as fh:
+        else:
             fh.write(csv_text)
     if config.campaign == "phase-sim" and not config.out.endswith(".json"):
         # estimates go to the CSV; the summary is still reported on stdout

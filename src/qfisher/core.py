@@ -149,15 +149,16 @@ def _check_pure_stack(amps: np.ndarray) -> None:
 
 
 def _hermitian_part(mats: np.ndarray, noun: str) -> np.ndarray:
-    """Exact Hermitian part (M + M^dag) / 2 of a (..., d, d) stack, after
-    checking that every matrix has finite entries and is Hermitian within
-    ``HERMITICITY_TOL``; the messages name a matrix by ``noun``.
+    """Exact Hermitian part (M + M^dag) / 2 of a (..., d, d) stack, as a new
+    complex array, after checking that every matrix has finite entries and
+    is Hermitian within ``HERMITICITY_TOL``; the messages name a matrix by
+    ``noun``.
 
     An integer or float stack, or a complex one with no imaginary part, is
-    checked in real arithmetic and its Hermitian part is a float array.
-    Otherwise the real and imaginary parts are combined through views, so no
-    conjugate copy is made. Besides its result, the check holds at most one
-    d x d temporary.
+    checked in real arithmetic: its Hermitian part is built as a float array,
+    tested, and converted to complex once, at the end. Otherwise the real and
+    imaginary parts are combined through views, so no conjugate copy is made.
+    Besides its result, the check holds at most one d x d temporary.
     """
     mats = np.asarray(mats)
     mats = mats.astype(complex if np.iscomplexobj(mats) else float, copy=False)
@@ -183,22 +184,21 @@ def _hermitian_part(mats: np.ndarray, noun: str) -> np.ndarray:
     asym = 2 * asym.max(axis=(-2, -1))  # NaN or inf where an entry is
     _raise_first(~np.isfinite(asym), f"{noun} has a non-finite entry")
     _raise_first(asym > HERMITICITY_TOL, f"{noun} is not Hermitian within 1e-10")
-    return herm
+    return herm.astype(complex, copy=False)
 
 
 def _check_density_stack(mats: np.ndarray) -> np.ndarray:
-    """Hermitian part (``_hermitian_part``) of a (..., d, d) stack, as
-    complex, after checking that every matrix has unit trace and is positive
-    semidefinite (``_check_psd``). A real stack is tested in real arithmetic
-    and converted to complex once, at the end; besides its result, the check
-    holds at most one d x d temporary and, for a stack that is not X-form,
-    the two buffers of the factorisation.
+    """Hermitian part (``_hermitian_part``) of a (..., d, d) stack after
+    checking that every matrix has unit trace and is positive semidefinite
+    (``_check_psd``, in real arithmetic where the part is real); besides its
+    result, the check holds at most one d x d temporary and, for a stack that
+    is not X-form, the two buffers of the factorisation.
     """
     herm = _hermitian_part(mats, "density matrix")
     tr = np.real(np.trace(herm, axis1=-2, axis2=-1))
     _raise_first(~(np.abs(tr - 1.0) <= TRACE_TOL), "trace is {!r}, expected 1", tr)
-    _check_psd(herm, f"smallest eigenvalue {{!r}} below -{PSD_TOL}")
-    return herm.astype(complex, copy=False)
+    _check_psd(_real_if_real(herm), f"smallest eigenvalue {{!r}} below -{PSD_TOL}")
+    return herm
 
 
 def _check_psd(herm: np.ndarray, message: str) -> None:
@@ -256,7 +256,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         d = _check_num_qubits(self.num_qubits)
-        mat = np.asarray(self.matrix)  # a real matrix is checked as it is, with no complex copy made first
+        # a real matrix is checked as it is, with no complex copy made first
+        mat = np.asarray(self.matrix)
         if mat.shape != (d, d):
             raise InvariantError(f"matrix has shape {mat.shape}, expected {(d, d)}")
         herm = _check_density_stack(mat)  # a new complex array, so freezing it needs no copy
@@ -278,7 +279,7 @@ class HermitianOperator:
         mat = np.asarray(self.matrix)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvariantError(f"operator must be square, got shape {mat.shape}")
-        herm = _hermitian_part(mat, "operator").astype(complex, copy=False)  # a new array: frozen with no copy
+        herm = _hermitian_part(mat, "operator")  # a new array: frozen with no copy
         herm.setflags(write=False)
         object.__setattr__(self, "matrix", herm)
 

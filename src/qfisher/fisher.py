@@ -296,15 +296,16 @@ class Povm:
         if not given:
             raise InvariantError("POVM needs at least one element")
         shape = (np.shape(given[0])[0],) * 2
-        elems, total = [], np.zeros(shape, dtype=complex)
+        elems = []
+        total = np.zeros(shape, dtype=complex)
         for e in given:
             if np.shape(e) != shape:
                 raise InvariantError("POVM elements must share one square shape")
-            h = _hermitian_part(e, "POVM element")
-            _check_psd(h, "POVM element is not positive semidefinite")
+            h = _hermitian_part(e, "POVM element")  # a new array: frozen with no copy
+            _check_psd(_real_if_real(h), "POVM element is not positive semidefinite")
+            h.setflags(write=False)
             total += h
-            elems.append(h.astype(complex, copy=False))  # a new array: frozen with no copy
-            elems[-1].setflags(write=False)
+            elems.append(h)
         if not np.max(np.abs(total - np.eye(shape[0]))) <= 1e-9:
             raise InvariantError("POVM elements do not sum to the identity")
         object.__setattr__(self, "elements", tuple(elems))

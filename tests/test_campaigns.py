@@ -418,6 +418,21 @@ class TestRunCampaign:
         with pytest.raises(ValueError):
             run_campaign(CampaignConfig("table5"))
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (CampaignConfig("table5"), r"^unknown campaign 'table5'$"),
+            (CampaignConfig("table5", mode="local"), r"^table5 defines no mode 'local'$"),
+            (CampaignConfig("bounds-curve", n=4, mode="local"), r"^bounds-curve defines no mode 'local'$"),
+            (CampaignConfig("phase-sim", mode="witness-opt"), r"^phase-sim defines no mode 'witness-opt'$"),
+            (CampaignConfig("analyze", state="ghz:3", mode="local"), r"^analyze defines no mode 'local'$"),
+            (CampaignConfig("analyze", mode="local"), r"^analyze defines no mode 'local'$"),
+        ],
+    )
+    def test_dispatch_errors(self, config, message):
+        with pytest.raises(ValueError, match=message):
+            run_campaign(config)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             CampaignConfig("table2", samples=0)
