@@ -12,7 +12,7 @@ import ctypes
 import math
 import os
 from collections.abc import Iterator
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -221,20 +221,27 @@ def _blas_thread_api():
     return None
 
 
+# the BLAS threads that a CLI process withheld by loading NumPy on one thread
+# (cli.py), which the paths on d >= SMALL_DIM matrices take back; None in any
+# other process, where those paths keep the caller's count
+_withheld_blas_threads: int | None = None
+
+
 @contextmanager
-def _one_blas_thread():
-    """Run the block on one BLAS thread, then restore the caller's count.
+def _blas_threads(count: int | None):
+    """Run the block on ``count`` BLAS threads, then restore the caller's
+    count, also after an error; ``None`` leaves the count as it is.
 
     The count is process-wide, so it holds for all of the process while the
     block runs. Without an OpenBLAS thread API this does nothing.
     """
-    api = _blas_thread_api()
+    api = None if count is None else _blas_thread_api()
     if api is None:
         yield
         return
     get, set_ = api
     previous = get()
-    set_(1)
+    set_(count)
     try:
         yield
     finally:
@@ -256,7 +263,7 @@ def _map_chunks(chunk_fn, samples: int, workers: int) -> np.ndarray:
     workers = min(workers, len(ranges), os.cpu_count() or 1)
     # every chunk function works on three-qubit (8 x 8) matrices, in this
     # process and in each worker
-    with _one_blas_thread():
+    with _blas_threads(1):
         if workers <= 1:
             parts = [chunk_fn(a, b) for a, b in ranges]
         else:
@@ -502,7 +509,7 @@ def sweep_p(state_name: str, resolution: float = 1e-6, k: int | None = None) -> 
         rows += [("witness", None, closed), ("dme", None, None)]
     names = [f"{criterion}_{c + 1}" if c else criterion for criterion, c, _ in rows]
 
-    with _one_blas_thread() if state.dim < SMALL_DIM else nullcontext():
+    with _blas_threads(1 if state.dim < SMALL_DIM else _withheld_blas_threads):
         thresholds = _grid_thresholds(
             lambda p: _margins(mix_with_identity(state, p).matrix[None], n, names), names, resolution
         )
@@ -517,7 +524,11 @@ def analyze(state_spec: str, optimize_witness: bool = False, seed: int = 0) -> d
     state = zoo.parse_state_spec(state_spec)
     # a pure report factorises nothing larger than 36 x 36; on 2 CPUs a second
     # BLAS thread stalled the N = 12 Gram by about 0.3 s in 2 of 12 fresh runs
-    with _one_blas_thread() if isinstance(state, PureState) else nullcontext():
+    if isinstance(state, PureState):
+        threads = 1
+    else:
+        threads = _withheld_blas_threads if state.dim >= SMALL_DIM else None
+    with _blas_threads(threads):
         report = build_report(state, optimize_witness=optimize_witness, seed=seed)
     out = report.to_dict()
     out["state"] = state_spec
@@ -552,10 +563,11 @@ def run_phase_sim(
         povm = parity_povm(n, "x")
         theta0 = np.pi / (2 * n) if theta is None else theta
         window = (theta0 - np.pi / (2 * n), theta0 + np.pi / (2 * n))
-    run = run_phase_estimation(
-        state, generator, povm, theta0, m=m, trials=trials, seed=seed, window=window
-    )
-    fisher_info = qfi(state, generator)
+    with _blas_threads(_withheld_blas_threads if state.dim >= SMALL_DIM else None):
+        run = run_phase_estimation(
+            state, generator, povm, theta0, m=m, trials=trials, seed=seed, window=window
+        )
+        fisher_info = qfi(state, generator)
     crb = 1.0 / np.sqrt(m * fisher_info) if fisher_info > 0 else float("inf")
     shot_noise, heisenberg = precision_limits(n, m)
     return {

@@ -13,8 +13,27 @@ import numbers
 import os
 import sys
 
-from .campaigns import CAMPAIGNS, CampaignConfig, run_campaign
-from .core import InvariantError
+# NumPy's OpenBLAS starts one thread per CPU when it loads, and in a short CLI
+# run the idle ones spin for about 0.1 s of CPU with no wall time gained, even
+# where the command makes no BLAS call. So a CLI process loads it on one
+# thread, unless NumPy is loaded already or the environment names a count,
+# and the paths on d >= campaigns.SMALL_DIM matrices take the other threads
+# back. They raise the count through the thread API that campaigns finds in
+# /proc/self/maps, so only Linux starts on one thread.
+_PIN_BLAS = (
+    sys.platform == "linux"
+    and "numpy" not in sys.modules
+    and not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys()
+)
+if _PIN_BLAS:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from . import campaigns  # noqa: E402  (loads NumPy)
+from .campaigns import CAMPAIGNS, CampaignConfig, run_campaign  # noqa: E402
+from .core import InvariantError  # noqa: E402
+
+if _PIN_BLAS:
+    campaigns._withheld_blas_threads = len(os.sched_getaffinity(0))  # OpenBLAS's own default
 
 FULL_SCALE_SAMPLES = 1_000_000
 DEFAULT_SAMPLES = 10_000  # quick profile; pass --full or --samples for more

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -213,7 +214,7 @@ class TestSweep:
         rows = sweep_p(spec)
         assert len(weights) == len(set(weights))
         mixture = cache(lambda p: mix(state, p).matrix[None])
-        with campaigns._one_blas_thread():
+        with campaigns._blas_threads(1):
             for row in rows:
                 name = f"{row['criterion']}_{row['k'] + 1}" if row["k"] else row["criterion"]
                 alone = lambda p: bool(evaluate(mixture(p), n, (name,))[name][0])
@@ -497,6 +498,9 @@ def _chunk_blas_threads(start: int, stop: int) -> np.ndarray:
     return np.array([0 if api is None else api[0](), 1])
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 class TestBlasThreads:
     @pytest.fixture
     def fake_api(self, monkeypatch):
@@ -512,7 +516,7 @@ class TestBlasThreads:
 
     def test_one_thread_in_the_block_then_the_callers_count(self, fake_api):
         calls, count = fake_api
-        with campaigns._one_blas_thread():
+        with campaigns._blas_threads(1):
             assert count == [1]
         assert calls == [1, 3]
         assert count == [3]
@@ -520,7 +524,7 @@ class TestBlasThreads:
     def test_restored_when_the_block_raises(self, fake_api):
         calls, count = fake_api
         with pytest.raises(RuntimeError, match="^inside$"):
-            with campaigns._one_blas_thread():
+            with campaigns._blas_threads(1):
                 raise RuntimeError("inside")
         assert calls == [1, 3]
         assert count == [3]
@@ -547,6 +551,92 @@ class TestBlasThreads:
         analyze("dicke:4:2")
         analyze("duer:3")
         assert (calls, count, reports) == ([1, 3, 1, 3, 1, 3], [3], [1, 3])
+        estimates = []
+        estimate = campaigns.run_phase_estimation
+        monkeypatch.setattr(
+            campaigns, "run_phase_estimation", lambda *a, **kw: estimates.append(count[0]) or estimate(*a, **kw)
+        )
+        run_phase_sim("ghz:3", m=10, trials=2)
+        assert (calls, count, estimates) == ([1, 3, 1, 3, 1, 3], [3], [3])
+
+    def test_large_paths_take_back_the_threads_a_cli_process_withheld(self, fake_api, monkeypatch):
+        calls, count = fake_api
+        seen = {}
+        for name in ("mix_with_identity", "build_report", "run_phase_estimation"):
+            seen[name] = []
+            wrapped = getattr(campaigns, name)
+            monkeypatch.setattr(
+                campaigns, name, lambda *a, _seen=seen[name], _f=wrapped, **kw: _seen.append(count[0]) or _f(*a, **kw)
+            )
+        monkeypatch.setattr(campaigns, "_withheld_blas_threads", 5)
+
+        def run():
+            calls.clear()
+            for record in seen.values():
+                record.clear()
+            sweep_p("ghz:3")
+            analyze("dicke:3:1")
+            analyze("duer:3")
+            run_phase_sim("ghz:3", m=10, trials=2)
+            return calls, {name: set(record) for name, record in seen.items()}
+
+        # d = 8 at the cut: the withheld count for the sweep, the mixed report
+        # and phase-sim; a pure report still runs on one thread
+        monkeypatch.setattr(campaigns, "SMALL_DIM", 8)
+        assert run() == (
+            [5, 3, 1, 3, 5, 3, 5, 3],
+            {"mix_with_identity": {5}, "build_report": {1, 5}, "run_phase_estimation": {5}},
+        )
+        # below the cut: one thread for the sweep, the process's count elsewhere
+        monkeypatch.setattr(campaigns, "SMALL_DIM", 16)
+        assert run() == (
+            [1, 3, 1, 3],
+            {"mix_with_identity": {1}, "build_report": {1, 3}, "run_phase_estimation": {3}},
+        )
+        assert count == [3]
+
+    @staticmethod
+    def _cli_process(prelude: str = "", **thread_env: str) -> dict:
+        """A fresh process, with only the given BLAS thread variables set,
+        that runs ``prelude`` and imports ``qfisher.cli``: its thread
+        variables after the import, and its BLAS thread count before the
+        import (where NumPy is loaded by then) and after it."""
+        code = f"""{prelude}
+import json, os, sys
+def threads():
+    from qfisher import campaigns
+    api = campaigns._blas_thread_api()
+    return None if api is None else api[0]()
+before = threads() if "numpy" in sys.modules else None
+import qfisher.cli
+from qfisher import campaigns
+env = {{k: os.environ.get(k) for k in {BLAS_THREAD_VARS!r}}}
+print(json.dumps(dict(env=env, before=before, after=threads(), withheld=campaigns._withheld_blas_threads)))
+"""
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS} | thread_env
+        return json.loads(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True).stdout)
+
+    def test_a_cli_process_starts_on_one_thread(self):
+        got = self._cli_process()
+        if sys.platform != "linux":  # no thread API to raise the count again, so no pin
+            assert got["env"] == dict.fromkeys(BLAS_THREAD_VARS)
+            return
+        assert got["env"] == {**dict.fromkeys(BLAS_THREAD_VARS), "OPENBLAS_NUM_THREADS": "1"}
+        assert got["after"] == (None if campaigns._blas_thread_api() is None else 1)
+        assert got["withheld"] == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("var", BLAS_THREAD_VARS)
+    def test_a_count_in_the_environment_is_honoured(self, var):
+        got = self._cli_process(**{var: "2"})
+        assert got["env"] == {**dict.fromkeys(BLAS_THREAD_VARS), var: "2"}
+        assert got["after"] == (None if campaigns._blas_thread_api() is None else 2)
+        assert got["withheld"] is None
+
+    def test_importing_the_cli_after_numpy_changes_nothing(self):
+        got = self._cli_process("import numpy")
+        assert got["env"] == dict.fromkeys(BLAS_THREAD_VARS)
+        assert got["after"] == got["before"]
+        assert got["withheld"] is None
 
     def test_csv_unchanged_without_the_thread_api(self, monkeypatch):
         with_api = run_campaign(CampaignConfig("table2", samples=2500, seed=0))[0]
@@ -741,6 +831,13 @@ class TestCli:
         path.write_text(json.dumps({"n": 40, "kind": "mixed", "re": [1.0], "im": [0.0]}))
         assert main(["analyze", "--state", str(path)]) == 2
         assert "exceeds the dense-storage cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, re, im", [("pure", [0.5, 0.5], [0.5]), ("mixed", [0.25] * 16, [0.0] * 8)])
+    def test_state_file_with_mismatched_re_and_im_exit_2(self, kind, re, im, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"n": 2 if kind == "mixed" else 1, "kind": kind, "re": re, "im": im}))
+        assert main(["analyze", "--state", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed state record: 're' has shape")
 
     @pytest.mark.parametrize("kind, size", [("pure", 4), ("mixed", 16)])
     @pytest.mark.parametrize("n", [2.9, True])

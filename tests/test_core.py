@@ -762,6 +762,22 @@ class TestJsonRoundTrip:
                 qf.state_from_json(record)
             assert not isinstance(info.value, InvariantError)
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"n": 1, "kind": "pure", "re": [0.5, 0.5], "im": [0.5]},
+            {"n": 1, "kind": "pure", "re": [1.0, 0.0], "im": 0},
+            {"n": 1, "kind": "mixed", "re": [0.5, 0.0, 0.0, 0.5], "im": [0.0, 0.0]},
+            {"n": 1, "kind": "mixed", "re": [[0.5, 0.0], [0.0, 0.5]], "im": [0.0] * 4},
+        ],
+        ids=["im-short", "im-scalar", "mixed-im-short", "im-flat"],
+    )
+    def test_re_and_im_of_different_shapes(self, record):
+        # a shorter or scalar im used to broadcast onto re
+        with pytest.raises(ValueError, match=r"^malformed state record: 're' has shape \(") as info:
+            qf.state_from_json(record)
+        assert not isinstance(info.value, InvariantError)
+
     def test_mixed_record_of_wrong_length(self):
         with pytest.raises(InvariantError, match=r"^mixed record has 15 entries, expected 16$"):
             qf.state_from_json({"n": 2, "kind": "mixed", "re": [0.25] * 15, "im": [0.0] * 15})

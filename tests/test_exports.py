@@ -1,10 +1,13 @@
 """The export lists: ``from qfisher.<module> import *`` and ``import qfisher``
-must not name anything that is gone, and neither may the README or the demos."""
+must not name anything that is gone, and neither may the README or the demos.
+``import qfisher`` itself loads no submodule; each export loads its own."""
 
 import ast
 import importlib
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,12 +26,32 @@ def test_every_all_entry_resolves(name):
 
 
 def test_package_imports_only_exported_names():
-    tree = ast.parse(Path(qfisher.__file__).read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
-    assert imports
-    for node in imports:
-        exported = importlib.import_module(f"qfisher.{node.module}").__all__
-        assert [alias.name for alias in node.names if alias.name not in exported] == []
+    assert qfisher._EXPORTS
+    for module, names in qfisher._EXPORTS.items():
+        exported = importlib.import_module(f"qfisher.{module}").__all__
+        assert [name for name in names if name not in exported] == []
+
+
+def test_package_import_loads_no_numpy():
+    # pytest has loaded NumPy already, so the import is checked in a fresh process
+    code = (
+        "import sys, qfisher\n"
+        "assert 'numpy' not in sys.modules, 'import qfisher loaded NumPy'\n"
+        "assert qfisher.ghz(2).num_qubits == 2 and 'numpy' in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+def test_dir_lists_the_exports_and_their_modules():
+    assert set(qfisher.__all__) == set(qfisher._MODULE_OF)
+    assert {*qfisher.__all__, *qfisher._EXPORTS, "__version__"} <= set(dir(qfisher))
+    assert qfisher.zoo.ghz is qfisher.ghz
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_MASK32", "np"])
+def test_unknown_attribute_raises(name):
+    with pytest.raises(AttributeError, match=f"^module 'qfisher' has no attribute {name!r}$"):
+        getattr(qfisher, name)
 
 
 def _documented_sources():

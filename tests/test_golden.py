@@ -16,7 +16,9 @@ antidiagonal thresholds over white-noise mixtures of GHZ(3).
 ``sweep_p_ghz7.csv`` (the benchmark's sweep, twelve thresholds on 128 x 128
 mixtures) and ``sweep_p_dicke6_3.csv`` pin the larger sweeps. The JSON
 report of ``ghz:3`` and of ``dicke:4:2 --mode witness-opt`` is pinned too:
-its key order, and the list fields its CSV leaves out, to 1e-12.
+its key order, and the list fields its CSV leaves out, to 1e-12. Five
+cases also run as ``python -m qfisher.cli`` processes, which choose their
+own BLAS thread count.
 
 A change that moves any byte of these tables fails here. If a change is
 meant to alter them, regenerate the files in their own labelled commit
@@ -26,6 +28,8 @@ with::
 """
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,6 +113,23 @@ def test_phase_sim_summary_matches_golden(case):
     _, summary = _run(case)
     assert summary["std"] == pytest.approx(std, rel=1e-12, abs=0)
     assert summary["ratio"] == pytest.approx(ratio, rel=1e-12, abs=0)
+
+
+# the cases whose BLAS thread count a CLI process sets differently from this
+# one: it starts NumPy on one thread unless the environment names a count
+CLI_CASES = [
+    "analyze_duer6.csv", "bound_entangled_scan.csv", "phase_sim_ghz4.csv", "sweep_p_dicke6_3.csv", "table2.csv",
+]
+
+
+@pytest.mark.parametrize("case", CLI_CASES)
+def test_cli_process_csv_matches_golden(case, tmp_path):
+    config = dict(CASES[case])
+    argv = [config.pop("campaign"), "--out", str(tmp_path / case)]
+    for flag, value in config.items():
+        argv += [f"--{flag}", str(value)]
+    subprocess.run([sys.executable, "-m", "qfisher.cli", *argv], stdout=subprocess.DEVNULL, check=True, timeout=120)
+    assert (tmp_path / case).read_bytes() == (GOLDEN_DIR / case).read_bytes()
 
 
 def _close(got, expected) -> bool:
