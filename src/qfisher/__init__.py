@@ -7,9 +7,8 @@ exercised on, and a phase-estimation simulator that grounds the numbers in
 metrology. ``qfisher.campaigns`` and the ``qfisher`` CLI run the seeded
 Monte-Carlo detection studies.
 
-``import qfisher`` loads no submodule, and so not NumPy: each public name
-imports its submodule on first access (PEP 562). The CLI relies on this to
-choose NumPy's BLAS thread count before NumPy loads.
+``import qfisher`` loads no submodule, and so not NumPy, which lets the CLI
+set NumPy's BLAS threads first: each export imports its module on first use.
 """
 
 import importlib

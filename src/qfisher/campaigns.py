@@ -222,19 +222,22 @@ def _blas_thread_api():
 
 
 # the BLAS threads that a CLI process withheld by loading NumPy on one thread
-# (cli.py), which the paths on d >= SMALL_DIM matrices take back; None in any
-# other process, where those paths keep the caller's count
+# (cli.py); None in any other process
 _withheld_blas_threads: int | None = None
 
 
 @contextmanager
-def _blas_threads(count: int | None):
+def _blas_threads(count: int | None, dim: int = 0):
     """Run the block on ``count`` BLAS threads, then restore the caller's
-    count, also after an error; ``None`` leaves the count as it is.
+    count, also after an error; ``None`` leaves the count as it is. A block
+    on d x d matrices with ``dim`` >= ``SMALL_DIM`` runs instead on the
+    threads a CLI process withheld, or where none were, on the caller's.
 
     The count is process-wide, so it holds for all of the process while the
     block runs. Without an OpenBLAS thread API this does nothing.
     """
+    if dim >= SMALL_DIM:
+        count = _withheld_blas_threads
     api = None if count is None else _blas_thread_api()
     if api is None:
         yield
@@ -509,7 +512,7 @@ def sweep_p(state_name: str, resolution: float = 1e-6, k: int | None = None) -> 
         rows += [("witness", None, closed), ("dme", None, None)]
     names = [f"{criterion}_{c + 1}" if c else criterion for criterion, c, _ in rows]
 
-    with _blas_threads(1 if state.dim < SMALL_DIM else _withheld_blas_threads):
+    with _blas_threads(1, state.dim):
         thresholds = _grid_thresholds(
             lambda p: _margins(mix_with_identity(state, p).matrix[None], n, names), names, resolution
         )
@@ -524,11 +527,7 @@ def analyze(state_spec: str, optimize_witness: bool = False, seed: int = 0) -> d
     state = zoo.parse_state_spec(state_spec)
     # a pure report factorises nothing larger than 36 x 36; on 2 CPUs a second
     # BLAS thread stalled the N = 12 Gram by about 0.3 s in 2 of 12 fresh runs
-    if isinstance(state, PureState):
-        threads = 1
-    else:
-        threads = _withheld_blas_threads if state.dim >= SMALL_DIM else None
-    with _blas_threads(threads):
+    with _blas_threads(1) if isinstance(state, PureState) else _blas_threads(None, state.dim):
         report = build_report(state, optimize_witness=optimize_witness, seed=seed)
     out = report.to_dict()
     out["state"] = state_spec
@@ -563,7 +562,7 @@ def run_phase_sim(
         povm = parity_povm(n, "x")
         theta0 = np.pi / (2 * n) if theta is None else theta
         window = (theta0 - np.pi / (2 * n), theta0 + np.pi / (2 * n))
-    with _blas_threads(_withheld_blas_threads if state.dim >= SMALL_DIM else None):
+    with _blas_threads(None, state.dim):
         run = run_phase_estimation(
             state, generator, povm, theta0, m=m, trials=trials, seed=seed, window=window
         )

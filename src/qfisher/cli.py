@@ -13,13 +13,11 @@ import numbers
 import os
 import sys
 
-# NumPy's OpenBLAS starts one thread per CPU when it loads, and in a short CLI
-# run the idle ones spin for about 0.1 s of CPU with no wall time gained, even
-# where the command makes no BLAS call. So a CLI process loads it on one
-# thread, unless NumPy is loaded already or the environment names a count,
-# and the paths on d >= campaigns.SMALL_DIM matrices take the other threads
-# back. They raise the count through the thread API that campaigns finds in
-# /proc/self/maps, so only Linux starts on one thread.
+# NumPy's OpenBLAS starts a thread per CPU as it loads, and in a short run the
+# idle ones spin for about 0.1 s of CPU with no wall time gained. So a CLI
+# process loads it on one thread, unless NumPy is loaded or the environment
+# names a count; campaigns._blas_threads gives the others back to large
+# matrices, through a thread API it finds on Linux only.
 _PIN_BLAS = (
     sys.platform == "linux"
     and "numpy" not in sys.modules

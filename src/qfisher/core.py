@@ -503,13 +503,12 @@ def state_from_json(data: dict):
     try:
         n = data["n"]  # checked as an integer by the constructors, never converted
         kind = data["kind"]
-        re = np.asarray(data["re"], dtype=float)
+        arr = np.asarray(data["re"], dtype=float).astype(complex)
         im = np.asarray(data["im"], dtype=float)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state record: {exc}") from exc
-    if re.shape != im.shape:  # assigned below, im would broadcast onto re
-        raise ValueError(f"malformed state record: 're' has shape {re.shape}, 'im' {im.shape}")
-    arr = re.astype(complex)
+    if arr.shape != im.shape:  # assigned below, im would broadcast onto re
+        raise ValueError(f"malformed state record: 're' has shape {arr.shape}, 'im' {im.shape}")
     arr.imag = im  # no 1j * im, which turns inf into nan
     if kind == "pure":
         return PureState(n, arr)
