@@ -115,8 +115,8 @@ def test_phase_sim_summary_matches_golden(case):
     assert summary["ratio"] == pytest.approx(ratio, rel=1e-12, abs=0)
 
 
-# the cases whose BLAS thread count a CLI process sets differently from this
-# one: it starts NumPy on one thread unless the environment names a count
+# cases whose BLAS thread count differs in a CLI process, which starts NumPy
+# on one thread unless the environment names a count
 CLI_CASES = [
     "analyze_duer6.csv", "bound_entangled_scan.csv", "phase_sim_ghz4.csv", "sweep_p_dicke6_3.csv", "table2.csv",
 ]
