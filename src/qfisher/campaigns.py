@@ -41,7 +41,7 @@ from .criteria import (
     qfi_bound,
 )
 from .estimation import precision_limits, run_phase_estimation
-from .fisher import _local_directions_batch, parity_povm, qfi, x_basis_povm
+from .fisher import _local_directions_batch, parity_povm, qfi, qfi_matrix, x_basis_povm
 
 __all__ = [
     "CampaignConfig",
@@ -486,8 +486,9 @@ def sweep_p(state_name: str, resolution: float = 1e-6, k: int | None = None) -> 
     admixture weight p at which the QFI criteria detect
     p|psi><psi| + (1-p)I/2^N is searched on the bisection grid of
     ``resolution`` (``_grid_thresholds``) and cross-checked against the
-    closed-form critical weight. Three-qubit states also get the witness
-    and antidiagonal-test thresholds. Every mixture is built and its
+    closed-form critical weight, given only where the pure state's own
+    margin (``criteria._margin``) is above 0. Three-qubit states also get the
+    witness and antidiagonal-test thresholds. Every mixture is built and its
     criteria decided in full, once per grid point.
     """
     if not (math.isfinite(resolution) and resolution >= 2.0**-52):
@@ -502,13 +503,16 @@ def sweep_p(state_name: str, resolution: float = 1e-6, k: int | None = None) -> 
     if k is not None and not 1 <= k < n:
         raise ValueError(f"class k must lie in 1..{n - 1}, got {k}")
 
+    gamma = qfi_matrix(state)
+    pure = {"fq": gamma.max_direction()[0], "fq_avg": gamma.average()}
     rows = []  # (criterion, k, closed-form threshold)
     for c in range(1, n) if k is None else (k,):
-        ratio_max, ratio_avg = bound_ratios(state, c)
-        rows += [("fq", c, critical_p(ratio_max, n)), ("fq_avg", c, critical_p(ratio_avg, n))]
+        for criterion, ratio in zip(pure, bound_ratios(state, c)):
+            detected = _margin(f"{criterion}_{c + 1}", n, pure[criterion]) > 0
+            rows.append((criterion, c, critical_p(ratio, n) if detected else None))
     if n == 3:
-        fidelity = 0.5 - ghz_witness(state)
-        closed = (0.5 - 0.125) / (fidelity - 0.125) if fidelity > 0.5 else None
+        witness = ghz_witness(state)  # 1/2 - fidelity
+        closed = (0.5 - 0.125) / (0.5 - witness - 0.125) if _margin("witness", n, witness) > 0 else None
         rows += [("witness", None, closed), ("dme", None, None)]
     names = [f"{criterion}_{c + 1}" if c else criterion for criterion, c, _ in rows]
 

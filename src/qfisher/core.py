@@ -9,11 +9,13 @@ Conventions used throughout the package:
 
 States and explicitly requested operators are stored dense; the qubit count
 is capped (default 12) because the eigendecompositions that dominate the
-cost scale as ``8**N``. The spin-QFI kernel never builds a collective spin:
-it applies J_x and J_y to a basis index as bit flips and J_z as a popcount
-diagonal. Dense generators (1/2) sum_l sigma_(n_l)^(l), the collective spins
-included, are filled entry by entry by ``local_generator``; ``tensor`` is
-the only Kronecker product.
+cost scale as ``8**N``. Amplitudes are complex128; a density matrix, an
+operator or a POVM effect is float64 exactly when its input has no imaginary
+part (``_hermitian_part``). The spin-QFI kernel never builds a collective
+spin: it applies J_x and J_y to a basis index as bit flips and J_z as a
+popcount diagonal. Dense generators (1/2) sum_l sigma_(n_l)^(l), the
+collective spins included, are filled entry by entry by
+``local_generator``; ``tensor`` is the only Kronecker product.
 """
 
 from __future__ import annotations
@@ -110,9 +112,10 @@ def _raise_first(bad: np.ndarray, message: str, *values: np.ndarray) -> None:
 
 
 def _real_if_real(x: np.ndarray) -> np.ndarray:
-    """``x`` if it has a nonzero imaginary part, else its real part (a view),
-    so that LAPACK runs in real arithmetic on real input."""
-    return x if x.imag.any() else x.real
+    """The real part (a view) of a complex ``x`` with no imaginary part, else
+    ``x``: the one test of an array not validated yet, so that LAPACK runs in
+    real arithmetic on real input."""
+    return x.real if np.iscomplexobj(x) and not x.imag.any() else x
 
 
 def _x_blocks(mats: np.ndarray):
@@ -150,23 +153,21 @@ def _check_pure_stack(amps: np.ndarray) -> None:
 
 def _hermitian_part(mats: np.ndarray, noun: str) -> np.ndarray:
     """Exact Hermitian part (M + M^dag) / 2 of a (..., d, d) stack, as a new
-    complex array, after checking that every matrix has finite entries and
-    is Hermitian within ``HERMITICITY_TOL``; the messages name a matrix by
-    ``noun``.
+    array in the arithmetic of its values, after checking that every matrix
+    has finite entries and is Hermitian within ``HERMITICITY_TOL``; the
+    messages name a matrix by ``noun``.
 
-    An integer or float stack, or a complex one with no imaginary part, is
-    checked in real arithmetic: its Hermitian part is built as a float array,
-    tested, and converted to complex once, at the end. Otherwise the real and
-    imaginary parts are combined through views, so no conjugate copy is made.
-    Besides its result, the check holds at most one d x d temporary.
+    An integer or float stack, or a complex one with no imaginary part, gives
+    a float64 part, built and checked in real arithmetic; any other stack
+    gives a complex128 part, whose real and imaginary parts are combined
+    through views, so no conjugate copy is made. Besides its result, the
+    check holds at most one d x d temporary.
     """
     mats = np.asarray(mats)
-    mats = mats.astype(complex if np.iscomplexobj(mats) else float, copy=False)
-    re = mats.real
+    mats = _real_if_real(mats.astype(complex if np.iscomplexobj(mats) else float, copy=False))
+    real = not np.iscomplexobj(mats)
+    re, im = (mats, None) if real else (mats.real, mats.imag)
     re_t = re.swapaxes(-1, -2)
-    # a float stack has no imaginary part to read; its .imag would be a new zero array
-    im = mats.imag if np.iscomplexobj(mats) else None
-    real = im is None or not im.any()
     with np.errstate(invalid="ignore"):  # inf - inf is reported below
         if real:
             herm = re + re_t
@@ -184,7 +185,7 @@ def _hermitian_part(mats: np.ndarray, noun: str) -> np.ndarray:
     asym = 2 * asym.max(axis=(-2, -1))  # NaN or inf where an entry is
     _raise_first(~np.isfinite(asym), f"{noun} has a non-finite entry")
     _raise_first(asym > HERMITICITY_TOL, f"{noun} is not Hermitian within 1e-10")
-    return herm.astype(complex, copy=False)
+    return herm
 
 
 def _check_density_stack(mats: np.ndarray) -> np.ndarray:
@@ -197,7 +198,7 @@ def _check_density_stack(mats: np.ndarray) -> np.ndarray:
     herm = _hermitian_part(mats, "density matrix")
     tr = np.real(np.trace(herm, axis1=-2, axis2=-1))
     _raise_first(~(np.abs(tr - 1.0) <= TRACE_TOL), "trace is {!r}, expected 1", tr)
-    _check_psd(_real_if_real(herm), f"smallest eigenvalue {{!r}} below -{PSD_TOL}")
+    _check_psd(herm, f"smallest eigenvalue {{!r}} below -{PSD_TOL}")
     return herm
 
 
@@ -260,7 +261,7 @@ class DensityMatrix:
         mat = np.asarray(self.matrix)
         if mat.shape != (d, d):
             raise InvariantError(f"matrix has shape {mat.shape}, expected {(d, d)}")
-        herm = _check_density_stack(mat)  # a new complex array, so freezing it needs no copy
+        herm = _check_density_stack(mat)  # a new array, so freezing it needs no copy
         herm.setflags(write=False)
         object.__setattr__(self, "matrix", herm)
 
@@ -289,9 +290,7 @@ class HermitianOperator:
 
 
 def _as_matrix(op) -> np.ndarray:
-    if isinstance(op, HermitianOperator):
-        return op.matrix
-    if isinstance(op, DensityMatrix):
+    if isinstance(op, (HermitianOperator, DensityMatrix)):
         return op.matrix
     return np.asarray(op, dtype=complex)
 
@@ -304,9 +303,7 @@ def _generator_matrix(g) -> np.ndarray:
 def _state_matrix(state) -> np.ndarray:
     if isinstance(state, PureState):
         return np.outer(state.amplitudes, state.amplitudes.conj())
-    if isinstance(state, DensityMatrix):
-        return state.matrix
-    return np.asarray(state, dtype=complex)
+    return _as_matrix(state)
 
 
 def _as_batch(state) -> np.ndarray:
@@ -447,10 +444,8 @@ def mix_with_identity(state, p: float) -> DensityMatrix:
     """White-noise mixture p * rho + (1 - p) * I / 2**N."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {p}")
-    if not isinstance(state, (PureState, DensityMatrix)):
-        raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
-    amps = _real_if_real(state.amplitudes) if isinstance(state, PureState) else None
-    mat = state.matrix.copy() if amps is None else np.outer(amps, amps.conj())  # real for a real state
+    x = _real_if_real(_as_batch(state)[0])  # raises TypeError for anything but a state
+    mat = np.outer(x, x.conj()) if isinstance(state, PureState) else x.copy()  # real for a real state
     mat *= p
     mat[np.diag_indices(state.dim)] += (1.0 - p) / state.dim  # in place: no identity is built
     return DensityMatrix(state.num_qubits, mat)
@@ -483,17 +478,10 @@ def variance(state, op) -> float:
 
 
 def state_to_json(state) -> dict:
-    if isinstance(state, PureState):
-        arr = state.amplitudes
-        kind = "pure"
-    elif isinstance(state, DensityMatrix):
-        arr = state.matrix.reshape(-1)
-        kind = "mixed"
-    else:
-        raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
+    arr = _as_batch(state).reshape(-1)  # raises TypeError for anything but a state
     return {
         "n": state.num_qubits,
-        "kind": kind,
+        "kind": "pure" if isinstance(state, PureState) else "mixed",
         "re": [float(x) for x in arr.real],
         "im": [float(x) for x in arr.imag],
     }

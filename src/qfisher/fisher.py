@@ -144,8 +144,8 @@ def _real_gram(x: np.ndarray) -> np.ndarray:
 def _qfi_batch(states: np.ndarray, apply, num_ops: int) -> np.ndarray:
     """QFI matrices Gamma_ij of a (B, d) stack of amplitude vectors or a
     (B, d, d) stack of density matrices for ``num_ops`` generators G_i, shape
-    (B, num_ops, num_ops); ``apply(x)`` returns the G_i x stacked as a complex
-    (num_ops,) + x.shape array, with G_i acting on axis -2 of x.
+    (B, num_ops, num_ops); ``apply(x)`` returns the G_i x stacked as a real or
+    complex (num_ops,) + x.shape array, with G_i acting on axis -2 of x.
 
     Only the support enters, as W = V_S sqrt(lam). A pure stack is its own
     support: W = psi and lam = 1, with no eigendecomposition. For a mixed
@@ -158,9 +158,9 @@ def _qfi_batch(states: np.ndarray, apply, num_ops: int) -> np.ndarray:
     m_i = W^dag G_i W the pair sum 2 sum_ab w_ab Re (G_i)_ab (G_j)_ba becomes
     Gamma_ij = 4 Re <G_i W|G_j W> - 8 sum_ab Re(m_i,ab conj(m_j,ab)) / (lam_a + lam_b),
     which for a pure state is 4 Re Cov(G_i, G_j). G acts on the d x r block W
-    alone, and no d x d pair table is built. A mixed stack with no imaginary
-    part is diagonalised in real arithmetic, so W is real and each m_i is
-    one real product with the (re, im) view of G_i W.
+    alone, and no d x d pair table is built. A float64 mixed stack is
+    diagonalised in real arithmetic, so W is real and each m_i is one real
+    product with G_i W, or with its (re, im) view where G_i W is complex.
     """
     pure = states.ndim == 2
     if pure:
@@ -168,11 +168,10 @@ def _qfi_batch(states: np.ndarray, apply, num_ops: int) -> np.ndarray:
         w, lam = states[:, :, None], np.ones((b, 1))  # a view: never written
     else:
         b, d, _ = states.shape
-        rho = _real_if_real(states)
         # eigenvectors, LAPACK's copy of one matrix and its complex and real
         # workspace (a real stack needs about half of this)
         _check_budget(16 * d * d * (b + 3), "the eigendecomposition")
-        evals, vecs = np.linalg.eigh(rho)
+        evals, vecs = np.linalg.eigh(states)
         kept = evals > ZERO_CUT * np.sum(evals, axis=-1, keepdims=True)
         first = evals.shape[1] - int(kept.sum(axis=-1).max())  # eigenvalues ascend, so S is a suffix
         lam = np.where(kept, evals, 0.0)[:, first:]
@@ -190,7 +189,7 @@ def _qfi_batch(states: np.ndarray, apply, num_ops: int) -> np.ndarray:
     # m_i overwrites the start of G_i W, which nothing reads after it
     m = gw.reshape(num_ops, -1)[:, : b * r * r].reshape(num_ops, b, r, r)
     for i in range(num_ops):
-        m[i] = (w_dag @ gw[i].view(float)).view(complex) if real else w_dag @ gw[i]
+        m[i] = (w_dag @ gw[i].view(float)).view(gw.dtype) if real else w_dag @ gw[i]
     m *= scale
     gamma -= 8.0 * _real_gram(m)
     upper = np.triu_indices(num_ops, 1)
@@ -229,7 +228,8 @@ def _spin_gammas(batch: np.ndarray, num_qubits: int) -> np.ndarray:
     (s_l C_j C_j' +- S_j S_j')], Gamma_zz = 4 sum_j m_j^2 S_j^2 w(lam_+, lam_-),
     and the rest is exactly 0 (real J_x and imaginary J_y elements).
     """
-    blocks = _x_blocks(_real_if_real(batch)) if batch.ndim == 3 and num_qubits >= 3 else None
+    batch = _real_if_real(batch) if batch.ndim == 3 else batch  # evaluate's stacks are not validated
+    blocks = _x_blocks(batch) if batch.ndim == 3 and num_qubits >= 3 else None
     if blocks is None:
         return _qfi_batch(batch, lambda v: _apply_spins(v, num_qubits, axis=-2), 3)
     p, q, c = blocks
@@ -295,18 +295,17 @@ class Povm:
         given = tuple(self.elements)
         if not given:
             raise InvariantError("POVM needs at least one element")
-        shape = (np.shape(given[0])[0],) * 2
+        shape = np.shape(given[0])
+        square = len(shape) == 2 and shape[0] == shape[1]
         elems = []
-        total = np.zeros(shape, dtype=complex)
         for e in given:
-            if np.shape(e) != shape:
+            if not square or np.shape(e) != shape:
                 raise InvariantError("POVM elements must share one square shape")
             h = _hermitian_part(e, "POVM element")  # a new array: frozen with no copy
-            _check_psd(_real_if_real(h), "POVM element is not positive semidefinite")
+            _check_psd(h, "POVM element is not positive semidefinite")
             h.setflags(write=False)
-            total += h
             elems.append(h)
-        if not np.max(np.abs(total - np.eye(shape[0]))) <= 1e-9:
+        if not np.max(np.abs(sum(elems) - np.eye(shape[0]))) <= 1e-9:
             raise InvariantError("POVM elements do not sum to the identity")
         object.__setattr__(self, "elements", tuple(elems))
 

@@ -202,7 +202,11 @@ class TestSweep:
         assert abs(wit["p_threshold"] - wit["p_closed_form"]) <= 2e-6
 
     @pytest.mark.parametrize(
-        "spec", ["ghz:2", "ghz:3", "ghz:4", "ghz:5", "ghz:7", "dicke:4:2", "dicke:5:2", "psi_s4:+", "psi_s4:-", "plus:3"]
+        "spec",
+        [
+            "ghz:2", "ghz:3", "ghz:4", "ghz:5", "ghz:7", "dicke:4:1", "dicke:4:2", "dicke:5:2",
+            "psi_s4:+", "psi_s4:-", "plus:3", "ones:4",
+        ],
     )
     def test_one_mixture_per_weight_and_per_name_thresholds(self, spec, monkeypatch):
         # the thresholds of a bisection on each name alone
@@ -219,6 +223,9 @@ class TestSweep:
                 name = f"{row['criterion']}_{row['k'] + 1}" if row["k"] else row["criterion"]
                 alone = lambda p: bool(evaluate(mixture(p), n, (name,))[name][0])
                 assert row["p_threshold"] == bisect_p(alone, 1e-6)
+                # a closed form exactly where the search finds a threshold; dme has none
+                if row["criterion"] != "dme":
+                    assert (row["p_closed_form"] is None) == (row["p_threshold"] is None)
         if spec == "plus:3":
             assert all(row["p_threshold"] is None for row in rows)
 

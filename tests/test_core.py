@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from functools import reduce
 from itertools import combinations
@@ -213,8 +214,9 @@ class TestNonFiniteEntries:
 
 
 class TestRealArithmetic:
-    """A stack with no imaginary part is validated by real LAPACK; the
-    result is the same complex Hermitian part as on the complex path."""
+    """A stack with no imaginary part is validated by real LAPACK, and its
+    Hermitian part is held as float64, whether it was given as float or as
+    complex."""
 
     @staticmethod
     def _real_stack(b=6, d=8, seed=5):
@@ -223,13 +225,13 @@ class TestRealArithmetic:
         rhos = g @ g.swapaxes(-1, -2)
         return rhos / np.trace(rhos, axis1=-2, axis2=-1)[:, None, None]
 
-    def test_hermitian_part_is_complex_and_exact(self, linalg_dtypes):
+    def test_hermitian_part_is_real_and_exact(self, linalg_dtypes):
         seen = linalg_dtypes("cholesky", "eigvalsh")
         rhos = self._real_stack()
         for stack in (rhos, rhos.astype(complex)):
             out = _check_density_stack(stack)
-            assert out.dtype == complex and not out.imag.any()
-            assert np.array_equal(out.real, (rhos + rhos.swapaxes(-1, -2)) / 2)
+            assert out.dtype == np.float64
+            assert np.array_equal(out, (rhos + rhos.swapaxes(-1, -2)) / 2)
         assert seen == {"cholesky": [np.float64, np.float64], "eigvalsh": []}
 
     def test_complex_stack_stays_complex(self, linalg_dtypes):
@@ -263,22 +265,38 @@ class TestRealArithmetic:
         assert seen["eigvalsh"] == [np.float64] * 3 + [np.complex128]
 
     def test_real_construction_memory(self):
-        # the real Hermitian part and its factor take 8 d^2 bytes each and the
-        # complex result 16 d^2; a complex part and factor would take 2 x 16 d^2.
-        # The same matrix given as float is checked as it is, with no complex copy
+        # the real Hermitian part, which is kept, and the |M - M^T| temporary
+        # take 8 d^2 bytes each; a complex result would add 16 d^2. The same
+        # matrix given as complex is read through its real view, with no copy
         mat = np.array(qf.duer_state(8).matrix)
         d = mat.shape[0]
-        peaks = []
-        for given in (mat, np.ascontiguousarray(mat.real)):
+        for given in (mat, mat.astype(complex)):
             tracemalloc.start()
             try:
                 rho = qf.DensityMatrix(8, given)
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert rho.matrix.dtype == complex and np.array_equal(rho.matrix, mat)
-        assert peaks[0] <= 1.6 * 16 * d * d
-        assert peaks[1] <= peaks[0]
+            assert rho.matrix.dtype == np.float64 and np.array_equal(rho.matrix, mat)
+            assert peak <= 1.01 * 16 * d * d
+
+    def test_storage_follows_the_imaginary_part(self, tmp_path):
+        from qfisher.zoo import parse_state_spec
+
+        spec = tmp_path / "x_form.json"
+        spec.write_text(json.dumps({"lambdas": [4, 1, 1, 1, 1, 1, 1, 4], "mus": [3, 0, 0, 0.5]}))
+        real = [parse_state_spec(name).matrix for name in ("duer:5", "smolin:2", f"ghzdiag:{spec}")]
+        real += [qf.mix_with_identity(psi, 0.4).matrix for psi in (qf.ghz(4), qf.dicke(4, 2))]
+        record = qf.state_to_json(qf.duer_state(4))
+        loaded = qf.state_from_json(json.loads(json.dumps(record)))  # every "im" entry is 0.0
+        assert json.dumps(qf.state_to_json(loaded)) == json.dumps(record)
+        real += [loaded.matrix, *qf.parity_povm(4, "x").elements, qf.collective_spin(4, "z").matrix]
+        assert [m.dtype for m in real] == [np.float64] * len(real)
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        rho = a @ a.conj().T
+        cplx = [qf.duer_state(4, phi=0.3).matrix, qf.DensityMatrix(3, rho / np.trace(rho)).matrix]
+        assert [m.dtype for m in cplx] == [np.complex128] * 2
 
 
 class TestPsdBoundary:

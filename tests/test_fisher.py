@@ -362,8 +362,8 @@ class TestRealArithmetic:
         states = self.real_states()
         jays = {n: dense_collective_spins(n) for n in {rho.num_qubits for rho in states}}
         for rho in states:
-            assert rho.matrix.dtype == complex and not rho.matrix.imag.any()
-            ref = dense_gamma(rho.matrix, jays[rho.num_qubits])  # a complex eigh
+            assert rho.matrix.dtype == np.float64
+            ref = dense_gamma(rho.matrix.astype(complex), jays[rho.num_qubits])  # a complex eigh
             TestSpinKernelsAgainstDense.assert_close(qf.qfi_matrix(rho).matrix, ref)
 
     def test_batched_samples_match_complex_reference(self):
@@ -637,6 +637,8 @@ class TestPovm:
             qf.Povm((eye * 0.5,))  # incomplete
         with pytest.raises(InvariantError):
             qf.Povm((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))  # negative element
+        with pytest.raises(InvariantError, match="^POVM elements must share one square shape$"):
+            qf.Povm([1.0])  # an effect that is not a matrix
 
     def test_non_hermitian_effects_rejected(self):
         # I/2 +- 0.4i X sum to I and have PSD Hermitian parts I/2
