@@ -14,9 +14,11 @@ and ``sweep_p_ghz3.csv`` are the three-qubit paths: the antidiagonal test
 and the GHZ witness of a pure and a mixed report, and the witness and
 antidiagonal thresholds over white-noise mixtures of GHZ(3).
 ``sweep_p_ghz7.csv`` (the benchmark's sweep, twelve thresholds on 128 x 128
-mixtures) and ``sweep_p_dicke6_3.csv`` pin the larger sweeps. The JSON
-report of ``ghz:3`` and of ``dicke:4:2 --mode witness-opt`` is pinned too:
-its key order, and the list fields its CSV leaves out, to 1e-12. Five
+mixtures), ``sweep_p_ghz9.csv`` and ``sweep_p_dicke6_3.csv`` pin the larger
+sweeps, and ``analyze_duer10.csv`` (the benchmark's report) and
+``analyze_smolin3.csv`` the larger X-form reports. The JSON report of
+``ghz:3``, ``dicke:4:2 --mode witness-opt``, ``duer:6`` and ``duer:10`` is
+pinned too: its key order, and the list fields its CSV leaves out, to 1e-12. Five
 cases also run as ``python -m qfisher.cli`` processes, which choose their
 own BLAS thread count.
 
@@ -60,6 +62,9 @@ CASES = {
     "sweep_p_ghz3.csv": dict(campaign="sweep-p", state="ghz:3"),
     "sweep_p_ghz7.csv": dict(campaign="sweep-p", state="ghz:7"),
     "sweep_p_dicke6_3.csv": dict(campaign="sweep-p", state="dicke:6:3"),
+    "analyze_duer10.csv": dict(campaign="analyze", state="duer:10"),
+    "analyze_smolin3.csv": dict(campaign="analyze", state="smolin:3"),
+    "sweep_p_ghz9.csv": dict(campaign="sweep-p", state="ghz:9"),
 }
 
 # phase-sim summary (std, ratio) at the configurations above; the CSV keeps
@@ -90,6 +95,16 @@ ANALYZE_LISTS = {
         "qfi_max_direction": [1.0, 0.0, 0.0],
         "qfi_matrix": [[12.0, 0.0, 0.0], [0.0, 12.0, 0.0], [0.0, 0.0, 0.0]],
         "dme": None,
+    },
+    "analyze_duer6.csv": {
+        "qfi_max_direction": [0.0, 0.0, 1.0],
+        "qfi_matrix": [[4.857142857142856, 0.0, 0.0], [0.0, 4.857142857142856, 0.0], [0.0, 0.0, 5.142857142857142]],
+        "witness_value": 0.3571428571428572,
+    },
+    "analyze_duer10.csv": {
+        "qfi_max_direction": [0.0, 0.0, 1.0],
+        "qfi_matrix": [[8.787878787878789, 0.0, 0.0], [0.0, 8.787878787878789, 0.0], [0.0, 0.0, 9.090909090909092]],
+        "witness_value": 0.4090909090909091,
     },
 }
 
