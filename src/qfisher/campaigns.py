@@ -22,6 +22,7 @@ from . import zoo
 from .core import (
     InvariantError,
     PureState,
+    _as_batch,
     _check_density_stack,
     _check_num_qubits,
     _check_pure_stack,
@@ -518,7 +519,7 @@ def sweep_p(state_name: str, resolution: float = 1e-6, k: int | None = None) -> 
 
     with _blas_threads(1, state.dim):
         thresholds = _grid_thresholds(
-            lambda p: _margins(mix_with_identity(state, p).matrix[None], n, names), names, resolution
+            lambda p: _margins(_as_batch(mix_with_identity(state, p), blocks=True), n, names), names, resolution
         )
     return [
         {"criterion": criterion, "k": c, "p_threshold": thresholds[name], "p_closed_form": closed}

@@ -7,7 +7,10 @@ Conventions used throughout the package:
   ``sum(b_l * 2**(N-1-l))``;
 * ``sigma_z |0> = +|0>``.
 
-States and explicitly requested operators are stored dense; the qubit count
+States and explicitly requested operators are stored dense, but the Duer,
+Smolin and ``ghzdiag:`` states and white-noise mixtures of GHZ states, real
+X-form (nonzero only at (j, j) and (j, d-1-j)), are built as their d/2
+blocks [[p, c], [c, q]] and build ``matrix`` on first read. The qubit count
 is capped (default 12) because the eigendecompositions that dominate the
 cost scale as ``8**N``. Amplitudes are complex128; a density matrix, an
 operator or a POVM effect is float64 exactly when its input has no imaginary
@@ -133,6 +136,16 @@ def _x_blocks(mats: np.ndarray):
     return diag[..., :h], diag[..., : h - 1 : -1], anti[..., :h]
 
 
+def _x_matrix(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The (..., d, d) stack, in the dtype of c, of the (..., d/2) blocks
+    [[p, conj(c)], [c, q]] on the basis pairs (j, d-1-j)."""
+    h = p.shape[-1]
+    j, k = np.arange(h), np.arange(2 * h - 1, h - 1, -1)
+    mat = np.zeros(p.shape[:-1] + (2 * h, 2 * h), dtype=c.dtype)
+    mat[..., j, j], mat[..., k, k], mat[..., k, j], mat[..., j, k] = p, q, c, np.conj(c)
+    return mat
+
+
 def _block_eigvals(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper eigenvalues of the blocks [[p, c], [c, q]]."""
     mid, radius = (p + q) / 2, np.hypot((p - q) / 2, c)
@@ -198,20 +211,19 @@ def _check_density_stack(mats: np.ndarray) -> np.ndarray:
     herm = _hermitian_part(mats, "density matrix")
     tr = np.real(np.trace(herm, axis1=-2, axis2=-1))
     _raise_first(~(np.abs(tr - 1.0) <= TRACE_TOL), "trace is {!r}, expected 1", tr)
-    _check_psd(herm, f"smallest eigenvalue {{!r}} below -{PSD_TOL}")
+    _check_psd(herm, f"smallest eigenvalue {{!r}} below -{PSD_TOL}", _x_blocks(herm))
     return herm
 
 
-def _check_psd(herm: np.ndarray, message: str) -> None:
+def _check_psd(herm, message: str, blocks) -> None:
     """Raise ``InvariantError`` with ``message`` (formatted with the smallest
     eigenvalue) unless every matrix of a Hermitian (..., d, d) stack is PSD
-    within ``PSD_TOL``. A real X-form stack is decided by its blocks'
-    closed-form eigenvalues, with no LAPACK call. Any other stack passes when
-    the Cholesky factorisation of herm + PSD_TOL * I succeeds, or where it
-    fails, when one batched ``eigvalsh`` finds no eigenvalue below -PSD_TOL.
-    The diagonal is shifted in place and restored exactly, so ``herm`` must
-    be writable and no copy is made."""
-    blocks = _x_blocks(herm)
+    within ``PSD_TOL``. A real X-form stack, whose ``_x_blocks`` are given,
+    is decided by their closed-form eigenvalues, with no LAPACK call. Any
+    other stack passes when the Cholesky factorisation of herm + PSD_TOL * I
+    succeeds, or where it fails, when one batched ``eigvalsh`` finds no
+    eigenvalue below -PSD_TOL. The diagonal is shifted in place and restored
+    exactly, so ``herm`` must be writable and no copy is made."""
     if blocks is None:
         diag = np.arange(herm.shape[-1])
         saved = herm[..., diag, diag]
@@ -250,7 +262,8 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix on 2**N dimensions."""
+    """Hermitian, unit-trace, positive-semidefinite matrix on 2**N dimensions;
+    a real X-form one of N >= 3 qubits carries its ``_x_blocks`` too."""
 
     num_qubits: int
     matrix: np.ndarray
@@ -263,11 +276,31 @@ class DensityMatrix:
             raise InvariantError(f"matrix has shape {mat.shape}, expected {(d, d)}")
         herm = _check_density_stack(mat)  # a new array, so freezing it needs no copy
         herm.setflags(write=False)
-        object.__setattr__(self, "matrix", herm)
+        self.__dict__.update(matrix=herm, _blocks=_x_blocks(herm) if self.num_qubits >= 3 else None)
+
+    @classmethod
+    def _of_blocks(cls, num_qubits: int, p, q, c) -> "DensityMatrix":
+        """The real X-form state of N >= 3 qubits with the float (d/2,) blocks (p, q, c),
+        checked in O(d) with the dense check's messages; ``matrix`` is built on first read."""
+        blocks, tr = np.stack((p, q, c)), np.concatenate((p, q[::-1])).sum()  # added as np.trace adds
+        _raise_first(~np.isfinite(blocks).all(), "density matrix has a non-finite entry")
+        _raise_first(~(np.abs(tr - 1.0) <= TRACE_TOL), "trace is {!r}, expected 1", tr)
+        _check_psd(None, f"smallest eigenvalue {{!r}} below -{PSD_TOL}", blocks)
+        blocks.setflags(write=False)
+        state = object.__new__(cls)
+        state.__dict__.update(num_qubits=num_qubits, _blocks=tuple(blocks))
+        return state
+
+    def __getattr__(self, name):  # a block state's matrix, built on its first read
+        if name != "matrix":
+            raise AttributeError(name)
+        object.__setattr__(self, "matrix", _x_matrix(*self._blocks))
+        self.matrix.setflags(write=False)
+        return self.matrix
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return 2**self.num_qubits
 
 
 @dataclass(frozen=True)
@@ -306,12 +339,13 @@ def _state_matrix(state) -> np.ndarray:
     return _as_matrix(state)
 
 
-def _as_batch(state) -> np.ndarray:
-    """A one-member stack: the amplitudes of a pure state or the matrix of a mixed one."""
+def _as_batch(state, blocks: bool = False):
+    """A one-member stack: the amplitudes of a pure state or the matrix of a mixed
+    one, or with ``blocks``, the (1, d/2) blocks (p, q, c) of one that has them."""
     if isinstance(state, PureState):
         return state.amplitudes[None]
     if isinstance(state, DensityMatrix):
-        return state.matrix[None]
+        return tuple(b[None] for b in state._blocks) if blocks and state._blocks is not None else state.matrix[None]
     raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
 
 
@@ -366,22 +400,6 @@ def spin_along(num_qubits: int, direction) -> HermitianOperator:
     """Collective spin J_n = n_x J_x + n_y J_y + n_z J_z for a unit direction."""
     _check_num_qubits(num_qubits)
     return local_generator(np.tile(unit_direction(direction), (num_qubits, 1)))
-
-
-def _pauli_power(num_qubits: int, axis: str) -> np.ndarray:
-    """Dense sigma_axis^tensor(N): X^N maps |i> to |i xor (d - 1)>, Z^N is
-    (-1)^popcount(i) on the diagonal, and Y^N = i^N X^N Z^N."""
-    d = 2**num_qubits
-    idx = np.arange(d)
-    signs = 1 - 2 * (_popcounts(d) & 1)
-    out = np.zeros((d, d), dtype=complex)
-    if axis == "z":
-        out[idx, idx] = signs
-    elif axis == "x":
-        out[idx ^ (d - 1), idx] = 1.0
-    else:
-        out[idx ^ (d - 1), idx] = (1, 1j, -1, -1j)[num_qubits % 4] * signs
-    return out
 
 
 def local_generator(directions) -> HermitianOperator:
@@ -441,13 +459,21 @@ def is_ppt(rho, subset, tol: float = 1e-9) -> bool | np.ndarray:
 
 
 def mix_with_identity(state, p: float) -> DensityMatrix:
-    """White-noise mixture p * rho + (1 - p) * I / 2**N."""
+    """White-noise mixture p * rho + (1 - p) * I / 2**N; from the blocks, in O(d), of a state
+    that carries them or of a real pure state of N >= 3 qubits on one basis pair (j, d-1-j)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {p}")
-    x = _real_if_real(_as_batch(state)[0])  # raises TypeError for anything but a state
+    blocks = state._blocks if isinstance(state, DensityMatrix) else None
+    x = None if blocks else _real_if_real(_as_batch(state)[0])  # raises TypeError for anything but a state
+    if isinstance(state, PureState) and state.num_qubits >= 3 and x.dtype == float:
+        lo, hi = x[: x.size // 2], x[::-1][: x.size // 2]  # as np.outer multiplies the entries:
+        blocks = (lo * lo, hi * hi, hi * lo) if np.count_nonzero((lo != 0) | (hi != 0)) == 1 else None
+    noise = (1.0 - p) / state.dim
+    if blocks is not None:
+        return DensityMatrix._of_blocks(state.num_qubits, blocks[0] * p + noise, blocks[1] * p + noise, blocks[2] * p)
     mat = np.outer(x, x.conj()) if isinstance(state, PureState) else x.copy()  # real for a real state
     mat *= p
-    mat[np.diag_indices(state.dim)] += (1.0 - p) / state.dim  # in place: no identity is built
+    mat[np.diag_indices(state.dim)] += noise  # in place: no identity is built
     return DensityMatrix(state.num_qubits, mat)
 
 

@@ -22,6 +22,7 @@ from .core import (
     InvariantError,
     PureState,
     _as_batch,
+    _x_matrix,
     is_ppt,
 )
 from . import fisher, zoo
@@ -138,20 +139,23 @@ def _antidiagonal(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return lhs, rhs, lhs - (rhs + 1e-12)  # the test's own margin, on matrix elements
 
 
-def _ghz_fidelity(batch: np.ndarray, num_qubits: int) -> np.ndarray:
-    """<GHZ|rho|GHZ> of every member of a pure or mixed stack, shape (B,)."""
+def _ghz_fidelity(batch, num_qubits: int) -> np.ndarray:
+    """<GHZ|rho|GHZ> of every member of a pure or mixed stack, or of the
+    blocks (p, q, c) of a real X-form one, shape (B,)."""
     target = zoo.ghz(num_qubits).amplitudes
-    if batch.ndim == 2:
+    if not isinstance(batch, tuple) and batch.ndim == 2:
         return np.abs(batch @ target.conj()) ** 2
     # GHZ lives on the first and last basis states; no other entry of rho enters
-    ends = [0, target.size - 1]
-    return np.real(np.einsum("g,bgh,h->b", target[ends].conj(), batch[:, ends][:, :, ends], target[ends]))
+    ends = [0, target.size - 1]  # the pair of X-form block 0
+    corner = _x_matrix(*(b[:, :1] for b in batch)) if isinstance(batch, tuple) else batch[:, ends][:, :, ends]
+    return np.real(np.einsum("g,bgh,h->b", target[ends].conj(), corner, target[ends]))
 
 
 def _margins(batch, num_qubits: int, names) -> dict[str, np.ndarray]:
     """Signed margins of the named criteria decided by one number, for every
-    member of a (B, d) or (B, d, d) stack, assumed valid; one (B,) float
-    array per name, > 0 exactly where ``evaluate`` flags the member:
+    member of a (B, d) or (B, d, d) stack, or of the (B, d/2) blocks
+    (p, q, c) of a real X-form one, assumed valid; one (B,) float array per
+    name, > 0 exactly where ``evaluate`` flags the member:
 
     - ``fq_k`` / ``fq_avg_k``: the value less its bound plus
       ``STRICT_MARGIN``; ``witness``: -``STRICT_MARGIN`` less the value;
@@ -160,9 +164,9 @@ def _margins(batch, num_qubits: int, names) -> dict[str, np.ndarray]:
 
     ``ppt_all_cuts`` is a flag with no margin and raises ``ValueError``.
     """
-    batch = np.asarray(batch)
+    batch = batch if isinstance(batch, tuple) else np.asarray(batch)  # blocks come from a valid state
     d = 2**num_qubits
-    if batch.ndim not in (2, 3) or batch.shape[1:] != (d,) * (batch.ndim - 1):
+    if not isinstance(batch, tuple) and (batch.ndim not in (2, 3) or batch.shape[1:] != (d,) * (batch.ndim - 1)):
         raise ValueError(f"expected a (B, {d}) or (B, {d}, {d}) stack, got shape {batch.shape}")
     quantities = {name: _criterion(name, num_qubits)[0] for name in names}
     needed = set(quantities.values())
@@ -176,7 +180,7 @@ def _margins(batch, num_qubits: int, names) -> dict[str, np.ndarray]:
         if "fq_avg" in needed:
             values["fq_avg"] = np.trace(gammas, axis1=1, axis2=2) / 3.0
     if "dme" in needed:
-        pairs = _antidiagonal(batch)[2]
+        pairs = _antidiagonal(_x_matrix(*batch) if isinstance(batch, tuple) else batch)[2]  # blocks: 8 x 8 matrices
         # fmax skips a NaN pair, as any() of the pairs' flags does
         margins["dme"], margins["dme_family"] = pairs[:, 0], np.fmax.reduce(pairs, axis=1)
     if "witness" in needed:
@@ -337,11 +341,10 @@ def ghz_witness(state, optimize_local_unitaries: bool = False, restarts: int = 2
     """
     if restarts < 0:
         raise ValueError(f"restarts must be at least 0, got {restarts}")
-    batch = _as_batch(state)
-    num_qubits = batch.shape[1].bit_length() - 1
+    batch = _as_batch(state, blocks=not optimize_local_unitaries)  # the seesaw reads the matrix
     if not optimize_local_unitaries:
-        return 0.5 - float(_ghz_fidelity(batch, num_qubits)[0])
-    return float(_optimized_witness(batch, num_qubits, [seed], restarts)[0])
+        return 0.5 - float(_ghz_fidelity(batch, state.num_qubits)[0])
+    return float(_optimized_witness(batch, state.num_qubits, [seed], restarts)[0])
 
 
 def white_noise_factor(p: float, num_qubits: int) -> float:

@@ -23,11 +23,11 @@ from .core import (
     _check_psd,
     _generator_matrix,
     _hermitian_part,
-    _pauli_power,
     _popcounts,
     _real_if_real,
     _state_matrix,
     _x_blocks,
+    _x_matrix,
 )
 
 __all__ = [
@@ -213,49 +213,59 @@ def _pair_weight(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide((a - b) ** 2, a + b, out=np.zeros(np.broadcast(a, b).shape), where=a + b > 0)
 
 
-def _spin_gammas(batch: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Spin-QFI matrices of a (B, d) pure or (B, d, d) mixed stack, (B, 3, 3).
+def _spin_gammas(batch, num_qubits: int) -> np.ndarray:
+    """Spin-QFI matrices, (B, 3, 3), of a (B, d) pure or (B, d, d) mixed stack,
+    by ``_qfi_batch``, or by ``_block_gammas`` of the (B, d/2) blocks (p, q, c)
+    of a real X-form one, given or found by ``core._x_blocks`` from N = 3."""
+    if not isinstance(batch, tuple) and batch.ndim == 3:
+        batch = _real_if_real(batch)  # evaluate's stacks are not validated
+        batch = (_x_blocks(batch) if num_qubits >= 3 else None) or batch
+    if isinstance(batch, tuple):
+        return _block_gammas(*batch, num_qubits)
+    return _qfi_batch(batch, lambda v: _apply_spins(v, num_qubits, axis=-2), 3)
 
-    A real X-form stack of N >= 3 qubits is read from its (B, d/2) blocks
-    (``core._x_blocks``) in O(B N d), others go to ``_qfi_batch``. Block j has
-    eigenvalues lam_-+ (cut as in ``_qfi_batch``), eigenvectors rotated by
-    theta_j = atan2(2c, p-q) / 2, and J_z = m_j sigma_z, m_j = N/2 - popcount j.
-    Flipping qubit l >= 1 maps block j onto j xor 2^(N-1-l), and qubit 0 onto
-    j xor (d/2 - 1) in swapped order (s_l = -1, else 1); from N = 3 no two
-    flips join the same blocks. With w(a, b) = (a - b)^2 / (a + b), L (U) the
-    sum of w over like (unlike) eigenvalue pairs of j and its partner j', and
-    C, S = cos, sin 2theta: Gamma_xx,yy = 1/4 sum_(l, j) [L + U + (L - U)
-    (s_l C_j C_j' +- S_j S_j')], Gamma_zz = 4 sum_j m_j^2 S_j^2 w(lam_+, lam_-),
-    and the rest is exactly 0 (real J_x and imaginary J_y elements).
+
+def _block_gammas(p: np.ndarray, q: np.ndarray, c: np.ndarray, num_qubits: int) -> np.ndarray:
+    """Spin-QFI matrices, (B, 3, 3), of the real X-form states of N >= 3
+    qubits with the (B, d/2) blocks [[p, c], [c, q]], in O(B N d).
+
+    Block j has eigenvalues lam_-+ (cut as in ``_qfi_batch``), eigenvectors
+    rotated by theta_j = atan2(2c, p-q) / 2, and J_z = m_j sigma_z,
+    m_j = N/2 - popcount j. Flipping qubit l >= 1 maps block j onto
+    j xor 2^(N-1-l), and qubit 0 onto j xor (d/2 - 1) in swapped order
+    (s_l = -1, else 1); from N = 3 no two flips join the same blocks. With
+    w(a, b) = (a - b)^2 / (a + b), L (U) the sum of w over like (unlike)
+    eigenvalue pairs of j and its partner j', and C, S = cos, sin 2theta:
+    Gamma_xx,yy = 1/4 sum_(l, j) [L + U + (L - U) (s_l C_j C_j' +- S_j S_j')],
+    Gamma_zz = 4 sum_j m_j^2 S_j^2 w(lam_+, lam_-), and the rest is exactly 0
+    (real J_x and imaginary J_y elements). The (B, N, d/2) summands are
+    filled one flipped qubit at a time, so the working set is three of them.
     """
-    batch = _real_if_real(batch) if batch.ndim == 3 else batch  # evaluate's stacks are not validated
-    blocks = _x_blocks(batch) if batch.ndim == 3 and num_qubits >= 3 else None
-    if blocks is None:
-        return _qfi_batch(batch, lambda v: _apply_spins(v, num_qubits, axis=-2), 3)
-    p, q, c = blocks
     h = p.shape[-1]
     lam = np.stack(_block_eigvals(p, q, c))  # (2, B, d/2): lower, upper
     lam[lam <= ZERO_CUT * lam.sum(axis=(0, 2), keepdims=True)] = 0.0
     two_theta = np.arctan2(2 * c, p - q)
     cos, sin = np.cos(two_theta), np.sin(two_theta)
-    masks = np.array([h - 1] + [1 << (num_qubits - 1 - l) for l in range(1, num_qubits)])
-    partner = np.arange(h) ^ masks[:, None]  # (N, d/2): block j' of each (l, j)
-    w = _pair_weight(lam[:, None, :, partner], lam[None, :, :, None])  # (2, 2, B, N, d/2)
-    like, unlike = w[0, 0] + w[1, 1], w[0, 1] + w[1, 0]
-    u = np.where(masks == h - 1, -1.0, 1.0)[:, None] * cos[:, partner] * cos[:, None]  # s_l C_j C_j', l = 0 alone swaps
-    v = sin[:, partner] * sin[:, None]
-    both, diff = (like + unlike).sum(axis=(1, 2)), like - unlike
+    both, xx, yy = np.empty((3, len(p), num_qubits, h))
+    for l in range(num_qubits):
+        partner = np.arange(h) ^ (h - 1 if l == 0 else 1 << (num_qubits - 1 - l))  # block j' of each j
+        like = _pair_weight(lam[0][:, partner], lam[0]) + _pair_weight(lam[1][:, partner], lam[1])
+        unlike = _pair_weight(lam[0][:, partner], lam[1]) + _pair_weight(lam[1][:, partner], lam[0])
+        both[:, l], diff = like + unlike, like - unlike
+        u, v = (-1.0 if l == 0 else 1.0) * cos[:, partner] * cos, sin[:, partner] * sin  # l = 0 alone swaps
+        xx[:, l], yy[:, l] = diff * (u + v), diff * (u - v)
+    both = both.sum(axis=(1, 2))
     m = (num_qubits - 2 * _popcounts(h)) / 2
     gamma = np.zeros((len(p), 3, 3))
-    gamma[:, 0, 0] = (both + (diff * (u + v)).sum(axis=(1, 2))) / 4
-    gamma[:, 1, 1] = (both + (diff * (u - v)).sum(axis=(1, 2))) / 4
+    gamma[:, 0, 0] = (both + xx.sum(axis=(1, 2))) / 4
+    gamma[:, 1, 1] = (both + yy.sum(axis=(1, 2))) / 4
     gamma[:, 2, 2] = 4 * np.sum(m**2 * sin**2 * _pair_weight(lam[1], lam[0]), axis=-1)
     return gamma
 
 
 def qfi_matrix(state) -> SpinQfiMatrix:
-    """3x3 collective-spin QFI matrix of a pure or mixed state."""
-    return SpinQfiMatrix(_spin_gammas(_as_batch(state), state.num_qubits)[0], state.num_qubits)
+    """3x3 collective-spin QFI matrix of a pure or mixed state (from its blocks if it has them)."""
+    return SpinQfiMatrix(_spin_gammas(_as_batch(state, blocks=True), state.num_qubits)[0], state.num_qubits)
 
 
 def qfi_max(state) -> tuple[float, np.ndarray]:
@@ -302,7 +312,7 @@ class Povm:
             if not square or np.shape(e) != shape:
                 raise InvariantError("POVM elements must share one square shape")
             h = _hermitian_part(e, "POVM element")  # a new array: frozen with no copy
-            _check_psd(h, "POVM element is not positive semidefinite")
+            _check_psd(h, "POVM element is not positive semidefinite", _x_blocks(h))
             h.setflags(write=False)
             elems.append(h)
         if not np.max(np.abs(sum(elems) - np.eye(shape[0]))) <= 1e-9:
@@ -318,10 +328,17 @@ class Povm:
 
 
 def parity_povm(num_qubits: int, axis: str = "x") -> Povm:
-    """Two-outcome parity measurement (I +- sigma_axis^tensor(N)) / 2."""
+    """Two-outcome parity measurement (I +- sigma_axis^tensor(N)) / 2. The
+    tensor power is X-form (``core._x_matrix``): Z^N is (-1)^popcount(i) on
+    the diagonal, X^N maps |i> to |i xor (d - 1)>, and Y^N = i^N X^N Z^N."""
     if axis not in PAULIS:
         raise ValueError(f"axis must be x, y, or z, got {axis!r}")
-    op = _pauli_power(num_qubits, axis)
+    z = (1 - 2 * (_popcounts(2**num_qubits) & 1)).astype(complex)
+    lo, zero = z[: z.size // 2], np.zeros(z.size // 2, dtype=complex)
+    if axis == "z":
+        op = _x_matrix(lo, z[::-1][: z.size // 2], zero)
+    else:
+        op = _x_matrix(zero, zero, (1, 1j, -1, -1j)[num_qubits % 4] * lo if axis == "y" else zero + 1)
     eye = np.eye(2**num_qubits)
     return Povm(((eye + op) / 2, (eye - op) / 2))
 

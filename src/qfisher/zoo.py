@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DensityMatrix, InvariantError, PureState, load_state
-from .core import _check_num_qubits, _pauli_power, _raise_first
+from .core import _check_num_qubits, _popcounts, _raise_first, _x_matrix
 
 __all__ = [
     "ghz",
@@ -140,22 +140,20 @@ def _check_x_form(lam: np.ndarray, mus: np.ndarray) -> None:
 
 
 def _x_form_matrices(lam: np.ndarray, mus: np.ndarray) -> np.ndarray:
-    """(..., 8, 8) X-form matrices from (..., 8) weights and (..., 4)
+    """(..., 8, 8) complex X-form matrices from (..., 8) weights and (..., 4)
     coherences, divided by the sum of the weights."""
-    mats = np.zeros(lam.shape[:-1] + (8, 8), dtype=complex)
-    j = np.arange(8)
-    mats[..., j, j] = lam
-    mats[..., j[:4], j[:3:-1]] = mus
-    mats[..., j[:3:-1], j[:4]] = mus
-    return mats / _x_form_sum(lam)[..., None, None]
+    return _x_matrix(lam[..., :4], lam[..., :3:-1], mus.astype(complex)) / _x_form_sum(lam)[..., None, None]
 
 
 def ghz_diagonal(lambdas, mus=None) -> DensityMatrix:
-    """Normalized 3-qubit density matrix from X-form weights."""
+    """Normalized 3-qubit density matrix from X-form weights, held as its blocks."""
     params = lambdas if isinstance(lambdas, GhzDiagonalParams) else GhzDiagonalParams(
         tuple(lambdas), tuple(mus) if mus is not None else (0.0, 0.0, 0.0, 0.0)
     )
-    return DensityMatrix(3, _x_form_matrices(np.array(params.lambdas), np.array(params.mus)))
+    lam, mus = np.array(params.lambdas), np.array(params.mus)
+    # divided in complex arithmetic, as _x_form_matrices divides the sampled stacks
+    blocks = np.concatenate((lam[:4], lam[:3:-1], mus)) / complex(_x_form_sum(lam))
+    return DensityMatrix._of_blocks(3, *blocks.real.reshape(3, 4))
 
 
 def _bound_entangled_weights(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,40 +177,34 @@ def bound_entangled_ghz_diagonal(l2: float, l3: float, l4: float) -> DensityMatr
 
 
 def duer_state(num_qubits: int, phi: float = 0.0) -> DensityMatrix:
-    """Bound entangled mixture of a GHZ projector and single-flip projectors."""
+    """Bound entangled mixture of a GHZ projector and single-flip projectors;
+    held as its blocks at phi = 0: the GHZ pair and the N single-flip pairs."""
     if num_qubits < 3:
         raise ValueError("this family needs at least 3 qubits")
     n = num_qubits
-    d = _check_num_qubits(n)
-    # real at phi = 0, so it is built and checked as a float matrix
-    mat = np.zeros((d, d), dtype=complex if phi else float)
-    mat[0, 0] = mat[d - 1, d - 1] = 0.5
-    mat[0, d - 1] = 0.5 * np.exp(-1j * phi) if phi else 0.5
-    mat[d - 1, 0] = 0.5 * np.exp(1j * phi) if phi else 0.5
-    for l in range(n):
-        single = 1 << (n - 1 - l)
-        mat[single, single] += 0.5
-        flipped = (d - 1) ^ single
-        mat[flipped, flipped] += 0.5
-    mat /= n + 1  # in place, so no unscaled copy is held while it is validated
-    return DensityMatrix(n, mat)
+    h = _check_num_qubits(n) // 2
+    p = np.zeros(h)
+    p[[0, h - 1] + [1 << k for k in range(n - 1)]] = 0.5
+    c = np.zeros(h, dtype=complex if phi else float)
+    c[0] = 0.5 * np.exp(1j * phi) if phi else 0.5
+    p, c = p / (n + 1), c / (n + 1)
+    return DensityMatrix(n, _x_matrix(p, p, c)) if phi else DensityMatrix._of_blocks(n, p, p, c)
 
 
 def smolin_state(pairs: int) -> DensityMatrix:
-    """Generalized Smolin state on N = 2 * pairs qubits.
+    """Generalized Smolin state on N = 2 * pairs qubits, held as its blocks.
 
-    rho = (I + (-1)^pairs * (X^N + Y^N + Z^N)) / 2^N with X^N etc. the
-    N-fold Pauli tensor powers.
+    rho = (I + s (X^N + Y^N + Z^N)) / 2^N, s = (-1)^pairs, with X^N etc. the
+    N-fold Pauli tensor powers. As Y^N = s X^N Z^N, and z_j = (-1)^popcount j
+    is the same on j and d-1-j, block j is [[1 + s z_j, s + z_j], [s + z_j, 1 + s z_j]] / 2^N.
     """
     if pairs < 2:
         raise ValueError("need at least 2 pairs of qubits")
     n = 2 * pairs
     d = _check_num_qubits(n)
-    mat = np.eye(d, dtype=complex)
     sign = (-1) ** pairs
-    for ax in "xyz":
-        mat += sign * _pauli_power(n, ax)
-    return DensityMatrix(n, mat / d)
+    z = 1 - 2 * (_popcounts(d // 2) & 1)
+    return DensityMatrix._of_blocks(n, (1 + sign * z) / d, (1 + sign * z) / d, (sign + z) / d)
 
 
 def ghz_basis_state(bits, phi: float = 0.0) -> PureState:
