@@ -282,7 +282,8 @@ class DensityMatrix:
     def _of_blocks(cls, num_qubits: int, p, q, c) -> "DensityMatrix":
         """The real X-form state of N >= 3 qubits with the float (d/2,) blocks (p, q, c),
         checked in O(d) with the dense check's messages; ``matrix`` is built on first read."""
-        blocks, tr = np.stack((p, q, c)), np.concatenate((p, q[::-1])).sum()  # added as np.trace adds
+        blocks = np.stack((p, q, c))
+        tr = np.concatenate((p, q[::-1])).sum()  # the diagonal, added as np.trace adds it
         _raise_first(~np.isfinite(blocks).all(), "density matrix has a non-finite entry")
         _raise_first(~(np.abs(tr - 1.0) <= TRACE_TOL), "trace is {!r}, expected 1", tr)
         _check_psd(None, f"smallest eigenvalue {{!r}} below -{PSD_TOL}", blocks)
@@ -345,7 +346,9 @@ def _as_batch(state, blocks: bool = False):
     if isinstance(state, PureState):
         return state.amplitudes[None]
     if isinstance(state, DensityMatrix):
-        return tuple(b[None] for b in state._blocks) if blocks and state._blocks is not None else state.matrix[None]
+        if blocks and state._blocks is not None:
+            return tuple(b[None] for b in state._blocks)
+        return state.matrix[None]
     raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
 
 
@@ -464,9 +467,9 @@ def mix_with_identity(state, p: float) -> DensityMatrix:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {p}")
     blocks = state._blocks if isinstance(state, DensityMatrix) else None
-    x = None if blocks else _real_if_real(_as_batch(state)[0])  # raises TypeError for anything but a state
+    x = _real_if_real(_as_batch(state)[0]) if blocks is None else None  # raises TypeError for anything but a state
     if isinstance(state, PureState) and state.num_qubits >= 3 and x.dtype == float:
-        lo, hi = x[: x.size // 2], x[::-1][: x.size // 2]  # as np.outer multiplies the entries:
+        lo, hi = x[: x.size // 2], x[::-1][: x.size // 2]  # x_j and x_(d-1-j), multiplied as np.outer does
         blocks = (lo * lo, hi * hi, hi * lo) if np.count_nonzero((lo != 0) | (hi != 0)) == 1 else None
     noise = (1.0 - p) / state.dim
     if blocks is not None:

@@ -214,9 +214,8 @@ def _pair_weight(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _spin_gammas(batch, num_qubits: int) -> np.ndarray:
-    """Spin-QFI matrices, (B, 3, 3), of a (B, d) pure or (B, d, d) mixed stack,
-    by ``_qfi_batch``, or by ``_block_gammas`` of the (B, d/2) blocks (p, q, c)
-    of a real X-form one, given or found by ``core._x_blocks`` from N = 3."""
+    """Spin-QFI matrices, (B, 3, 3), of a (B, d) pure or (B, d, d) mixed stack (``_qfi_batch``), or of
+    the (B, d/2) blocks of a real X-form one, given or found by ``core._x_blocks`` (``_block_gammas``)."""
     if not isinstance(batch, tuple) and batch.ndim == 3:
         batch = _real_if_real(batch)  # evaluate's stacks are not validated
         batch = (_x_blocks(batch) if num_qubits >= 3 else None) or batch
@@ -252,7 +251,8 @@ def _block_gammas(p: np.ndarray, q: np.ndarray, c: np.ndarray, num_qubits: int) 
         like = _pair_weight(lam[0][:, partner], lam[0]) + _pair_weight(lam[1][:, partner], lam[1])
         unlike = _pair_weight(lam[0][:, partner], lam[1]) + _pair_weight(lam[1][:, partner], lam[0])
         both[:, l], diff = like + unlike, like - unlike
-        u, v = (-1.0 if l == 0 else 1.0) * cos[:, partner] * cos, sin[:, partner] * sin  # l = 0 alone swaps
+        u = (-1.0 if l == 0 else 1.0) * cos[:, partner] * cos  # s_l C_j C_j', l = 0 alone swaps
+        v = sin[:, partner] * sin
         xx[:, l], yy[:, l] = diff * (u + v), diff * (u - v)
     both = both.sum(axis=(1, 2))
     m = (num_qubits - 2 * _popcounts(h)) / 2

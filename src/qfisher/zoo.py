@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DensityMatrix, InvariantError, PureState, load_state
-from .core import _check_num_qubits, _popcounts, _raise_first, _x_matrix
+from .core import _check_num_qubits, _popcounts, _raise_first, _x_blocks, _x_matrix
 
 __all__ = [
     "ghz",
@@ -150,10 +150,8 @@ def ghz_diagonal(lambdas, mus=None) -> DensityMatrix:
     params = lambdas if isinstance(lambdas, GhzDiagonalParams) else GhzDiagonalParams(
         tuple(lambdas), tuple(mus) if mus is not None else (0.0, 0.0, 0.0, 0.0)
     )
-    lam, mus = np.array(params.lambdas), np.array(params.mus)
-    # divided in complex arithmetic, as _x_form_matrices divides the sampled stacks
-    blocks = np.concatenate((lam[:4], lam[:3:-1], mus)) / complex(_x_form_sum(lam))
-    return DensityMatrix._of_blocks(3, *blocks.real.reshape(3, 4))
+    mats = _x_form_matrices(np.array(params.lambdas), np.array(params.mus)).real  # as the samplers build them
+    return DensityMatrix._of_blocks(3, *_x_blocks(mats))
 
 
 def _bound_entangled_weights(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -174,6 +174,36 @@ class TestBlockStates:
             assert_same_bits(got, want)
 
 
+def vectorised_block_gammas(p, q, c, n):
+    """The block kernel as one (2, 2, B, N, d/2) pair-weight table, summed at
+    once: the reference that ``fisher._block_gammas``, which fills the same
+    summands one flipped qubit at a time, must equal bit for bit."""
+    h = p.shape[-1]
+    lam = np.stack(qf.core._block_eigvals(p, q, c))
+    lam[lam <= fisher.ZERO_CUT * lam.sum(axis=(0, 2), keepdims=True)] = 0.0
+    two_theta = np.arctan2(2 * c, p - q)
+    cos, sin = np.cos(two_theta), np.sin(two_theta)
+    masks = np.array([h - 1] + [1 << (n - 1 - l) for l in range(1, n)])
+    partner = np.arange(h) ^ masks[:, None]
+    w = fisher._pair_weight(lam[:, None, :, partner], lam[None, :, :, None])
+    like, unlike = w[0, 0] + w[1, 1], w[0, 1] + w[1, 0]
+    u = np.where(masks == h - 1, -1.0, 1.0)[:, None] * cos[:, partner] * cos[:, None]
+    v = sin[:, partner] * sin[:, None]
+    both, diff = (like + unlike).sum(axis=(1, 2)), like - unlike
+    m = (n - 2 * np.array([bin(j).count("1") for j in range(h)])) / 2
+    gamma = np.zeros((len(p), 3, 3))
+    gamma[:, 0, 0] = (both + (diff * (u + v)).sum(axis=(1, 2))) / 4
+    gamma[:, 1, 1] = (both + (diff * (u - v)).sum(axis=(1, 2))) / 4
+    gamma[:, 2, 2] = 4 * np.sum(m**2 * sin**2 * fisher._pair_weight(lam[1], lam[0]), axis=-1)
+    return gamma
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_kernel_matches_the_vectorised_sum(n):
+    stack = [np.stack(parts) for parts in zip(*seeded_blocks(300 + n, n, 6))]
+    assert_same_bits(fisher._block_gammas(*stack, n), vectorised_block_gammas(*stack, n))
+
+
 class TestBlockValidation:
     """A block state is checked as the dense check checks its matrix."""
 
