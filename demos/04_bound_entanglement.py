@@ -13,7 +13,7 @@ from qfisher.campaigns import run_bound_entangled_scan
 np.set_printoptions(precision=4, suppress=True)
 
 print("single-flip mixture family")
-for n in (4, 5, 6, 8, 10):
+for n in (4, 5, 6, 8, 10, 12):  # each state is d/2 blocks, so N = 12 takes milliseconds
     gamma = qf.qfi_matrix(qf.duer_state(n))  # one kernel run gives both summaries
     value, _ = gamma.max_direction()
     avg = gamma.average()
