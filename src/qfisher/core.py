@@ -7,10 +7,10 @@ Conventions used throughout the package:
   ``sum(b_l * 2**(N-1-l))``;
 * ``sigma_z |0> = +|0>``.
 
-States and explicitly requested operators are stored dense, but the Duer,
-Smolin and ``ghzdiag:`` states and white-noise mixtures of GHZ states, real
-X-form (nonzero only at (j, j) and (j, d-1-j)), are built as their d/2
-blocks [[p, c], [c, q]] and build ``matrix`` on first read. The qubit count
+States and explicitly requested operators are stored dense, but the
+``duer:``, ``smolin:`` and ``ghzdiag:`` states and white-noise mixtures of
+GHZ states, real X-form (nonzero only at (j, j) and (j, d-1-j)), are built
+as their d/2 blocks [[p, c], [c, q]] and build ``matrix`` on first read. The qubit count
 is capped (default 12) because the eigendecompositions that dominate the
 cost scale as ``8**N``. Amplitudes are complex128; a density matrix, an
 operator or a POVM effect is float64 exactly when its input has no imaginary
@@ -218,12 +218,12 @@ def _check_density_stack(mats: np.ndarray) -> np.ndarray:
 def _check_psd(herm, message: str, blocks) -> None:
     """Raise ``InvariantError`` with ``message`` (formatted with the smallest
     eigenvalue) unless every matrix of a Hermitian (..., d, d) stack is PSD
-    within ``PSD_TOL``. A real X-form stack, whose ``_x_blocks`` are given,
-    is decided by their closed-form eigenvalues, with no LAPACK call. Any
-    other stack passes when the Cholesky factorisation of herm + PSD_TOL * I
-    succeeds, or where it fails, when one batched ``eigvalsh`` finds no
-    eigenvalue below -PSD_TOL. The diagonal is shifted in place and restored
-    exactly, so ``herm`` must be writable and no copy is made."""
+    within ``PSD_TOL``. A real X-form stack is decided by the closed-form
+    eigenvalues of its given ``_x_blocks`` (``herm`` may then be None), with
+    no LAPACK call. Any other stack passes when the Cholesky factorisation of
+    herm + PSD_TOL * I succeeds, or where it fails, when one batched
+    ``eigvalsh`` finds no eigenvalue below -PSD_TOL. The diagonal is shifted
+    in place and restored exactly, so ``herm`` must be writable and no copy is made."""
     if blocks is None:
         diag = np.arange(herm.shape[-1])
         saved = herm[..., diag, diag]
