@@ -14,11 +14,13 @@ np.set_printoptions(precision=4, suppress=True)
 
 print("single-flip mixture family")
 for n in (4, 5, 6, 8, 10, 12):  # each state is d/2 blocks, so N = 12 takes milliseconds
-    gamma = qf.qfi_matrix(qf.duer_state(n))  # one kernel run gives both summaries
+    rho = qf.duer_state(n)
+    gamma = qf.qfi_matrix(rho)  # one kernel run gives both summaries
     value, _ = gamma.max_direction()
     avg = gamma.average()
+    ppt = all(qf.is_ppt(rho, [q]) for q in range(n))  # partial transposes permute the blocks
     print(f"  N={n}: QFI max {value:7.4f} (< N = {n})   "
-          f"avg {avg:7.4f} (> 2N/3 = {2*n/3:.4f})")
+          f"avg {avg:7.4f} (> 2N/3 = {2*n/3:.4f})   PPT on every single-qubit cut: {ppt}")
 print("  -> useless along every fixed direction, useful on direction average")
 print("  N=3 is the exception: avg =", round(qf.qfi_avg(qf.duer_state(3)), 4),
       "stays below", round(2.0, 4))

@@ -23,7 +23,7 @@ from .core import (
     InvariantError,
     PureState,
     _as_batch,
-    _check_density_stack,
+    _check_block_stack,
     _check_num_qubits,
     _check_pure_stack,
     collective_spin,
@@ -265,8 +265,8 @@ def _map_chunks(chunk_fn, samples: int, workers: int) -> np.ndarray:
     # a fork pool starts every worker on the first submit, so never ask for
     # more than there are chunks or CPUs
     workers = min(workers, len(ranges), os.cpu_count() or 1)
-    # every chunk function works on three-qubit (8 x 8) matrices, in this
-    # process and in each worker
+    # every chunk function works on three-qubit states, with no matrix above
+    # 9 x 9, in this process and in each worker
     with _blas_threads(1):
         if workers <= 1:
             parts = [chunk_fn(a, b) for a, b in ranges]
@@ -350,8 +350,9 @@ TABLE3_CRITERIA = ("witness", "fq_3", "fq_avg_3")
 
 
 def _table3_chunk(start: int, stop: int, seed: int, mode: str) -> np.ndarray:
-    rhos = _check_density_stack(zoo._random_ghz_diagonal_batch(_streams(seed, start, stop), mode))
-    return _counts(evaluate(rhos, 3, TABLE3_CRITERIA), TABLE3_CRITERIA)
+    blocks = zoo._random_ghz_diagonal_batch(_streams(seed, start, stop), mode)
+    _check_block_stack(*blocks)
+    return _counts(evaluate(blocks, 3, TABLE3_CRITERIA), TABLE3_CRITERIA)
 
 
 def run_table3(
@@ -375,9 +376,9 @@ SCAN_FIELDS = ("ppt_all_cuts", "fq_2", "fq_avg_2")
 
 
 def _scan_chunk(start: int, stop: int, seed: int) -> np.ndarray:
-    streams = _streams(seed, start, stop)
-    rhos = _check_density_stack(zoo._random_ghz_diagonal_batch(streams, "bound_entangled"))
-    return _counts(evaluate(rhos, 3, SCAN_FIELDS), SCAN_FIELDS)
+    blocks = zoo._random_ghz_diagonal_batch(_streams(seed, start, stop), "bound_entangled")
+    _check_block_stack(*blocks)
+    return _counts(evaluate(blocks, 3, SCAN_FIELDS), SCAN_FIELDS)
 
 
 def run_bound_entangled_scan(samples: int = 10_000, seed: int = 0, workers: int = 1) -> list[DetectionRate]:

@@ -201,18 +201,29 @@ def _hermitian_part(mats: np.ndarray, noun: str) -> np.ndarray:
     return herm
 
 
-def _check_density_stack(mats: np.ndarray) -> np.ndarray:
-    """Hermitian part (``_hermitian_part``) of a (..., d, d) stack after
-    checking that every matrix has unit trace and is positive semidefinite
-    (``_check_psd``, in real arithmetic where the part is real); besides its
-    result, the check holds at most one d x d temporary and, for a stack that
-    is not X-form, the two buffers of the factorisation.
+def _check_density_stack(mats: np.ndarray) -> tuple[np.ndarray, tuple | None]:
+    """Hermitian part (``_hermitian_part``) of a (..., d, d) stack and its
+    ``_x_blocks``, after checking that every matrix has unit trace and is
+    positive semidefinite (``_check_psd``, in real arithmetic where the part
+    is real); besides its result, the check holds at most one d x d temporary
+    and, for a stack that is not X-form, the two buffers of the factorisation.
     """
     herm = _hermitian_part(mats, "density matrix")
     tr = np.real(np.trace(herm, axis1=-2, axis2=-1))
     _raise_first(~(np.abs(tr - 1.0) <= TRACE_TOL), "trace is {!r}, expected 1", tr)
-    _check_psd(herm, f"smallest eigenvalue {{!r}} below -{PSD_TOL}", _x_blocks(herm))
-    return herm
+    blocks = _x_blocks(herm)
+    _check_psd(herm, f"smallest eigenvalue {{!r}} below -{PSD_TOL}", blocks)
+    return herm, blocks
+
+
+def _check_block_stack(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> None:
+    """Check the (..., d/2) blocks (p, q, c) of real X-form matrices in O(d) as
+    ``_check_density_stack`` checks the matrices, and with its messages."""
+    finite = np.isfinite(p) & np.isfinite(q) & np.isfinite(c)
+    _raise_first(~finite.all(axis=-1), "density matrix has a non-finite entry")
+    tr = np.concatenate((p, q[..., ::-1]), axis=-1).sum(axis=-1)  # the diagonal, added as np.trace adds it
+    _raise_first(~(np.abs(tr - 1.0) <= TRACE_TOL), "trace is {!r}, expected 1", tr)
+    _check_psd(None, f"smallest eigenvalue {{!r}} below -{PSD_TOL}", (p, q, c))
 
 
 def _check_psd(herm, message: str, blocks) -> None:
@@ -274,19 +285,16 @@ class DensityMatrix:
         mat = np.asarray(self.matrix)
         if mat.shape != (d, d):
             raise InvariantError(f"matrix has shape {mat.shape}, expected {(d, d)}")
-        herm = _check_density_stack(mat)  # a new array, so freezing it needs no copy
-        herm.setflags(write=False)
-        self.__dict__.update(matrix=herm, _blocks=_x_blocks(herm) if self.num_qubits >= 3 else None)
+        herm, blocks = _check_density_stack(mat)  # a new array, so freezing it needs no copy
+        herm.setflags(write=False)  # the blocks are read-only views of it
+        self.__dict__.update(matrix=herm, _blocks=blocks if self.num_qubits >= 3 else None)
 
     @classmethod
     def _of_blocks(cls, num_qubits: int, p, q, c) -> "DensityMatrix":
         """The real X-form state of N >= 3 qubits with the float (d/2,) blocks (p, q, c),
-        checked in O(d) with the dense check's messages; ``matrix`` is built on first read."""
+        checked by ``_check_block_stack``; ``matrix`` is built on first read."""
         blocks = np.stack((p, q, c))
-        tr = np.concatenate((p, q[::-1])).sum()  # the diagonal, added as np.trace adds it
-        _raise_first(~np.isfinite(blocks).all(), "density matrix has a non-finite entry")
-        _raise_first(~(np.abs(tr - 1.0) <= TRACE_TOL), "trace is {!r}, expected 1", tr)
-        _check_psd(None, f"smallest eigenvalue {{!r}} below -{PSD_TOL}", blocks)
+        _check_block_stack(*blocks)
         blocks.setflags(write=False)
         state = object.__new__(cls)
         state.__dict__.update(num_qubits=num_qubits, _blocks=tuple(blocks))
@@ -451,13 +459,27 @@ def partial_transpose(rho, subset) -> np.ndarray:
     return t.transpose(axes).reshape(mat.shape)
 
 
+def _block_partial_transpose(p, q, c, subset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (..., d/2) blocks of the partial transpose over the subset of real
+    X-form matrices with blocks (p, q, c): for the qubit mask M, the diagonal
+    stays and block b takes the coherence of block min(b ^ M, (d-1) ^ b ^ M)."""
+    n = p.shape[-1].bit_length()  # d/2 = 2**(N-1)
+    mask = sum(1 << (n - 1 - k) for k in _qubit_subset(subset, n))
+    b = np.arange(p.shape[-1])
+    return p, q, c[..., np.minimum(b ^ mask, (2 * b.size - 1) ^ b ^ mask)]
+
+
 def is_ppt(rho, subset, tol: float = 1e-9) -> bool | np.ndarray:
     """True iff the partial transpose over the subset has no eigenvalue below
-    -tol; a (..., d, d) stack gives a bool array of its leading shape. The
-    partial transpose of an X-form matrix is X-form, so a real X-form stack
-    is decided by its blocks' closed-form eigenvalues (``_x_blocks``)."""
-    pt = _real_if_real(partial_transpose(rho, subset))
-    ppt = _smallest_eigvals(pt, _x_blocks(pt)) >= -tol
+    -tol; a (..., d, d) stack, or the (..., d/2) blocks (p, q, c) of a real
+    X-form one, gives a bool array of its leading shape. A state that carries
+    blocks is transposed as blocks (``_block_partial_transpose``), a real
+    X-form stack read through its transpose's ``_x_blocks``; both are decided
+    by the blocks' closed-form eigenvalues."""
+    blocks = rho._blocks if isinstance(rho, DensityMatrix) else rho if isinstance(rho, tuple) else None
+    pt = None if blocks is not None else _real_if_real(partial_transpose(rho, subset))
+    blocks = _x_blocks(pt) if blocks is None else _block_partial_transpose(*blocks, subset)
+    ppt = _smallest_eigvals(pt, blocks) >= -tol
     return bool(ppt) if ppt.ndim == 0 else ppt
 
 

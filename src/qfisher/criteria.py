@@ -118,17 +118,21 @@ def _margin(name: str, num_qubits: int, values: np.ndarray) -> np.ndarray:
     return values - (bound + STRICT_MARGIN)
 
 
-def _antidiagonal(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both sides of the four antidiagonal conditions of a 3-qubit stack and
-    their signed margins, each (B, 4); a margin above 0 is a violation.
+def _antidiagonal(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both sides of the four antidiagonal conditions of a 3-qubit stack, or
+    of the (B, 4) blocks (p, q, c) of a real X-form one, and their signed
+    margins, each (B, 4); a margin above 0 is a violation.
 
     For pair j (0-based), lhs = |rho[j, 7-j]| and rhs sums
     sqrt(rho[i, i] rho[7-i, 7-i]) over the other pairs i. For a pure stack
     both reduce to the products |psi_j| |psi_{7-j}|.
     """
-    if batch.shape[1:] not in ((8,), (8, 8)):
+    if isinstance(batch, tuple):
+        p, q, c = batch
+        lhs, terms = np.abs(c), np.sqrt(np.maximum(0.0, p) * np.maximum(0.0, q))
+    elif batch.shape[1:] not in ((8,), (8, 8)):
         raise ValueError("the antidiagonal test is defined for exactly 3 qubits")
-    if batch.ndim == 2:
+    elif batch.ndim == 2:
         mags = np.abs(batch)
         lhs = terms = mags[:, :4] * mags[:, 7:3:-1]
     else:
@@ -164,7 +168,6 @@ def _margins(batch, num_qubits: int, names) -> dict[str, np.ndarray]:
 
     ``ppt_all_cuts`` is a flag with no margin and raises ``ValueError``.
     """
-    batch = batch if isinstance(batch, tuple) else np.asarray(batch)  # blocks come from a valid state
     d = 2**num_qubits
     if not isinstance(batch, tuple) and (batch.ndim not in (2, 3) or batch.shape[1:] != (d,) * (batch.ndim - 1)):
         raise ValueError(f"expected a (B, {d}) or (B, {d}, {d}) stack, got shape {batch.shape}")
@@ -180,7 +183,7 @@ def _margins(batch, num_qubits: int, names) -> dict[str, np.ndarray]:
         if "fq_avg" in needed:
             values["fq_avg"] = np.trace(gammas, axis1=1, axis2=2) / 3.0
     if "dme" in needed:
-        pairs = _antidiagonal(_x_matrix(*batch) if isinstance(batch, tuple) else batch)[2]  # blocks: 8 x 8 matrices
+        pairs = _antidiagonal(batch)[2]
         # fmax skips a NaN pair, as any() of the pairs' flags does
         margins["dme"], margins["dme_family"] = pairs[:, 0], np.fmax.reduce(pairs, axis=1)
     if "witness" in needed:
@@ -193,8 +196,9 @@ def _margins(batch, num_qubits: int, names) -> dict[str, np.ndarray]:
 
 def evaluate(batch, num_qubits: int, names) -> dict[str, np.ndarray]:
     """Decide the named criteria for every member of a (B, d) stack of
-    amplitude vectors or a (B, d, d) stack of density matrices, assumed
-    valid; one (B,) bool array per name:
+    amplitude vectors, a (B, d, d) stack of density matrices or the (B, d/2)
+    blocks (p, q, c) of a real X-form one, assumed valid; one (B,) bool
+    array per name:
 
     - ``fq_k`` / ``fq_avg_k``: the largest eigenvalue / trace / 3 of the
       spin-QFI matrix Gamma exceeds ``qfi_bound`` / ``avg_qfi_bound`` of
@@ -210,11 +214,11 @@ def evaluate(batch, num_qubits: int, names) -> dict[str, np.ndarray]:
     raises ``ValueError``.
     """
     names = list(names)
-    batch = np.asarray(batch)
+    batch = batch if isinstance(batch, tuple) else np.asarray(batch)
     margins = _margins(batch, num_qubits, [name for name in names if name != "ppt_all_cuts"])
     flags = {name: margin > 0 for name, margin in margins.items()}
     if "ppt_all_cuts" in names:
-        rhos = batch[:, :, None] * batch[:, None, :].conj() if batch.ndim == 2 else batch
+        rhos = batch if isinstance(batch, tuple) or batch.ndim == 3 else batch[:, :, None] * batch[:, None, :].conj()
         flags["ppt_all_cuts"] = np.logical_and.reduce([is_ppt(rhos, [q]) for q in range(num_qubits)])
     return {name: flags[name] for name in names}
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DensityMatrix, InvariantError, PureState, load_state
-from .core import _check_num_qubits, _popcounts, _raise_first, _x_blocks, _x_matrix
+from .core import _check_num_qubits, _popcounts, _raise_first, _x_matrix
 
 __all__ = [
     "ghz",
@@ -113,12 +113,9 @@ class GhzDiagonalParams:
 
 
 def _x_form_sum(lam: np.ndarray) -> np.ndarray:
-    """Sum of (..., 8) weights added left to right, as ``sum`` adds a tuple
-    (``ndarray.sum`` adds pairwise and can differ in the last bit)."""
-    total = lam[..., 0].copy()
-    for j in range(1, 8):
-        total += lam[..., j]
-    return total
+    """Sum of (..., 8) weights added left to right (``ndarray.sum`` adds
+    pairwise and can differ in the last bit)."""
+    return sum(lam[..., j] for j in range(8))
 
 
 def _check_x_form(lam: np.ndarray, mus: np.ndarray) -> None:
@@ -139,10 +136,12 @@ def _check_x_form(lam: np.ndarray, mus: np.ndarray) -> None:
     )
 
 
-def _x_form_matrices(lam: np.ndarray, mus: np.ndarray) -> np.ndarray:
-    """(..., 8, 8) complex X-form matrices from (..., 8) weights and (..., 4)
-    coherences, divided by the sum of the weights."""
-    return _x_matrix(lam[..., :4], lam[..., :3:-1], mus.astype(complex)) / _x_form_sum(lam)[..., None, None]
+def _x_form_blocks(lam: np.ndarray, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The blocks (p, q, c), each (..., 4), of X-form states from (..., 8) weights
+    and (..., 4) coherences over the weights' sum s: each entry x is (x + 0) * (1 / s),
+    as NumPy divides a complex x by a real s, and the seeded campaigns pin those bits."""
+    scale = 1.0 / _x_form_sum(lam)[..., None]
+    return tuple((x + 0.0) * scale for x in (lam[..., :4], lam[..., :3:-1], mus))
 
 
 def ghz_diagonal(lambdas, mus=None) -> DensityMatrix:
@@ -150,8 +149,7 @@ def ghz_diagonal(lambdas, mus=None) -> DensityMatrix:
     params = lambdas if isinstance(lambdas, GhzDiagonalParams) else GhzDiagonalParams(
         tuple(lambdas), tuple(mus) if mus is not None else (0.0, 0.0, 0.0, 0.0)
     )
-    mats = _x_form_matrices(np.array(params.lambdas), np.array(params.mus)).real  # as the samplers build them
-    return DensityMatrix._of_blocks(3, *_x_blocks(mats))
+    return DensityMatrix._of_blocks(3, *_x_form_blocks(np.array(params.lambdas), np.array(params.mus)))
 
 
 def _bound_entangled_weights(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -316,10 +314,10 @@ def _ppt_family_draws(rngs) -> np.ndarray:
     return np.concatenate(kept)
 
 
-def _random_ghz_diagonal_batch(rngs, mode: str) -> np.ndarray:
-    """(B, 8, 8) X-form matrices with checked weights, matrix k drawn from the
-    k-th generator of the iterable ``rngs`` (modes as in ``random_ghz_diagonal``).
-    The stack is not validated as density matrices; its caller does that once."""
+def _random_ghz_diagonal_batch(rngs, mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The blocks (p, q, c), each (B, 4), of X-form states with checked weights,
+    state k drawn from the k-th generator of the iterable ``rngs`` (modes as in
+    ``random_ghz_diagonal``). The blocks are not validated; their caller does that once."""
     if mode in ("dme_violating", "full_family"):
         kept = _antidiagonal_violating(rngs, full=mode == "full_family")
         lam = np.concatenate((kept[:, :4], kept[:, 3::-1]), axis=1)
@@ -329,7 +327,7 @@ def _random_ghz_diagonal_batch(rngs, mode: str) -> np.ndarray:
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
     _check_x_form(lam, mus)
-    return _x_form_matrices(lam, mus)
+    return _x_form_blocks(lam, mus)
 
 
 def random_ghz_diagonal(rng: np.random.Generator, mode: str) -> DensityMatrix:
@@ -348,7 +346,7 @@ def random_ghz_diagonal(rng: np.random.Generator, mode: str) -> DensityMatrix:
 
     Each round of ``dme_violating`` and ``full_family`` draws 64 candidates.
     """
-    return DensityMatrix(3, _random_ghz_diagonal_batch([rng], mode)[0])
+    return DensityMatrix._of_blocks(3, *(b[0] for b in _random_ghz_diagonal_batch([rng], mode)))
 
 
 def _load_ghz_diagonal_file(path: str) -> DensityMatrix:

@@ -7,14 +7,16 @@ fidelity, the antidiagonal terms, the PSD decision and the messages of a
 broken block.
 """
 
+import operator
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
 
 import qfisher as qf
-from qfisher import criteria, fisher, zoo
-from qfisher.core import PSD_TOL, DensityMatrix, InvariantError, _as_batch, _check_density_stack, _x_blocks
+from qfisher import campaigns, core, criteria, fisher, zoo
+from qfisher.core import PSD_TOL, DensityMatrix, InvariantError, _as_batch, _check_density_stack, _x_blocks, _x_matrix
 
 # white-noise weights of the mixtures; from N = 11 a dense reference holds
 # 32 or 128 MB, so those sizes check one state of each kind
@@ -154,10 +156,10 @@ class TestBlockStates:
             lam = rng.random(8) * (rng.random(8) < 0.8)
             lam[0] += 0.1
             mus = rng.uniform(-1.0, 1.0, 4) * np.sqrt(lam[:4] * lam[:3:-1]) * (rng.random(4) < 0.8)
-            ref = np.zeros((8, 8), dtype=complex)  # built and divided in complex arithmetic, as the samplers do
+            ref = np.zeros((8, 8), dtype=complex)  # built and divided in complex arithmetic
             ref[np.arange(8), np.arange(8)] = lam
             ref[np.arange(4), np.arange(7, 3, -1)] = ref[np.arange(7, 3, -1), np.arange(4)] = mus
-            ref /= sum(lam.tolist())
+            ref /= reduce(operator.add, lam.tolist())  # left to right: from Python 3.12 sum() compensates
             assert_block_state_matches(qf.ghz_diagonal(lam, mus), ref.real)
 
     def test_other_states_stay_dense(self):
@@ -172,6 +174,17 @@ class TestBlockStates:
         loaded = qf.load_state(path)
         for got, want in zip(_as_batch(loaded, blocks=True), _as_batch(qf.duer_state(6), blocks=True)):
             assert_same_bits(got, want)
+
+    def test_dense_input_finds_its_blocks_once(self, monkeypatch):
+        # the blocks that the PSD test found are the ones the state keeps
+        calls, find = [], core._x_blocks
+        monkeypatch.setattr(core, "_x_blocks", lambda mats: calls.append(mats.shape) or find(mats))
+        state = DensityMatrix(6, duer_reference(6))
+        assert calls == [(64, 64)]
+        for got, want in zip(_as_batch(state, blocks=True), _as_batch(qf.duer_state(6), blocks=True)):
+            assert_same_bits(got, want)
+            assert not got.flags.writeable
+        assert DensityMatrix(2, np.diag([0.5, 0.0, 0.0, 0.5]))._blocks is None  # N = 2 keeps the general kernel
 
 
 def vectorised_block_gammas(p, q, c, n):
@@ -227,6 +240,30 @@ class TestBlockValidation:
             block, dense_message = self.messages(n, *broken)
             assert block == dense_message and expected in block
 
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_stack_messages_name_the_sample(self, n):
+        stack = [np.stack(parts) for parts in zip(*seeded_blocks(600 + n, n, 6))]
+        core._check_block_stack(*stack)
+        for k, (part, j, value), expected in [
+            (3, (0, 1, np.nan), "non-finite"),
+            (2, (2, 0, -np.inf), "non-finite"),
+            (4, (0, slice(None), None), "trace is"),
+            (5, (2, 0, None), "smallest eigenvalue"),
+        ]:
+            broken = [b.copy() for b in stack]
+            if expected == "trace is":
+                broken[0][k] *= 1.1
+            elif expected == "smallest eigenvalue":
+                broken[2][k, 0] = np.sqrt(broken[0][k, 0] * broken[1][k, 0]) + 1e-3
+            else:
+                broken[part][k, j] = value
+            with pytest.raises(InvariantError) as block_error:
+                core._check_block_stack(*broken)
+            with pytest.raises(InvariantError) as dense_error:
+                _check_density_stack(_x_matrix(*broken))
+            assert str(block_error.value) == str(dense_error.value)
+            assert str(block_error.value).startswith(f"sample {k}: ") and expected in str(block_error.value)
+
     @pytest.mark.parametrize("scale, accepted", [(0.9, True), (1.1, False)])
     def test_psd_decision_at_the_tolerance(self, scale, accepted):
         # block 0, [[a, c], [c, a]], has eigenvalues a - c = -scale * PSD_TOL and a + c = 1/2
@@ -261,3 +298,84 @@ def test_block_states_allocate_no_dense_matrix():
     assert peak < 2**20, f"peak {peak / 2**20:.2f} MB"
     assert abs(gamma[2, 2] - 144 / 13) <= 1e-12 and abs(witness - (0.5 - 1 / 13)) <= 1e-15
     assert isinstance(_as_batch(mixture, blocks=True), tuple)
+
+
+class TestBlockPartialTranspose:
+    """A partial transpose of blocks is the ``_x_blocks`` of the dense one, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_matches_dense_partial_transpose(self, n):
+        rng = np.random.default_rng(400 + n)
+        # member 0 has zero blocks and member 1 zero coherences
+        stack = tuple(np.stack(parts) for parts in zip(*seeded_blocks(400 + n, n, 5)))
+        mats = _x_matrix(*stack)
+        subsets = [[k] for k in range(n)]
+        subsets += [rng.choice(n, size=rng.integers(1, n), replace=False).tolist() for _ in range(10)]
+        seen = set()
+        for subset in subsets:
+            pt = qf.partial_transpose(mats, subset)  # complex, as every dense partial transpose
+            assert not pt.imag.any()
+            pt = pt.real
+            for got, want in zip(core._block_partial_transpose(*stack, subset), _x_blocks(pt)):
+                assert_same_bits(got, want)
+            ppt = qf.is_ppt(stack, subset)
+            assert np.array_equal(ppt, qf.is_ppt(mats, subset))
+            assert np.array_equal(ppt, np.linalg.eigvalsh(pt)[:, 0] >= -1e-9)
+            seen.update(ppt.tolist())
+        assert seen == {True, False}
+
+    def test_block_state_builds_no_matrix(self):
+        rho, ref = qf.duer_state(8), duer_reference(8)
+        for subset in ([0], [3], [7], [0, 1], [1, 4, 6], range(4)):
+            assert qf.is_ppt(rho, subset) is qf.is_ppt(ref, subset) is (len(subset) == 1)
+        assert "matrix" not in rho.__dict__
+
+    @pytest.mark.parametrize("subset", [[], [0, 1, 2], [3], [-1]])
+    def test_bad_subsets_raise_as_dense(self, subset):
+        rho = qf.duer_state(3)
+        with pytest.raises(ValueError) as block_error:
+            qf.is_ppt(rho, subset)
+        with pytest.raises(ValueError) as dense_error:
+            qf.is_ppt(duer_reference(3), subset)
+        assert str(block_error.value) == str(dense_error.value)
+
+
+THREE_QUBIT_NAMES = ("dme", "dme_family", "witness", "fq_2", "fq_3", "fq_avg_2", "fq_avg_3", "ppt_all_cuts")
+
+
+@pytest.mark.parametrize("mode", ["dme_violating", "full_family", "bound_entangled", "seeded"])
+def test_evaluate_reads_blocks_as_their_matrices(mode):
+    if mode == "seeded":
+        blocks = tuple(np.stack(parts) for parts in zip(*seeded_blocks(500, 3, 64)))
+    else:
+        blocks = zoo._random_ghz_diagonal_batch(campaigns._streams(9, 0, 512), mode)
+    mats = _x_matrix(*blocks)
+    from_blocks, from_mats = criteria.evaluate(blocks, 3, THREE_QUBIT_NAMES), criteria.evaluate(mats, 3, THREE_QUBIT_NAMES)
+    assert list(from_blocks) == list(THREE_QUBIT_NAMES)
+    for name in THREE_QUBIT_NAMES:
+        assert np.array_equal(from_blocks[name], from_mats[name]), name
+    names = THREE_QUBIT_NAMES[:-1]
+    for name, got, want in zip(names, criteria._margins(blocks, 3, names).values(), criteria._margins(mats, 3, names).values()):
+        assert_same_bits(got, want)
+
+
+def test_campaign_chunks_build_no_dense_stack(monkeypatch):
+    """``table3`` and the scan check, decide and PPT-test a chunk on its
+    blocks: no (B, 8, 8) stack is built, transposed or searched for blocks."""
+    counts = {mode: campaigns._table3_chunk(0, 300, 0, mode) for mode in ("dme_violating", "full_family")}
+    counts["scan"] = campaigns._scan_chunk(0, 300, 0)
+
+    def corner_only(p, q, c, build=core._x_matrix):  # the GHZ fidelity reads block 0 as a (B, 2, 2) stack
+        assert p.shape[-1] == 1, f"built a dense stack from blocks of shape {p.shape}"
+        return build(p, q, c)
+
+    def dense_path(*args):
+        raise AssertionError("a chunk took a dense path")
+
+    for module in (core, criteria, fisher, zoo):
+        monkeypatch.setattr(module, "_x_matrix", corner_only, raising=False)
+        monkeypatch.setattr(module, "_x_blocks", dense_path, raising=False)
+    monkeypatch.setattr(core, "partial_transpose", dense_path)
+    for mode in ("dme_violating", "full_family"):
+        assert np.array_equal(campaigns._table3_chunk(0, 300, 0, mode), counts[mode])
+    assert np.array_equal(campaigns._scan_chunk(0, 300, 0), counts["scan"])

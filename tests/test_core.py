@@ -18,6 +18,7 @@ from qfisher.core import (
     _block_eigvals,
     _smallest_eigvals,
     _x_blocks,
+    _x_matrix,
 )
 
 
@@ -110,8 +111,8 @@ class TestStackValidators:
 
     def test_valid_stack_returns_its_hermitian_part(self):
         rhos = self._stack()
-        out = _check_density_stack(rhos)
-        assert np.array_equal(out, (rhos + rhos.conj().swapaxes(-1, -2)) / 2)
+        out, blocks = _check_density_stack(rhos)
+        assert np.array_equal(out, (rhos + rhos.conj().swapaxes(-1, -2)) / 2) and blocks is None
         for rho, mat in zip(rhos, out):
             assert np.array_equal(qf.DensityMatrix(2, rho).matrix, mat)
 
@@ -229,7 +230,7 @@ class TestRealArithmetic:
         seen = linalg_dtypes("cholesky", "eigvalsh")
         rhos = self._real_stack()
         for stack in (rhos, rhos.astype(complex)):
-            out = _check_density_stack(stack)
+            out, _ = _check_density_stack(stack)
             assert out.dtype == np.float64
             assert np.array_equal(out, (rhos + rhos.swapaxes(-1, -2)) / 2)
         assert seen == {"cholesky": [np.float64, np.float64], "eigvalsh": []}
@@ -347,7 +348,7 @@ class TestPsdBoundary:
 
         lam = np.array([1e-5, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25, 1e-5])
         mus = np.array([np.sqrt(1e-10 + 0.999e-12), 0.0, 0.0, 0.0])
-        edge = zoo._x_form_matrices(lam[None], mus[None])[0].real
+        edge = _x_matrix(*zoo._x_form_blocks(lam, mus))
         cases = [self._x_form_with_smallest(f * PSD_TOL, seed=s) for f in (-0.9, -1.1) for s in range(4)]
         cases.append(edge)
         refs = [np.linalg.eigvalsh(mat)[0] for mat in cases]
@@ -362,7 +363,7 @@ class TestPsdBoundary:
                 qf.DensityMatrix(4, mat)
         assert sum(ref < -PSD_TOL for ref in refs) == 5
         rhos = np.stack(cases[:4])
-        assert np.array_equal(_check_density_stack(rhos), rhos)
+        assert np.array_equal(_check_density_stack(rhos)[0], rhos)
         rhos[2] = cases[5]
         with pytest.raises(InvariantError, match=r"^sample 2: smallest eigenvalue -1\.\d+e-09 below -1e-09$"):
             _check_density_stack(rhos)
@@ -370,7 +371,7 @@ class TestPsdBoundary:
 
     def test_stack(self):
         rhos = np.stack([self._with_smallest(-0.9 * PSD_TOL, seed=s) for s in range(5)])
-        assert np.array_equal(_check_density_stack(rhos), (rhos + rhos.conj().swapaxes(-1, -2)) / 2)
+        assert np.array_equal(_check_density_stack(rhos)[0], (rhos + rhos.conj().swapaxes(-1, -2)) / 2)
         rhos[3] = self._with_smallest(-1.1 * PSD_TOL, seed=3)
         with pytest.raises(InvariantError, match=r"^sample 3: smallest eigenvalue -1\.\d+e-09 below -1e-09$"):
             _check_density_stack(rhos)
@@ -637,7 +638,7 @@ class TestXFormEigenpairs:
     def test_is_ppt_matches_eigvalsh_on_sampled_stacks(self):
         from qfisher import zoo
 
-        rhos = zoo._random_ghz_diagonal_batch([np.random.default_rng([8, i]) for i in range(256)], "dme_violating")
+        rhos = _x_matrix(*zoo._random_ghz_diagonal_batch([np.random.default_rng([8, i]) for i in range(256)], "dme_violating"))
         # white noise at weights from 0 to 1, so the stack holds PPT and NPT members
         weights = np.linspace(0.0, 1.0, len(rhos))[:, None, None]
         rhos = weights * rhos + (1 - weights) * np.eye(8) / 8

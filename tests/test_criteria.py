@@ -5,7 +5,7 @@ import pytest
 
 import qfisher as qf
 from qfisher import campaigns, core, criteria, fisher, zoo
-from qfisher.core import PAULI_X, PAULI_Y, PAULI_Z, InvariantError
+from qfisher.core import PAULI_X, PAULI_Y, PAULI_Z, InvariantError, _x_matrix
 from qfisher.criteria import STRICT_MARGIN, _antidiagonal, _ghz_fidelity, _margins, _witness_seesaw, evaluate
 
 
@@ -472,7 +472,7 @@ def sampled_states(mode):
     streams = (np.random.default_rng([0, i]) for i in range(300))
     if mode == "pure":
         return [qf.PureState(3, psi) for psi in zoo._random_pure_batch(streams)]
-    return [qf.DensityMatrix(3, rho) for rho in zoo._random_ghz_diagonal_batch(streams, mode)]
+    return [qf.DensityMatrix(3, rho) for rho in _x_matrix(*zoo._random_ghz_diagonal_batch(streams, mode))]
 
 
 class TestEvaluate:
@@ -554,7 +554,7 @@ class TestEvaluate:
         if mode == "pure":
             batch = zoo._random_pure_batch(streams)
         else:
-            batch = zoo._random_ghz_diagonal_batch(streams, mode)
+            batch = _x_matrix(*zoo._random_ghz_diagonal_batch(streams, mode))
         names = THREE_QUBIT_NAMES[:-1]
         margins, flags = _margins(batch, 3, names), evaluate(batch, 3, THREE_QUBIT_NAMES)
         gammas = fisher._spin_gammas(batch, 3)

@@ -7,7 +7,7 @@ import pytest
 
 import qfisher as qf
 from qfisher import fisher
-from qfisher.core import PAULIS, InvariantError, _check_density_stack
+from qfisher.core import PAULIS, InvariantError, _check_density_stack, _x_matrix
 
 
 def random_pure(rng, n):
@@ -372,7 +372,7 @@ class TestRealArithmetic:
         jays = dense_collective_spins(3)
         for mode in ("dme_violating", "full_family", "bound_entangled"):
             rngs = [np.random.default_rng([4, i]) for i in range(16)]
-            rhos = zoo._random_ghz_diagonal_batch(rngs, mode)
+            rhos = _x_matrix(*zoo._random_ghz_diagonal_batch(rngs, mode))
             for gamma, rho in zip(fisher._spin_gammas(rhos, 3), rhos):
                 TestSpinKernelsAgainstDense.assert_close(gamma, dense_gamma(rho, jays))
 
@@ -393,7 +393,7 @@ class TestRealArithmetic:
 
         seen = linalg_dtypes("eigh", "eigvalsh", "cholesky")
         rhos = [qf.duer_state(6).matrix[None], qf.mix_with_identity(qf.ghz(4), 0.5).matrix[None]]
-        rhos.append(zoo._random_ghz_diagonal_batch([np.random.default_rng([4, i]) for i in range(64)], "dme_violating"))
+        rhos.append(_x_matrix(*zoo._random_ghz_diagonal_batch([np.random.default_rng([4, i]) for i in range(64)], "dme_violating")))
         for rho in rhos:
             _check_density_stack(rho)
             fisher._spin_gammas(rho, rho.shape[-1].bit_length() - 1)
@@ -451,7 +451,7 @@ def x_form_states(seed, n, b):
     mats[:, j, j] = upper * cos**2 + lower * sin**2
     mats[:, d - 1 - j, d - 1 - j] = upper * sin**2 + lower * cos**2
     mats[:, j, d - 1 - j] = mats[:, d - 1 - j, j] = (upper - lower) * sin * cos
-    return _check_density_stack(mats)
+    return _check_density_stack(mats)[0]
 
 
 def general_spin_gammas(batch, n):

@@ -1,3 +1,4 @@
+import operator
 import tracemalloc
 from functools import reduce
 
@@ -6,7 +7,7 @@ import pytest
 
 import qfisher as qf
 from qfisher import zoo
-from qfisher.core import PAULIS, InvariantError, _check_density_stack
+from qfisher.core import PAULIS, InvariantError, _check_density_stack, _x_matrix
 from qfisher.zoo import GhzDiagonalParams
 
 
@@ -112,7 +113,7 @@ class TestXForm:
         with pytest.raises(InvariantError, match=r"^smallest eigenvalue -3\.\d+e-08 below -1e-09$"):
             qf.ghz_diagonal(lam, mus)
         with pytest.raises(InvariantError, match=r"^sample 0: smallest eigenvalue -3\.\d+e-08 below"):
-            _check_density_stack(zoo._x_form_matrices(lam[None], mus[None]))
+            _check_density_stack(_x_matrix(*zoo._x_form_blocks(lam[None], mus[None])))
 
 
 class TestBoundEntangledFamily:
@@ -371,7 +372,7 @@ def _reference_x_form(lambdas, mus):
     for j in range(4):
         mat[j, 7 - j] = mus[j]
         mat[7 - j, j] = mus[j]
-    return qf.DensityMatrix(3, mat / sum(lam)).matrix
+    return qf.DensityMatrix(3, mat / reduce(operator.add, lam)).matrix  # left to right: from Python 3.12 sum() compensates
 
 
 def _reference_ghz_diagonal(rng, mode):
@@ -417,7 +418,7 @@ class TestBatchSamplers:
     @pytest.mark.parametrize("start, stop", INDEX_RANGES)
     @pytest.mark.parametrize("mode", X_FORM_MODES)
     def test_x_form_batch_equals_per_sample_reference(self, mode, start, stop):
-        batch = zoo._random_ghz_diagonal_batch(_streams(5, start, stop), mode)
+        batch = _x_matrix(*zoo._random_ghz_diagonal_batch(_streams(5, start, stop), mode))
         reference = np.array([_reference_ghz_diagonal(rng, mode) for rng in _streams(5, start, stop)])
         assert np.array_equal(batch, reference)
 
@@ -444,7 +445,7 @@ class TestBatchSamplers:
             assert abs(l[0] * l[1] - l[2]) < 1e-3
         rngs = [np.random.default_rng([5, i]) for i in indices]
         refs = [np.random.default_rng([5, i]) for i in indices]
-        batch = zoo._random_ghz_diagonal_batch(rngs, "bound_entangled")
+        batch = _x_matrix(*zoo._random_ghz_diagonal_batch(rngs, "bound_entangled"))
         assert np.array_equal(batch, [_reference_ghz_diagonal(rng, "bound_entangled") for rng in refs])
         assert [rng.bit_generator.state for rng in rngs] == [rng.bit_generator.state for rng in refs]
 
@@ -452,22 +453,24 @@ class TestBatchSamplers:
         from qfisher import campaigns, core
 
         calls = []
-        for name in ("_check_pure_stack", "_check_density_stack"):
+        for name in ("_check_pure_stack", "_check_density_stack", "_check_block_stack"):
 
-            def counting(stack, check=getattr(core, name)):
-                calls.append(stack.shape)
-                return check(stack)
+            def counting(stack, *blocks, name=name, check=getattr(core, name)):
+                calls.append((name, stack.shape))
+                return check(stack, *blocks)
 
             for module in (core, zoo, campaigns):
                 monkeypatch.setattr(module, name, counting, raising=False)
         qf.random_pure_3qubit(np.random.default_rng(0))
         qf.random_ghz_diagonal(np.random.default_rng(0), "dme_violating")
-        assert calls == [(8,), (8, 8)]
+        assert calls == [("_check_pure_stack", (8,)), ("_check_block_stack", (4,))]
         campaigns._table2_chunk(0, 5, 0, local=False)
         campaigns._table3_chunk(0, 5, 0, "dme_violating")
         campaigns._scan_chunk(0, 5, 0)
         # the criteria also build single reference states (the GHZ state)
-        assert [shape for shape in calls[2:] if shape[0] == 5] == [(5, 8), (5, 8, 8), (5, 8, 8)]
+        assert [call for call in calls[2:] if call[1][0] == 5] == [
+            ("_check_pure_stack", (5, 8)), ("_check_block_stack", (5, 4)), ("_check_block_stack", (5, 4))
+        ]
 
     def test_bad_x_form_block_names_the_sample(self):
         lam = np.full((5, 8), 0.125)
