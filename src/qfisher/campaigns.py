@@ -30,6 +30,7 @@ from .core import (
     mix_with_identity,
 )
 from .criteria import (
+    _evaluate,
     _margin,
     _margins,
     _optimized_witness,
@@ -352,7 +353,7 @@ TABLE3_CRITERIA = ("witness", "fq_3", "fq_avg_3")
 def _table3_chunk(start: int, stop: int, seed: int, mode: str) -> np.ndarray:
     blocks = zoo._random_ghz_diagonal_batch(_streams(seed, start, stop), mode)
     _check_block_stack(*blocks)
-    return _counts(evaluate(blocks, 3, TABLE3_CRITERIA), TABLE3_CRITERIA)
+    return _counts(_evaluate(blocks, 3, TABLE3_CRITERIA), TABLE3_CRITERIA)
 
 
 def run_table3(
@@ -378,7 +379,7 @@ SCAN_FIELDS = ("ppt_all_cuts", "fq_2", "fq_avg_2")
 def _scan_chunk(start: int, stop: int, seed: int) -> np.ndarray:
     blocks = zoo._random_ghz_diagonal_batch(_streams(seed, start, stop), "bound_entangled")
     _check_block_stack(*blocks)
-    return _counts(evaluate(blocks, 3, SCAN_FIELDS), SCAN_FIELDS)
+    return _counts(_evaluate(blocks, 3, SCAN_FIELDS), SCAN_FIELDS)
 
 
 def run_bound_entangled_scan(samples: int = 10_000, seed: int = 0, workers: int = 1) -> list[DetectionRate]:

@@ -219,8 +219,7 @@ def _check_density_stack(mats: np.ndarray) -> tuple[np.ndarray, tuple | None]:
 def _check_block_stack(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> None:
     """Check the (..., d/2) blocks (p, q, c) of real X-form matrices in O(d) as
     ``_check_density_stack`` checks the matrices, and with its messages."""
-    finite = np.isfinite(p) & np.isfinite(q) & np.isfinite(c)
-    _raise_first(~finite.all(axis=-1), "density matrix has a non-finite entry")
+    _raise_first(~np.isfinite((p, q, c)).all(axis=(0, -1)), "density matrix has a non-finite entry")
     tr = np.concatenate((p, q[..., ::-1]), axis=-1).sum(axis=-1)  # the diagonal, added as np.trace adds it
     _raise_first(~(np.abs(tr - 1.0) <= TRACE_TOL), "trace is {!r}, expected 1", tr)
     _check_psd(None, f"smallest eigenvalue {{!r}} below -{PSD_TOL}", (p, q, c))
@@ -471,15 +470,13 @@ def _block_partial_transpose(p, q, c, subset) -> tuple[np.ndarray, np.ndarray, n
 
 def is_ppt(rho, subset, tol: float = 1e-9) -> bool | np.ndarray:
     """True iff the partial transpose over the subset has no eigenvalue below
-    -tol; a (..., d, d) stack, or the (..., d/2) blocks (p, q, c) of a real
-    X-form one, gives a bool array of its leading shape. A state that carries
-    blocks is transposed as blocks (``_block_partial_transpose``), a real
-    X-form stack read through its transpose's ``_x_blocks``; both are decided
-    by the blocks' closed-form eigenvalues."""
-    blocks = rho._blocks if isinstance(rho, DensityMatrix) else rho if isinstance(rho, tuple) else None
-    pt = None if blocks is not None else _real_if_real(partial_transpose(rho, subset))
-    blocks = _x_blocks(pt) if blocks is None else _block_partial_transpose(*blocks, subset)
-    ppt = _smallest_eigvals(pt, blocks) >= -tol
+    -tol; a (..., d, d) stack gives a bool array of its leading shape. A state
+    that carries blocks and a real X-form stack are decided by the closed-form
+    eigenvalues of the transpose's blocks, with no LAPACK call."""
+    if isinstance(rho, DensityMatrix) and rho._blocks is not None:
+        return bool(_smallest_eigvals(None, _block_partial_transpose(*rho._blocks, subset)) >= -tol)
+    pt = _real_if_real(partial_transpose(rho, subset))
+    ppt = _smallest_eigvals(pt, _x_blocks(pt)) >= -tol
     return bool(ppt) if ppt.ndim == 0 else ppt
 
 

@@ -22,6 +22,8 @@ from .core import (
     InvariantError,
     PureState,
     _as_batch,
+    _block_partial_transpose,
+    _smallest_eigvals,
     _x_matrix,
     is_ppt,
 )
@@ -127,11 +129,11 @@ def _antidiagonal(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sqrt(rho[i, i] rho[7-i, 7-i]) over the other pairs i. For a pure stack
     both reduce to the products |psi_j| |psi_{7-j}|.
     """
+    if (batch[0].shape[1:] != (4,)) if isinstance(batch, tuple) else batch.shape[1:] not in ((8,), (8, 8)):
+        raise ValueError("the antidiagonal test is defined for exactly 3 qubits")
     if isinstance(batch, tuple):
         p, q, c = batch
         lhs, terms = np.abs(c), np.sqrt(np.maximum(0.0, p) * np.maximum(0.0, q))
-    elif batch.shape[1:] not in ((8,), (8, 8)):
-        raise ValueError("the antidiagonal test is defined for exactly 3 qubits")
     elif batch.ndim == 2:
         mags = np.abs(batch)
         lhs = terms = mags[:, :4] * mags[:, 7:3:-1]
@@ -196,9 +198,8 @@ def _margins(batch, num_qubits: int, names) -> dict[str, np.ndarray]:
 
 def evaluate(batch, num_qubits: int, names) -> dict[str, np.ndarray]:
     """Decide the named criteria for every member of a (B, d) stack of
-    amplitude vectors, a (B, d, d) stack of density matrices or the (B, d/2)
-    blocks (p, q, c) of a real X-form one, assumed valid; one (B,) bool
-    array per name:
+    amplitude vectors or a (B, d, d) stack of density matrices, assumed
+    valid; one (B,) bool array per name:
 
     - ``fq_k`` / ``fq_avg_k``: the largest eigenvalue / trace / 3 of the
       spin-QFI matrix Gamma exceeds ``qfi_bound`` / ``avg_qfi_bound`` of
@@ -213,13 +214,21 @@ def evaluate(batch, num_qubits: int, names) -> dict[str, np.ndarray]:
     computed at most once, and only if a name needs it. Any other name
     raises ``ValueError``.
     """
+    return _evaluate(np.asarray(batch), num_qubits, names)
+
+
+def _evaluate(batch, num_qubits: int, names) -> dict[str, np.ndarray]:
+    """``evaluate`` of a stack, or of the (B, d/2) blocks (p, q, c) of real X-form states."""
     names = list(names)
-    batch = batch if isinstance(batch, tuple) else np.asarray(batch)
     margins = _margins(batch, num_qubits, [name for name in names if name != "ppt_all_cuts"])
     flags = {name: margin > 0 for name, margin in margins.items()}
     if "ppt_all_cuts" in names:
-        rhos = batch if isinstance(batch, tuple) or batch.ndim == 3 else batch[:, :, None] * batch[:, None, :].conj()
-        flags["ppt_all_cuts"] = np.logical_and.reduce([is_ppt(rhos, [q]) for q in range(num_qubits)])
+        if isinstance(batch, tuple):  # each cut's blocks, decided in closed form as is_ppt decides them
+            ppt = [_smallest_eigvals(None, _block_partial_transpose(*batch, [q])) >= -1e-9 for q in range(num_qubits)]
+        else:
+            rhos = batch[:, :, None] * batch[:, None, :].conj() if batch.ndim == 2 else batch
+            ppt = [is_ppt(rhos, [q]) for q in range(num_qubits)]
+        flags["ppt_all_cuts"] = np.logical_and.reduce(ppt)
     return {name: flags[name] for name in names}
 
 

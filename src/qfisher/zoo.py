@@ -112,17 +112,11 @@ class GhzDiagonalParams:
         object.__setattr__(self, "mus", mus)
 
 
-def _x_form_sum(lam: np.ndarray) -> np.ndarray:
-    """Sum of (..., 8) weights added left to right (``ndarray.sum`` adds
-    pairwise and can differ in the last bit)."""
-    return sum(lam[..., j] for j in range(8))
-
-
 def _check_x_form(lam: np.ndarray, mus: np.ndarray) -> None:
     """Check (..., 8) weights and (..., 4) coherences: weights non-negative and
     not all zero, every block [[lam_j, mu_j], [mu_j, lam_{7-j}]] PSD within 1e-12."""
     _raise_first(np.min(lam, axis=-1) < 0, "diagonal weights must be non-negative")
-    _raise_first(_x_form_sum(lam) <= 0, "diagonal weights must not all vanish")
+    _raise_first(lam.sum(axis=-1) <= 0, "diagonal weights must not all vanish")
     mu_sq = mus**2
     det = lam[..., :4] * lam[..., :3:-1]
     bad = mu_sq > det + 1e-12
@@ -138,9 +132,10 @@ def _check_x_form(lam: np.ndarray, mus: np.ndarray) -> None:
 
 def _x_form_blocks(lam: np.ndarray, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The blocks (p, q, c), each (..., 4), of X-form states from (..., 8) weights
-    and (..., 4) coherences over the weights' sum s: each entry x is (x + 0) * (1 / s),
-    as NumPy divides a complex x by a real s, and the seeded campaigns pin those bits."""
-    scale = 1.0 / _x_form_sum(lam)[..., None]
+    and (..., 4) coherences over the weights' sum s, added left to right (``ndarray.sum``
+    adds pairwise): each entry x is (x + 0) * (1 / s), as NumPy divides a complex x by
+    a real s, and the seeded campaigns pin those bits."""
+    scale = 1.0 / sum(lam[..., j] for j in range(8))[..., None]
     return tuple((x + 0.0) * scale for x in (lam[..., :4], lam[..., :3:-1], mus))
 
 

@@ -316,9 +316,10 @@ class TestBlockPartialTranspose:
             pt = qf.partial_transpose(mats, subset)  # complex, as every dense partial transpose
             assert not pt.imag.any()
             pt = pt.real
-            for got, want in zip(core._block_partial_transpose(*stack, subset), _x_blocks(pt)):
+            pt_blocks = core._block_partial_transpose(*stack, subset)
+            for got, want in zip(pt_blocks, _x_blocks(pt)):
                 assert_same_bits(got, want)
-            ppt = qf.is_ppt(stack, subset)
+            ppt = core._smallest_eigvals(None, pt_blocks) >= -1e-9
             assert np.array_equal(ppt, qf.is_ppt(mats, subset))
             assert np.array_equal(ppt, np.linalg.eigvalsh(pt)[:, 0] >= -1e-9)
             seen.update(ppt.tolist())
@@ -339,6 +340,16 @@ class TestBlockPartialTranspose:
             qf.is_ppt(duer_reference(3), subset)
         assert str(block_error.value) == str(dense_error.value)
 
+    def test_a_tuple_is_a_stack_of_matrices(self):
+        # only a state's own blocks are read as blocks: a tuple of three
+        # 4 x 4 matrices is a (3, 4, 4) stack, as any array-like is
+        mats = (np.eye(4) / 4, qf.density_from_pure(qf.ghz(2)).matrix, np.diag([0.5, 0.0, 0.0, 0.5]))
+        assert np.array_equal(qf.is_ppt(mats, [0]), [True, False, True])
+        rhos, names = [_x_matrix(*blocks) for blocks in seeded_blocks(701, 3, 3)], ["witness", "fq_3", "ppt_all_cuts"]
+        from_tuple, from_stack = criteria.evaluate(tuple(rhos), 3, names), criteria.evaluate(np.stack(rhos), 3, names)
+        for name in names:
+            assert np.array_equal(from_tuple[name], from_stack[name])
+
 
 THREE_QUBIT_NAMES = ("dme", "dme_family", "witness", "fq_2", "fq_3", "fq_avg_2", "fq_avg_3", "ppt_all_cuts")
 
@@ -350,13 +361,19 @@ def test_evaluate_reads_blocks_as_their_matrices(mode):
     else:
         blocks = zoo._random_ghz_diagonal_batch(campaigns._streams(9, 0, 512), mode)
     mats = _x_matrix(*blocks)
-    from_blocks, from_mats = criteria.evaluate(blocks, 3, THREE_QUBIT_NAMES), criteria.evaluate(mats, 3, THREE_QUBIT_NAMES)
+    from_blocks, from_mats = criteria._evaluate(blocks, 3, THREE_QUBIT_NAMES), criteria.evaluate(mats, 3, THREE_QUBIT_NAMES)
     assert list(from_blocks) == list(THREE_QUBIT_NAMES)
     for name in THREE_QUBIT_NAMES:
         assert np.array_equal(from_blocks[name], from_mats[name]), name
     names = THREE_QUBIT_NAMES[:-1]
     for name, got, want in zip(names, criteria._margins(blocks, 3, names).values(), criteria._margins(mats, 3, names).values()):
         assert_same_bits(got, want)
+
+
+def test_blocks_of_more_qubits_fail_the_antidiagonal_test():
+    blocks = tuple(np.stack(parts) for parts in zip(*seeded_blocks(800, 4, 3)))
+    with pytest.raises(ValueError, match="exactly 3 qubits"):
+        criteria._evaluate(blocks, 4, ["dme"])
 
 
 def test_campaign_chunks_build_no_dense_stack(monkeypatch):

@@ -638,7 +638,8 @@ class TestXFormEigenpairs:
     def test_is_ppt_matches_eigvalsh_on_sampled_stacks(self):
         from qfisher import zoo
 
-        rhos = _x_matrix(*zoo._random_ghz_diagonal_batch([np.random.default_rng([8, i]) for i in range(256)], "dme_violating"))
+        blocks = zoo._random_ghz_diagonal_batch([np.random.default_rng([8, i]) for i in range(256)], "dme_violating")
+        rhos = _x_matrix(*blocks).astype(complex)
         # white noise at weights from 0 to 1, so the stack holds PPT and NPT members
         weights = np.linspace(0.0, 1.0, len(rhos))[:, None, None]
         rhos = weights * rhos + (1 - weights) * np.eye(8) / 8

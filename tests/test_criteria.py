@@ -472,7 +472,7 @@ def sampled_states(mode):
     streams = (np.random.default_rng([0, i]) for i in range(300))
     if mode == "pure":
         return [qf.PureState(3, psi) for psi in zoo._random_pure_batch(streams)]
-    return [qf.DensityMatrix(3, rho) for rho in _x_matrix(*zoo._random_ghz_diagonal_batch(streams, mode))]
+    return [qf.DensityMatrix(3, rho) for rho in _x_matrix(*zoo._random_ghz_diagonal_batch(streams, mode)).astype(complex)]
 
 
 class TestEvaluate:
@@ -554,7 +554,7 @@ class TestEvaluate:
         if mode == "pure":
             batch = zoo._random_pure_batch(streams)
         else:
-            batch = _x_matrix(*zoo._random_ghz_diagonal_batch(streams, mode))
+            batch = _x_matrix(*zoo._random_ghz_diagonal_batch(streams, mode)).astype(complex)
         names = THREE_QUBIT_NAMES[:-1]
         margins, flags = _margins(batch, 3, names), evaluate(batch, 3, THREE_QUBIT_NAMES)
         gammas = fisher._spin_gammas(batch, 3)

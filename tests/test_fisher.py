@@ -372,7 +372,7 @@ class TestRealArithmetic:
         jays = dense_collective_spins(3)
         for mode in ("dme_violating", "full_family", "bound_entangled"):
             rngs = [np.random.default_rng([4, i]) for i in range(16)]
-            rhos = _x_matrix(*zoo._random_ghz_diagonal_batch(rngs, mode))
+            rhos = _x_matrix(*zoo._random_ghz_diagonal_batch(rngs, mode)).astype(complex)  # a complex eigh below
             for gamma, rho in zip(fisher._spin_gammas(rhos, 3), rhos):
                 TestSpinKernelsAgainstDense.assert_close(gamma, dense_gamma(rho, jays))
 
@@ -393,7 +393,9 @@ class TestRealArithmetic:
 
         seen = linalg_dtypes("eigh", "eigvalsh", "cholesky")
         rhos = [qf.duer_state(6).matrix[None], qf.mix_with_identity(qf.ghz(4), 0.5).matrix[None]]
-        rhos.append(_x_matrix(*zoo._random_ghz_diagonal_batch([np.random.default_rng([4, i]) for i in range(64)], "dme_violating")))
+        # a complex stack with no imaginary part takes the real block path too
+        blocks = zoo._random_ghz_diagonal_batch([np.random.default_rng([4, i]) for i in range(64)], "dme_violating")
+        rhos.append(_x_matrix(*blocks).astype(complex))
         for rho in rhos:
             _check_density_stack(rho)
             fisher._spin_gammas(rho, rho.shape[-1].bit_length() - 1)
