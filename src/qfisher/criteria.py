@@ -255,7 +255,7 @@ def dme_condition(state, pair: int = 1) -> DmeResult:
 
 def dme_family(state) -> tuple[DmeResult, ...]:
     """All four antidiagonal-pair conditions; any violation is a detection."""
-    lhs, rhs, margin = (x[0] for x in _antidiagonal(_as_batch(state)))
+    lhs, rhs, margin = (x[0] for x in _antidiagonal(_as_batch(state, blocks=True)))
     return tuple(DmeResult(j + 1, bool(margin[j] > 0), float(lhs[j]), float(rhs[j])) for j in range(4))
 
 

@@ -370,6 +370,14 @@ def test_evaluate_reads_blocks_as_their_matrices(mode):
         assert_same_bits(got, want)
 
 
+def test_dme_family_reads_the_blocks():
+    for k, mode in enumerate(["dme_violating", "full_family", "bound_entangled"] * 4):
+        state = qf.random_ghz_diagonal(np.random.default_rng([11, k]), mode)
+        dense = qf.DensityMatrix(3, _x_matrix(*state._blocks).astype(complex))
+        assert qf.dme_family(state) == qf.dme_family(dense)  # lhs and rhs bit for bit
+        assert "matrix" not in state.__dict__
+
+
 def test_blocks_of_more_qubits_fail_the_antidiagonal_test():
     blocks = tuple(np.stack(parts) for parts in zip(*seeded_blocks(800, 4, 3)))
     with pytest.raises(ValueError, match="exactly 3 qubits"):
